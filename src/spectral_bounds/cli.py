@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import shlex
 import sys
@@ -70,11 +71,24 @@ def emit_table(rows, fmt: str, fieldnames=None, single: bool = False) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _parse_list(text: str, kind):
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
     try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"value must be finite: {text!r}")
+    return value
+
+
+def _list_of(kind):
+    """argparse type: a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
         return [kind(part) for part in text.split(",") if part != ""]
-    except ValueError as ex:
-        raise ParameterError(f"bad list value {text!r}: {ex}") from None
+
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
 
 
 def _spec_from_args(args) -> geometry.DomainSpec:
@@ -97,10 +111,10 @@ def _add_domain_flags(sub) -> None:
     sub.add_argument("--domain", required=True,
                      choices=["square", "rectangle", "rhombus", "polygon"])
     sub.add_argument("--m", type=int, help="rhombus angle parameter")
-    sub.add_argument("--a", type=float, help="rectangle long side")
-    sub.add_argument("--b", type=float, help="rectangle short side")
+    sub.add_argument("--a", type=_finite_float, help="rectangle long side")
+    sub.add_argument("--b", type=_finite_float, help="rectangle short side")
     sub.add_argument("--k", type=int, help="polygon vertex count")
-    sub.add_argument("--radius", type=float, default=1.0)
+    sub.add_argument("--radius", type=_finite_float, default=1.0)
 
 
 def _add_output_flags(sub, default_format: str) -> None:
@@ -122,8 +136,7 @@ def _require_p2(p: float) -> None:
 
 
 def _cmd_psi(args):
-    ps = _parse_list(args.p, float)
-    ns = _parse_list(args.n, int)
+    ps, ns = args.p, args.n
     if not ps or not ns:
         raise ParameterError("psi needs at least one --p and one --n value")
     rows = []
@@ -165,7 +178,7 @@ def _cmd_compare_bounds(args):
 
 
 def _cmd_verify_rhombus(args):
-    ms = _parse_list(args.m, int)
+    ms = args.m
     if not ms:
         raise ParameterError("verify-rhombus needs at least one --m value")
     rows = []
@@ -251,48 +264,51 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("psi", help="first zeros of the radial profiles")
-    sub.add_argument("--p", default="2", help="comma-separated exponents")
-    sub.add_argument("--n", default="2", help="comma-separated dimensions")
+    sub.add_argument("--p", default="2", type=_list_of(_finite_float),
+                     help="comma-separated exponents")
+    sub.add_argument("--n", default="2", type=_list_of(int),
+                     help="comma-separated dimensions")
     _add_output_flags(sub, "csv")
 
     sub = subs.add_parser("bound", help="closed-form lower bounds, no FEM")
     _add_domain_flags(sub)
-    sub.add_argument("--p", type=float, default=2.0)
+    sub.add_argument("--p", type=_finite_float, default=2.0)
     _add_output_flags(sub, "json")
 
     sub = subs.add_parser("compare-bounds",
                           help="all bounds against the FEM eigenvalue")
     _add_domain_flags(sub)
-    sub.add_argument("--p", type=float, default=2.0)
+    sub.add_argument("--p", type=_finite_float, default=2.0)
     sub.add_argument("--level", type=int, default=5)
     _add_output_flags(sub, "json")
 
     sub = subs.add_parser("verify-rhombus",
                           help="sharpness ratio table for degenerating rhombi")
-    sub.add_argument("--m", default="8,16,32,64",
+    sub.add_argument("--m", default="8,16,32,64", type=_list_of(int),
                      help="comma-separated angle parameters")
     sub.add_argument("--level", type=int, default=5)
     _add_output_flags(sub, "json")
 
     sub = subs.add_parser("chiti", help="cumulative-power domination check")
     _add_domain_flags(sub)
-    sub.add_argument("--p", type=float, default=2.0)
-    sub.add_argument("--q", type=float, default=2.0)
+    sub.add_argument("--p", type=_finite_float, default=2.0)
+    sub.add_argument("--q", type=_finite_float, default=2.0)
     sub.add_argument("--level", type=int, default=5)
     _add_output_flags(sub, "json")
 
     sub = subs.add_parser("rholder", help="reverse Holder norm check")
     _add_domain_flags(sub)
-    sub.add_argument("--p", type=float, default=2.0)
-    sub.add_argument("--q", type=float, default=2.0)
-    sub.add_argument("--r", type=float, default=1.0)
+    sub.add_argument("--p", type=_finite_float, default=2.0)
+    sub.add_argument("--q", type=_finite_float, default=2.0)
+    sub.add_argument("--r", type=_finite_float, default=1.0)
     sub.add_argument("--level", type=int, default=5)
     _add_output_flags(sub, "json")
 
     sub = subs.add_parser("sturm", help="singular Sturm-Liouville eigenvalue")
-    sub.add_argument("--gamma", type=float, required=True)
-    sub.add_argument("--beta", type=float, required=True)
-    sub.add_argument("--A", type=float, required=True, help="interval length")
+    sub.add_argument("--gamma", type=_finite_float, required=True)
+    sub.add_argument("--beta", type=_finite_float, required=True)
+    sub.add_argument("--A", type=_finite_float, required=True,
+                     help="interval length")
     sub.add_argument("--N", type=int, default=4096, help="cell count")
     _add_output_flags(sub, "json")
 
@@ -313,37 +329,51 @@ def dispatch(argv, out=None, err=None) -> int:
         code = ex.code
         return code if isinstance(code, int) else (0 if code is None else 2)
     if args.command == "suite":
-        return run_suite(args.path, out=stream)
+        return run_suite(args.path, out=stream, err=errstream)
     try:
         rows, single, fieldnames = _HANDLERS[args.command](args)
         text = emit_table(rows, args.format, fieldnames=fieldnames, single=single)
+        if args.out_path:
+            Path(args.out_path).write_text(text, encoding="utf-8")
+        else:
+            stream.write(text)
     except ParameterError as ex:
         print(f"error: {ex}", file=errstream)
         return 2
     except NumericError as ex:
         print(f"numeric failure: {ex}", file=errstream)
         return 1
-    if args.out_path:
-        Path(args.out_path).write_text(text, encoding="utf-8")
-    else:
-        stream.write(text)
+    except Exception as ex:
+        # anything else is a failure the input drove the numerics into;
+        # report it on one line instead of a traceback
+        detail = " ".join(str(ex).split())
+        print(f"failure: {type(ex).__name__}: {detail}", file=errstream)
+        return 1
     return 0
 
 
-def run_suite(path: str, out=None) -> int:
+def run_suite(path: str, out=None, err=None) -> int:
     """Run every non-blank, non-comment line of a suite file as an invocation.
 
     Lines run concurrently on a thread pool (SPECTRAL_BOUNDS_THREADS caps the
     width, machine cores by default) but output is buffered per line and
     written strictly in file order, one status comment per line. Nested
     suite lines are rejected. Exit 1 if any line fails, 2 if the file cannot
-    be read, 0 otherwise.
+    be read or SPECTRAL_BOUNDS_THREADS is not an integer, 0 otherwise.
     """
     stream = out if out is not None else sys.stdout
+    errstream = err if err is not None else sys.stderr
+    env_threads = os.environ.get("SPECTRAL_BOUNDS_THREADS", "")
+    try:
+        workers = int(env_threads) if env_threads else (os.cpu_count() or 1)
+    except ValueError:
+        print(f"error: SPECTRAL_BOUNDS_THREADS must be an integer, "
+              f"got {env_threads!r}", file=errstream)
+        return 2
     try:
         content = Path(path).read_text(encoding="utf-8")
     except OSError as ex:
-        print(f"cannot read suite file: {ex}", file=sys.stderr)
+        print(f"cannot read suite file: {ex}", file=errstream)
         return 2
     runs = []
     for lineno, raw in enumerate(content.splitlines(), start=1):
@@ -353,7 +383,7 @@ def run_suite(path: str, out=None) -> int:
         try:
             argv = shlex.split(line)
         except ValueError as ex:
-            print(f"cannot parse suite line {lineno}: {ex}", file=sys.stderr)
+            print(f"cannot parse suite line {lineno}: {ex}", file=errstream)
             return 2
         runs.append((lineno, argv))
     if not runs:
@@ -371,8 +401,6 @@ def run_suite(path: str, out=None) -> int:
             code = ex.code if isinstance(ex.code, int) else 2
         return code, buffer.getvalue(), errbuffer.getvalue()
 
-    env_threads = os.environ.get("SPECTRAL_BOUNDS_THREADS", "")
-    workers = int(env_threads) if env_threads else (os.cpu_count() or 1)
     workers = max(1, min(workers, len(runs)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(one, [argv for _, argv in runs]))

@@ -18,7 +18,7 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, ParameterError
-from .geometry import Mesh, element_areas, undirected_edges
+from .geometry import Mesh, edge_table, element_areas
 
 _SEED = 42
 _EIG_TOL = 1e-10
@@ -78,11 +78,8 @@ def _scatter(mesh: Mesh, local: np.ndarray) -> sparse.csr_matrix:
 
 
 def _true_boundary_nodes(mesh: Mesh) -> np.ndarray:
-    nodes = set()
-    for (i, j), count in undirected_edges(mesh).items():
-        if count == 1:
-            nodes.update((i, j))
-    return np.array(sorted(nodes), dtype=int)
+    table = edge_table(mesh)
+    return np.unique(table.edges[table.counts == 1])
 
 
 def _tagged_nodes(mesh: Mesh, tag: str) -> np.ndarray:

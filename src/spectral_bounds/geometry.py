@@ -7,12 +7,20 @@ triangulation, so every refinement is nested in the previous one. Rhombus
 meshes carry the short diagonal as a tagged edge chain at every level; the
 half-rhombus triangle used for the mixed eigenvalue problem is literally a
 sub-complex of the rhombus mesh.
+
+A mesh's topology lives in one edge table (``edge_table``), built in a
+single ``np.unique`` pass over the element edges. Edges are numbered in
+first-encounter order, element by element with sides (0,1), (1,2), (2,0),
+and red refinement names the midpoint of edge e node ``node_count + e``;
+that rule fixes the node numbering of every refined mesh, and with it the
+bytes of everything computed downstream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,21 +138,56 @@ def element_areas(mesh: Mesh) -> np.ndarray:
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
+class EdgeTable(NamedTuple):
+    """Undirected edges of one mesh, numbered in first-encounter order.
+
+    edges[e] is the vertex pair (lo, hi) of edge e with lo < hi, counts[e]
+    the number of elements sharing it, and element_edges[f] the ids of the
+    sides (0,1), (1,2), (2,0) of element f.
+    """
+
+    edges: np.ndarray
+    element_edges: np.ndarray
+    counts: np.ndarray
+
+
+def _edge_keys(pairs, node_count: int) -> np.ndarray:
+    """One int64 key per undirected vertex pair, lo * node_count + hi."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return pairs.min(axis=1) * node_count + pairs.max(axis=1)
+
+
+def _tagged_edge_ids(mesh: Mesh, table: EdgeTable) -> np.ndarray:
+    """Table id of each tagged boundary pair, -1 where it is no mesh edge."""
+    keys = _edge_keys(table.edges, mesh.node_count)
+    order = np.argsort(keys)
+    tagged = _edge_keys([(i, j) for i, j, _ in mesh.boundary_edges],
+                        mesh.node_count)
+    pos = np.searchsorted(keys, tagged, sorter=order)
+    ids = order[np.minimum(pos, len(keys) - 1)]
+    return np.where(keys[ids] == tagged, ids, -1)
+
+
+def edge_table(mesh: Mesh) -> EdgeTable:
+    """The mesh's edge table from one ``np.unique`` pass over its sides."""
+    sides = np.stack([mesh.elements, np.roll(mesh.elements, -1, axis=1)],
+                     axis=2).reshape(-1, 2)
+    _, first, inverse, counts = np.unique(
+        _edge_keys(sides, mesh.node_count), return_index=True,
+        return_inverse=True, return_counts=True)
+    # np.unique numbers edges by key; renumber them by first encounter
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return EdgeTable(edges=np.sort(sides[first[order]], axis=1),
+                     element_edges=rank[inverse].reshape(-1, 3),
+                     counts=counts[order])
+
+
 def undirected_edges(mesh: Mesh) -> dict[tuple[int, int], int]:
     """Multiplicity of each undirected element edge."""
-    counts: dict[tuple[int, int], int] = {}
-    for tri in mesh.elements:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(min(a, b)), int(max(a, b)))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def max_edge_length(mesh: Mesh) -> float:
-    p = mesh.nodes[mesh.elements]
-    lengths = [np.linalg.norm(p[:, i] - p[:, j], axis=1)
-               for i, j in ((0, 1), (1, 2), (2, 0))]
-    return float(np.max(lengths))
+    table = edge_table(mesh)
+    return dict(zip(map(tuple, table.edges.tolist()), table.counts.tolist()))
 
 
 def validate_mesh(mesh: Mesh, area: float | None = None) -> dict:
@@ -156,20 +199,23 @@ def validate_mesh(mesh: Mesh, area: float | None = None) -> dict:
     areas = element_areas(mesh)
     if np.any(areas <= 0.0):
         raise ParameterError("mesh has non-positive element areas")
-    counts = undirected_edges(mesh)
-    if any(c > 2 for c in counts.values()):
+    table = edge_table(mesh)
+    if np.any(table.counts > 2):
         raise ParameterError("mesh edge shared by more than two elements")
-    euler = mesh.node_count - len(counts) + mesh.element_count
+    euler = mesh.node_count - len(table.counts) + mesh.element_count
     if euler != 1:
         raise ParameterError(f"Euler relation violated: V - E + F = {euler}")
-    boundary = {k for k, c in counts.items() if c == 1}
-    tagged = {(min(i, j), max(i, j)) for i, j, _ in mesh.boundary_edges}
-    if not boundary <= tagged:
+    untagged = table.counts == 1
+    boundary_count = int(np.sum(untagged))
+    ids = _tagged_edge_ids(mesh, table)
+    untagged[ids[ids >= 0]] = False
+    if np.any(untagged):
         raise ParameterError("untagged boundary edges present")
     total = float(np.sum(areas))
     if area is not None and abs(total - area) > 1e-12 * max(area, 1.0):
         raise ParameterError(f"mesh area {total} != domain area {area}")
-    return {"area": total, "edges": len(counts), "boundary_edges": len(boundary)}
+    return {"area": total, "edges": len(table.counts),
+            "boundary_edges": boundary_count}
 
 
 def _base_mesh(spec: DomainSpec) -> Mesh:
@@ -183,7 +229,9 @@ def _base_mesh(spec: DomainSpec) -> Mesh:
         angles = 2.0 * math.pi * np.arange(k) / k
         ring = np.column_stack([r * np.cos(angles), r * np.sin(angles)])
         nodes = np.vstack([[0.0, 0.0], ring])
-        elements = np.array([[0, 1 + i, 1 + (i + 1) % k] for i in range(k)])
+        ring_ids = 1 + np.arange(k)
+        elements = np.column_stack([np.zeros(k, dtype=int), ring_ids,
+                                    np.roll(ring_ids, -1)])
         edges = [(1 + i, 1 + (i + 1) % k, OUTER) for i in range(k)]
     else:
         # Rhombus A B C D with A at the origin and the long diagonal on the
@@ -213,32 +261,26 @@ def _half_rhombus_base(m: int) -> Mesh:
                 refinement_level=0, spec=make_rhombus(m))
 
 
+# children of a red-refined element, as columns of [i0, i1, i2, m01, m12, m20]
+_CHILDREN = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
+
+
 def refine(mesh: Mesh) -> Mesh:
     """Uniform midpoint refinement: each triangle into four similar ones."""
-    nodes = [tuple(xy) for xy in mesh.nodes]
-    midpoint: dict[tuple[int, int], int] = {}
-
-    def mid(i: int, j: int) -> int:
-        key = (min(i, j), max(i, j))
-        idx = midpoint.get(key)
-        if idx is None:
-            idx = len(nodes)
-            nodes.append(tuple(0.5 * (mesh.nodes[i] + mesh.nodes[j])))
-            midpoint[key] = idx
-        return idx
-
-    elements = []
-    for i0, i1, i2 in mesh.elements:
-        m01, m12, m20 = mid(i0, i1), mid(i1, i2), mid(i2, i0)
-        elements.extend([(i0, m01, m20), (i1, m12, m01),
-                         (i2, m20, m12), (m01, m12, m20)])
+    table = edge_table(mesh)
+    n = mesh.node_count
+    ends = mesh.nodes[table.edges]
+    nodes = np.vstack([mesh.nodes, 0.5 * (ends[:, 0] + ends[:, 1])])
+    corners = np.hstack([mesh.elements, n + table.element_edges])
+    elements = corners[:, _CHILDREN].reshape(-1, 3)
+    mids = n + _tagged_edge_ids(mesh, table)
+    if np.any(mids < n):
+        raise ParameterError("tagged boundary pair is not a mesh edge")
     edges = []
-    for i, j, tag in mesh.boundary_edges:
-        k = mid(i, j)
+    for (i, j, tag), k in zip(mesh.boundary_edges, mids.tolist()):
         edges.extend([(i, k, tag), (k, j, tag)])
-    return Mesh(nodes=np.array(nodes), elements=np.array(elements, dtype=int),
-                boundary_edges=edges, refinement_level=mesh.refinement_level + 1,
-                spec=mesh.spec)
+    return Mesh(nodes=nodes, elements=elements, boundary_edges=edges,
+                refinement_level=mesh.refinement_level + 1, spec=mesh.spec)
 
 
 def triangulate(spec: DomainSpec, level: int = 0) -> Mesh:

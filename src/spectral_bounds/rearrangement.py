@@ -9,15 +9,17 @@ and the L^q identities hold to roundoff rather than sampling error.
 Pieces are stored in a locally anchored form (value, slope, curvature at
 the left break): near-degenerate elements produce curvatures of order
 1/gap^2 that cancel globally, and a monomial representation would lose
-them to rounding. Accumulations that mix those scales use compensated
-sums. Exactly flat elements contribute atoms of the level measure, which
-become plateaus of the rearranged profile.
+them to rounding. Accumulations that mix those scales split every term
+error-free, so the huge terms cancel exactly. Exactly flat elements
+contribute atoms of the level measure, which become plateaus of the
+rearranged profile.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,24 +31,30 @@ _MEASURE_GRID = 4096
 CHECK_TOL = 1e-3
 
 
-def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
-    """Running sums with Neumaier compensation.
+def _binned_cumsum(index: np.ndarray, terms: np.ndarray,
+                   size: int) -> np.ndarray:
+    """out[k] = sum of the terms whose index is <= k, for k < size.
 
-    Needed where huge terms enter and later cancel: a plain cumsum would
-    leave an O(eps * max|term|) residue on everything downstream.
+    Near-tied breaks give terms of order 1/gap^2 that cancel once their
+    element is passed; plain sums would leave eps * |term| of each behind
+    on every later piece. So each of two passes splits the terms error-free
+    into high parts on the grid of ulp(sigma), sigma >= 2 len(terms)
+    max|term|, where every sum of high parts is exact in any order, and low
+    parts below ulp(sigma) (Rump, Ogita & Oishi, "Accurate floating-point
+    summation", 2008). Only the final low parts, below (2 len(terms)
+    eps)^2 max|term|, are summed with rounding.
     """
-    out = np.empty(len(x))
-    total = 0.0
-    comp = 0.0
-    for i, v in enumerate(x):
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-        out[i] = total + comp
-    return out
+    terms = np.asarray(terms, dtype=float)
+    out = np.zeros(size)
+    for _ in range(2):
+        top = float(np.max(np.abs(terms), initial=0.0))
+        if top == 0.0:
+            return out
+        sigma = 2.0 ** math.ceil(math.log2(2.0 * len(terms) * top))
+        high = (sigma + terms) - sigma
+        out += np.cumsum(np.bincount(index, high, size))
+        terms = terms - high
+    return out + np.cumsum(np.bincount(index, terms, size))
 
 
 def _power_diff(lo: np.ndarray, hi: np.ndarray, e: float) -> np.ndarray:
@@ -83,8 +91,8 @@ def _snap_breaks(unique_vals: np.ndarray) -> np.ndarray:
 
     Symmetric meshes produce nodal values that agree up to 1-2 ulp across
     copies of a node orbit; left as distinct breaks they create pieces of
-    width ~1e-16 whose curvature 1/gap^2 overflows what compensated
-    accumulation can cancel. Snapping them to one representative turns
+    width ~1e-16 whose curvature 1/gap^2 is beyond what _binned_cumsum
+    can cancel. Snapping them to one representative turns
     those elements into exact ties, which the assembly handles discretely.
     """
     if len(unique_vals) < 2:
@@ -117,50 +125,40 @@ def _distribution_pieces(mesh: Mesh, nodal: np.ndarray) -> _PieceData:
                  0, npc)
     a, b, c = breaks[ia], breaks[ib], breaks[ic]
 
-    curv_diff = np.zeros(npc + 1)
-    slope_jump = np.zeros(npc + 1)
     atoms = np.zeros(len(breaks))
-
     flat = c == a
     np.add.at(atoms, ia[flat], areas[flat])
-
-    lower = b > a
-    w1 = areas[lower] / ((b[lower] - a[lower]) * (c[lower] - a[lower]))
-    np.add.at(curv_diff, ia[lower], -w1)
-    np.add.at(curv_diff, ib[lower], w1)
-
-    upper = c > b
-    w2 = areas[upper] / ((c[upper] - b[upper]) * (c[upper] - a[upper]))
-    np.add.at(curv_diff, ib[upper], w2)
-    np.add.at(curv_diff, ic[upper], -w2)
-
-    # elements with two equal corner values kink the slope: a double low
-    # corner starts at full steepness, a double high corner ends there
-    low_pair = ~lower & upper
-    np.add.at(slope_jump, ia[low_pair],
-              -2.0 * areas[low_pair] / (c[low_pair] - a[low_pair]))
-    high_pair = lower & ~upper
-    np.add.at(slope_jump, ib[high_pair],
-              2.0 * areas[high_pair] / (c[high_pair] - a[high_pair]))
-
     if npc == 0:
         return _PieceData(breaks=breaks, values=np.empty(0),
                           slopes=np.empty(0), curvatures=np.empty(0),
                           atoms=atoms)
 
-    curvatures = _compensated_cumsum(curv_diff[:npc])
-    widths = np.diff(breaks)
+    lower = b > a
+    w1 = areas[lower] / ((b[lower] - a[lower]) * (c[lower] - a[lower]))
+    upper = c > b
+    w2 = areas[upper] / ((c[upper] - b[upper]) * (c[upper] - a[upper]))
+    curvatures = _binned_cumsum(
+        np.concatenate([ia[lower], ib[lower], ib[upper], ic[upper]]),
+        np.concatenate([-w1, w1, w2, -w2]), npc + 1)[:npc]
+
+    # elements with two equal corner values kink the slope: a double low
+    # corner starts at full steepness, a double high corner ends there;
     # away from those kinks the area function is C^1, so slopes
     # accumulate the curvature increments and values the slope increments
-    slope_inc = slope_jump[:npc].copy()
-    slope_inc[1:] += 2.0 * curvatures[:-1] * widths[:-1]
-    slopes = _compensated_cumsum(slope_inc)
+    low_pair = ~lower & upper
+    high_pair = lower & ~upper
+    widths = np.diff(breaks)
+    slopes = _binned_cumsum(
+        np.concatenate([ia[low_pair], ib[high_pair], np.arange(1, npc)]),
+        np.concatenate([-2.0 * areas[low_pair] / (c[low_pair] - a[low_pair]),
+                        2.0 * areas[high_pair] / (c[high_pair] - a[high_pair]),
+                        2.0 * curvatures[:-1] * widths[:-1]]), npc + 1)[:npc]
     value_inc = (slopes * widths + curvatures * widths ** 2
                  - atoms[1:npc + 1])
     total = float(np.sum(areas))
-    start = total - atoms[0]
-    values = start + np.concatenate(
-        [[0.0], _compensated_cumsum(value_inc[:npc - 1])])
+    values = _binned_cumsum(
+        np.arange(npc), np.concatenate([[total - atoms[0]], value_inc[:-1]]),
+        npc)
     return _PieceData(breaks=breaks, values=values, slopes=slopes,
                       curvatures=curvatures, atoms=atoms)
 
@@ -194,10 +192,26 @@ class RearrangedProfile:
     """Nonincreasing profile u*(s) on [0, |domain|] equimeasurable with u."""
 
     domain_measure: float
-    positive_measure: float
     pieces: _PieceData
-    measure_grid: np.ndarray
-    profile_values: np.ndarray
+
+    @cached_property
+    def positive_measure(self) -> float:
+        """|{u > 0}|."""
+        return float(self.distribution(0.0))
+
+    @cached_property
+    def measure_grid(self) -> np.ndarray:
+        """Measures in [0, |domain|] at which profile_values samples u*:
+        a uniform grid plus both one-sided values of m at every break."""
+        right = np.concatenate([self.pieces.values, [0.0]])
+        grid = np.unique(np.concatenate(
+            [np.linspace(0.0, self.domain_measure, _MEASURE_GRID), right,
+             self._left_limits()]))
+        return grid[(grid >= 0.0) & (grid <= self.domain_measure)]
+
+    @cached_property
+    def profile_values(self) -> np.ndarray:
+        return self.value(self.measure_grid)
 
     @property
     def value_breaks(self) -> np.ndarray:
@@ -343,22 +357,8 @@ def rearrange(mesh: Mesh, nodal) -> RearrangedProfile:
         raise ParameterError("nodal array does not match mesh nodes")
     if not np.all(np.isfinite(nodal)):
         raise ParameterError("nodal values must be finite")
-    pieces = _distribution_pieces(mesh, nodal)
-    total = float(np.sum(element_areas(mesh)))
-    prof = RearrangedProfile(
-        domain_measure=total, positive_measure=0.0, pieces=pieces,
-        measure_grid=np.empty(0), profile_values=np.empty(0))
-    positive = float(prof.distribution(0.0))
-    right = np.concatenate([pieces.values, [0.0]]) \
-        if len(pieces.values) else np.array([0.0])
-    grid = np.unique(np.concatenate(
-        [np.linspace(0.0, total, _MEASURE_GRID), right,
-         prof._left_limits()]))
-    grid = grid[(grid >= 0.0) & (grid <= total)]
-    values = prof.value(grid)
-    return RearrangedProfile(
-        domain_measure=total, positive_measure=positive, pieces=pieces,
-        measure_grid=grid, profile_values=values)
+    return RearrangedProfile(domain_measure=float(np.sum(element_areas(mesh))),
+                             pieces=_distribution_pieces(mesh, nodal))
 
 
 def rearrange_oriented(mesh: Mesh, nodal) -> RearrangedProfile:
@@ -427,55 +427,6 @@ def cumulative_power(profile: RearrangedProfile, q: float) -> CumulativePower:
         return float(out[0]) if scalar else out
 
     return CumulativePower(exponent=q, total=total, _evaluate=evaluate)
-
-
-def _homogeneous_sum(values: np.ndarray, q: int) -> np.ndarray:
-    """Complete homogeneous symmetric polynomial h_q of each value triple."""
-    out = np.zeros(values.shape[0])
-    v0, v1, v2 = values[:, 0], values[:, 1], values[:, 2]
-    for i in range(q + 1):
-        inner = np.zeros_like(out)
-        for j in range(q - i + 1):
-            inner += v1 ** j * v2 ** (q - i - j)
-        out += v0 ** i * inner
-    return out
-
-
-def mesh_positive_power_integral(mesh: Mesh, nodal, q: int) -> float:
-    """Integral of the positive part to power q directly on the mesh.
-
-    Independent route from the rearranged-profile integral: per element
-    the region where the linear interpolant is positive is decomposed
-    into sub-triangles and integrated with the barycentric moment
-    formula, exact for integer q.
-    """
-    if int(q) != q or q < 1:
-        raise ParameterError("mesh route requires integer q >= 1")
-    q = int(q)
-    nodal = np.asarray(nodal, dtype=float)
-    tri = np.sort(nodal[mesh.elements], axis=1)[:, ::-1]
-    areas = element_areas(mesh)
-    scale = 2.0 * math.factorial(q) / math.factorial(q + 2)
-    v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
-    total = 0.0
-
-    full = v2 >= 0.0
-    if np.any(full):
-        total += scale * float(np.sum(areas[full]
-                                      * _homogeneous_sum(tri[full], q)))
-
-    one = (v0 > 0.0) & (v1 <= 0.0) & (v2 < 0.0)
-    if np.any(one):
-        frac = (v0[one] / (v0[one] - v1[one])) * (v0[one] / (v0[one] - v2[one]))
-        total += scale * float(np.sum(areas[one] * frac * v0[one] ** q))
-
-    two = (v1 > 0.0) & (v2 < 0.0)
-    if np.any(two):
-        whole = areas[two] * _homogeneous_sum(tri[two], q)
-        frac = (v2[two] / (v2[two] - v0[two])) * (v2[two] / (v2[two] - v1[two]))
-        total += scale * float(np.sum(whole - frac * areas[two]
-                                      * v2[two] ** q))
-    return total
 
 
 @dataclass(frozen=True)

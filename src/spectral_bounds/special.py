@@ -77,20 +77,6 @@ def bessel_first_zero(nu: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def normalized_bessel_profile(n: int, r):
-    """The p = 2 radial profile in closed form, normalized to 1 at r = 0.
-
-    Equals Gamma(n/2) (2/r)^(n/2-1) J_(n/2-1)(r); for n = 2 this is J_0(r)
-    and for n = 3 it is sin(r)/r.
-    """
-    r = np.asarray(r, dtype=float)
-    nu = n / 2.0 - 1.0
-    out = np.ones_like(r)
-    nz = r != 0.0
-    out[nz] = math.gamma(n / 2.0) * (2.0 / r[nz]) ** nu * bessel_j(nu, r[nz])
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class RadialProfile:
     """Radial eigenprofile of the p-Laplacian on the ball, sampled to its zero.
@@ -110,20 +96,11 @@ class RadialProfile:
     _slope_at_zero: float = field(repr=False)
     _caches: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def series_coefficients(self) -> tuple[float, float, float]:
-        """(kappa, c, c2) of the start expansion 1 - c r^kappa + c2 r^(2 kappa)."""
-        p, n = self.p, self.n
-        kappa = p / (p - 1.0)
-        c = (p - 1.0) / p * n ** (-1.0 / (p - 1.0))
-        c2 = c * c * n / (2.0 * (n + kappa))
-        return kappa, c, c2
-
     def value(self, r):
         """Evaluate Psi at radii in [0, first_zero] (0 beyond the zero)."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.zeros_like(r)
-        kappa, c, c2 = self.series_coefficients
+        kappa, c, c2 = _series_coefficients(self.p, self.n)
         near = r < self._series_r0
         out[near] = 1.0 - c * r[near] ** kappa + c2 * r[near] ** (2.0 * kappa)
         mid = (~near) & (r <= self.first_zero)
@@ -192,6 +169,14 @@ class RadialProfile:
         return math.exp(self.log_power_mean(s))
 
 
+def _series_coefficients(p: float, n: int) -> tuple[float, float, float]:
+    """(kappa, c, c2) of the start expansion 1 - c r^kappa + c2 r^(2 kappa)."""
+    kappa = p / (p - 1.0)
+    c = (p - 1.0) / p * n ** (-1.0 / (p - 1.0))
+    c2 = c * c * n / (2.0 * (n + kappa))
+    return kappa, c, c2
+
+
 def _profile_rhs(p: float, n: int):
     """Flux form of the radial ODE: state (Psi, Q), Q = |Psi'|^(p-2) Psi'."""
     a = 1.0 / (p - 1.0)
@@ -217,9 +202,7 @@ def psi_profile(p: float, n: int) -> RadialProfile:
         raise ParameterError(f"p must be >= 2, got {p}")
     if n < 2:
         raise ParameterError(f"dimension must be >= 2, got {n}")
-    kappa = p / (p - 1.0)
-    c = (p - 1.0) / p * n ** (-1.0 / (p - 1.0))
-    c2 = c * c * n / (2.0 * (n + kappa))
+    kappa, c, c2 = _series_coefficients(p, n)
     q1 = (p - 1.0) * c / (n + kappa)
     r0 = 1e-4
     y0 = (1.0 - c * r0 ** kappa + c2 * r0 ** (2.0 * kappa),

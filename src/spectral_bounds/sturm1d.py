@@ -73,18 +73,20 @@ def _moment(lo: np.ndarray, hi: np.ndarray, e: float) -> np.ndarray:
     return lo ** e * np.expm1(e * np.log1p((hi - lo) / lo)) / e
 
 
+def _stiffness(h: np.ndarray) -> sparse.csc_matrix:
+    """gamma = 2 stiffness over nodes 1..n (node 0 constrained to zero)."""
+    inv = 1.0 / h
+    main = inv.copy()
+    main[:-1] += inv[1:]
+    return sparse.diags([main, -inv[1:], -inv[1:]], [0, 1, -1], format="csc")
+
+
 def _solve_linear(problem: SturmProblem) -> SturmSolution:
     s = _graded_grid(problem.length, problem.n_cells)
     beta = problem.beta
     n = problem.n_cells
     h = np.diff(s)
-
-    # stiffness over nodes 1..n (node 0 constrained to zero)
-    inv = 1.0 / h
-    main = inv.copy()
-    main[:-1] += inv[1:]
-    K = sparse.diags([main, -inv[1:], -inv[1:]], [0, 1, -1],
-                     format="csr")
+    K = _stiffness(h)
 
     # weighted mass entries from exact cell moments of s^(-beta)
     lo, hi = s[1:-1], s[2:]
@@ -147,12 +149,7 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
         return g_e, g_f
 
     # preconditioner: the gamma = 2 stiffness
-    inv = 1.0 / h
-    main = inv.copy()
-    main[:-1] += inv[1:]
-    K2 = sparse.diags([main, -inv[1:], -inv[1:]], [0, 1, -1],
-                      format="csc")
-    lu = splu(K2)
+    lu = splu(_stiffness(h))
 
     def finish(phi, quotient, iteration):
         full = np.concatenate([[0.0], phi])

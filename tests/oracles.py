@@ -1,0 +1,83 @@
+"""Reference routes that only the tests use.
+
+Each one computes a quantity the library also computes, by an independent
+route: the tests compare the two.
+"""
+
+import math
+
+import numpy as np
+
+from spectral_bounds import geometry, special
+from spectral_bounds.errors import ParameterError
+
+
+def max_edge_length(mesh: geometry.Mesh) -> float:
+    p = mesh.nodes[mesh.elements]
+    lengths = [np.linalg.norm(p[:, i] - p[:, j], axis=1)
+               for i, j in ((0, 1), (1, 2), (2, 0))]
+    return float(np.max(lengths))
+
+
+def normalized_bessel_profile(n: int, r):
+    """The p = 2 radial profile in closed form, normalized to 1 at r = 0.
+
+    Equals Gamma(n/2) (2/r)^(n/2-1) J_(n/2-1)(r); for n = 2 this is J_0(r)
+    and for n = 3 it is sin(r)/r.
+    """
+    r = np.asarray(r, dtype=float)
+    nu = n / 2.0 - 1.0
+    out = np.ones_like(r)
+    nz = r != 0.0
+    out[nz] = (math.gamma(n / 2.0) * (2.0 / r[nz]) ** nu
+               * special.bessel_j(nu, r[nz]))
+    return out if out.ndim else float(out)
+
+
+def _homogeneous_sum(values: np.ndarray, q: int) -> np.ndarray:
+    """Complete homogeneous symmetric polynomial h_q of each value triple."""
+    out = np.zeros(values.shape[0])
+    v0, v1, v2 = values[:, 0], values[:, 1], values[:, 2]
+    for i in range(q + 1):
+        inner = np.zeros_like(out)
+        for j in range(q - i + 1):
+            inner += v1 ** j * v2 ** (q - i - j)
+        out += v0 ** i * inner
+    return out
+
+
+def mesh_positive_power_integral(mesh: geometry.Mesh, nodal, q: int) -> float:
+    """Integral of the positive part to power q directly on the mesh.
+
+    Independent route from the rearranged-profile integral: per element
+    the region where the linear interpolant is positive is decomposed
+    into sub-triangles and integrated with the barycentric moment
+    formula, exact for integer q.
+    """
+    if int(q) != q or q < 1:
+        raise ParameterError("mesh route requires integer q >= 1")
+    q = int(q)
+    nodal = np.asarray(nodal, dtype=float)
+    tri = np.sort(nodal[mesh.elements], axis=1)[:, ::-1]
+    areas = geometry.element_areas(mesh)
+    scale = 2.0 * math.factorial(q) / math.factorial(q + 2)
+    v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
+    total = 0.0
+
+    full = v2 >= 0.0
+    if np.any(full):
+        total += scale * float(np.sum(areas[full]
+                                      * _homogeneous_sum(tri[full], q)))
+
+    one = (v0 > 0.0) & (v1 <= 0.0) & (v2 < 0.0)
+    if np.any(one):
+        frac = (v0[one] / (v0[one] - v1[one])) * (v0[one] / (v0[one] - v2[one]))
+        total += scale * float(np.sum(areas[one] * frac * v0[one] ** q))
+
+    two = (v1 > 0.0) & (v2 < 0.0)
+    if np.any(two):
+        whole = areas[two] * _homogeneous_sum(tri[two], q)
+        frac = (v2[two] / (v2[two] - v0[two])) * (v2[two] / (v2[two] - v1[two]))
+        total += scale * float(np.sum(whole - frac * areas[two]
+                                      * v2[two] ** q))
+    return total

@@ -182,7 +182,7 @@ def test_byte_determinism():
         assert first == second
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path, monkeypatch, capsys):
     assert run_cli([])[0] == 2
     assert run_cli(["no-such-command"])[0] == 2
     assert run_cli(["bound"])[0] == 2                      # missing --domain
@@ -190,6 +190,27 @@ def test_usage_errors():
     assert code == 2 and "rectangle needs --a and --b" in err
     code, _, err = run_cli(["bound", "--domain", "polygon", "--k", "5"])
     assert code == 2 and "error:" in err
+    # non-finite floats and list items are rejected while parsing
+    for argv in (["bound", "--domain", "square", "--p", "nan"],
+                 ["sturm", "--gamma", "2", "--beta", "1", "--A", "inf"],
+                 ["psi", "--p", "2,-inf"],
+                 ["verify-rhombus", "--m", "8,x"]):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err + capsys.readouterr().err
+    # inputs that drive the numerics into an unexpected exception
+    for argv in (["sturm", "--gamma", "2", "--beta", "1", "--A", "1e-300"],
+                 ["bound", "--domain", "polygon", "--k", "4",
+                  "--radius", "1e-320"]):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+    path = tmp_path / "runs.txt"
+    path.write_text("bound --domain square\n", encoding="utf-8")
+    monkeypatch.setenv("SPECTRAL_BOUNDS_THREADS", "abc")
+    code, out, err = run_cli(["suite", str(path)])
+    assert (code, out) == (2, "")
+    assert "SPECTRAL_BOUNDS_THREADS" in err and len(err.splitlines()) == 1
 
 
 def test_numeric_failure_exit_code(monkeypatch):

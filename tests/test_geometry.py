@@ -8,6 +8,7 @@ import pytest
 from spectral_bounds import geometry
 from spectral_bounds.errors import ParameterError
 
+import oracles
 import pipelines
 
 
@@ -82,13 +83,85 @@ def test_refinement_counts_and_edge_lengths():
     base = pipelines.mesh(pipelines.SQUARE, 0)
     fine = geometry.refine(base)
     assert fine.element_count == 4 * base.element_count
-    assert geometry.max_edge_length(fine) == pytest.approx(
-        geometry.max_edge_length(base) / 2.0, rel=1e-12)
+    assert oracles.max_edge_length(fine) == pytest.approx(
+        oracles.max_edge_length(base) / 2.0, rel=1e-12)
     finer = geometry.refine(fine)
     assert finer.element_count == 16 * base.element_count
 
     lvl3 = pipelines.mesh(pipelines.SQUARE, 3)
     assert lvl3.element_count == base.element_count * 4 ** 3
+
+
+def _loop_refine(mesh):
+    """Reference red refinement: a dict walk that names each midpoint the
+    first time an element side (0,1), (1,2), (2,0) meets it."""
+    nodes = [tuple(xy) for xy in mesh.nodes]
+    midpoint = {}
+
+    def mid(i, j):
+        key = (min(i, j), max(i, j))
+        idx = midpoint.get(key)
+        if idx is None:
+            idx = len(nodes)
+            nodes.append(tuple(0.5 * (mesh.nodes[i] + mesh.nodes[j])))
+            midpoint[key] = idx
+        return idx
+
+    elements = []
+    for i0, i1, i2 in mesh.elements:
+        m01, m12, m20 = mid(i0, i1), mid(i1, i2), mid(i2, i0)
+        elements.extend([(i0, m01, m20), (i1, m12, m01),
+                         (i2, m20, m12), (m01, m12, m20)])
+    edges = []
+    for i, j, tag in mesh.boundary_edges:
+        k = mid(i, j)
+        edges.extend([(i, k, tag), (k, j, tag)])
+    return geometry.Mesh(nodes=np.array(nodes),
+                         elements=np.array(elements, dtype=int),
+                         boundary_edges=edges,
+                         refinement_level=mesh.refinement_level + 1,
+                         spec=mesh.spec)
+
+
+@pytest.mark.parametrize("build", [
+    lambda level: geometry.triangulate(pipelines.RECT21, level),
+    lambda level: geometry.triangulate(geometry.make_rhombus(8), level),
+    lambda level: geometry.triangulate(geometry.make_regular_polygon(3),
+                                       level),
+    lambda level: geometry.triangulate(geometry.make_regular_polygon(16),
+                                       level),
+    lambda level: geometry.triangulate_half_rhombus(8, level),
+], ids=["rectangle", "rhombus8", "polygon3", "polygon16", "half_rhombus8"])
+def test_refine_matches_loop_reference(build):
+    """The edge-table refinement numbers nodes exactly as the dict walk."""
+    reference = build(0)
+    for level in range(6):
+        mesh = build(level)
+        assert mesh.nodes.tobytes() == reference.nodes.tobytes()
+        assert mesh.elements.dtype == reference.elements.dtype
+        assert np.array_equal(mesh.elements, reference.elements)
+        assert mesh.boundary_edges == reference.boundary_edges
+        reference = _loop_refine(reference)
+
+
+def test_edge_table():
+    mesh = pipelines.mesh(pipelines.SQUARE, 0)
+    table = geometry.edge_table(mesh)
+    # elements (0,1,2) and (0,2,3): the diagonal (0,2) is met first as the
+    # side (2,0) of element 0 and is the one edge shared by both
+    assert table.edges.tolist() == [[0, 1], [1, 2], [0, 2], [2, 3], [0, 3]]
+    assert table.element_edges.tolist() == [[0, 1, 2], [2, 3, 4]]
+    assert table.counts.tolist() == [1, 1, 2, 1, 1]
+    assert geometry.undirected_edges(mesh) == {
+        (0, 1): 1, (1, 2): 1, (0, 2): 2, (2, 3): 1, (0, 3): 1}
+    bad = geometry.Mesh(nodes=mesh.nodes, elements=mesh.elements,
+                        boundary_edges=[(1, 3, geometry.OUTER)])
+    with pytest.raises(ParameterError):
+        geometry.refine(bad)
+    partial = geometry.Mesh(nodes=mesh.nodes, elements=mesh.elements,
+                            boundary_edges=mesh.boundary_edges[1:])
+    with pytest.raises(ParameterError, match="untagged"):
+        geometry.validate_mesh(partial)
 
 
 def test_rhombus_diagonal_chain_every_level():
