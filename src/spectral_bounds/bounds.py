@@ -230,8 +230,9 @@ class BoundReport:
 
 
 def _extrapolated_mu1(spec: DomainSpec, level: int) -> float:
-    coarse = fem.solve_neumann_mu1(geometry.triangulate(spec, level - 1)).value
-    fine = fem.solve_neumann_mu1(geometry.triangulate(spec, level)).value
+    mesh = geometry.triangulate(spec, level - 1)
+    coarse = fem.solve_neumann_mu1(mesh).value
+    fine = fem.solve_neumann_mu1(geometry.refine(mesh)).value
     return fem.richardson(coarse, fine)
 
 
@@ -319,8 +320,9 @@ def sector_sandwich(m: int, level: int = 5, tol: float = 1e-2) -> SectorSandwich
     j_{0,1}^2 / cos^2(pi / m). The discrete value is Richardson-extrapolated
     and compared with `tol` relative slack on both ends.
     """
-    coarse = fem.solve_mixed_dn(geometry.triangulate_half_rhombus(m, level - 1)).value
-    fine = fem.solve_mixed_dn(geometry.triangulate_half_rhombus(m, level)).value
+    mesh = geometry.triangulate_half_rhombus(m, level - 1)
+    coarse = fem.solve_mixed_dn(mesh).value
+    fine = fem.solve_mixed_dn(geometry.refine(mesh)).value
     value = fem.richardson(coarse, fine)
     j0 = special.bessel_first_zero(0.0)
     lower = j0 * j0

@@ -112,9 +112,11 @@ def _add_domain_flags(sub) -> None:
                      choices=["square", "rectangle", "rhombus", "polygon"])
     sub.add_argument("--m", type=int, help="rhombus angle parameter")
     sub.add_argument("--a", type=_finite_float, help="rectangle long side")
-    sub.add_argument("--b", type=_finite_float, help="rectangle short side")
+    sub.add_argument("--b", type=_finite_float, help="rectangle short side, "
+                     f"at least {geometry.MIN_LENGTH:g}")
     sub.add_argument("--k", type=int, help="polygon vertex count")
-    sub.add_argument("--radius", type=_finite_float, default=1.0)
+    sub.add_argument("--radius", type=_finite_float, default=1.0, help="polygon "
+                     f"circumradius, at least {geometry.MIN_LENGTH:g}")
 
 
 def _add_output_flags(sub, default_format: str) -> None:
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--gamma", type=_finite_float, required=True)
     sub.add_argument("--beta", type=_finite_float, required=True)
     sub.add_argument("--A", type=_finite_float, required=True,
-                     help="interval length")
+                     help=f"interval length, at least {geometry.MIN_LENGTH:g}")
     sub.add_argument("--N", type=int, default=4096, help="cell count")
     _add_output_flags(sub, "json")
 

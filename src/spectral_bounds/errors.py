@@ -14,7 +14,7 @@ class NumericError(RuntimeError):
 
 
 class ConvergenceError(NumericError):
-    """An iterative solver ran out of iterations.
+    """An eigen solve failed to converge or to certify its residual.
 
     Carries the last residual so callers can report how far off the solve was.
     """

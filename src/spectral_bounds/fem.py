@@ -2,10 +2,11 @@
 
 Assembly produces scipy CSR matrices: the stiffness matrix from the exact
 per-element gradient formula and the consistent mass matrix
-(area/12) [[2,1,1],[1,2,1],[1,1,2]]. Eigenvalues come from shift-inverted
-power iteration with a sparse direct inner solve; the Neumann solve deflates
-the constant mode every iteration. Everything is deterministic: the start
-vector is drawn from a fixed-seed generator.
+(area/12) [[2,1,1],[1,2,1],[1,1,2]]. Every eigen solve factors the shifted
+stiffness matrix once and runs ARPACK shift-invert Lanczos on that factor,
+then polishes the pair with one inverse-iteration step on the same factor;
+the Neumann solve deflates the constant mode in that step. Everything is
+deterministic: the start vector is drawn from a fixed-seed generator.
 """
 
 from __future__ import annotations
@@ -15,15 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, splu
 
 from .errors import ConvergenceError, ParameterError
 from .geometry import Mesh, edge_table, element_areas
 
 _SEED = 42
-_EIG_TOL = 1e-10
 _RES_TOL = 1e-9
-_MAX_ITER = 10_000
+# up to this many unknowns ARPACK's default 20-vector Lanczos basis does not
+# fit; a dense generalized eigensolve is exact and cheap there
+_DENSE_SIZE = 20
 
 
 @dataclass
@@ -32,6 +35,8 @@ class EigenPair:
 
     The vector spans all mesh nodes (zeros on constrained ones), has unit
     mass norm, and satisfies the residual bound checked at convergence.
+    ``iterations`` counts the solves with the single LU factor: ARPACK's
+    shift-invert applications plus the polishing step.
     """
 
     value: float
@@ -88,64 +93,60 @@ def _tagged_nodes(mesh: Mesh, tag: str) -> np.ndarray:
     return np.array(sorted(nodes), dtype=int)
 
 
-def _inverse_iteration(K, M, free: np.ndarray, bc: str, shift: float,
-                       block: int = 2, max_iter: int = _MAX_ITER) -> EigenPair:
-    """Block shift-invert power iteration with per-step Rayleigh-Ritz.
+def _inverse_iteration(K, M, free: np.ndarray, bc: str,
+                       shift: float) -> EigenPair:
+    """Lowest eigenpair (above the constant mode for Neumann) on one factor.
 
-    A two-column block keeps the contraction rate tied to the third
-    eigenvalue, so nearly degenerate first pairs (symmetric domains split the
-    continuum double eigenvalue by O(h^4)) still converge. Stops when the
-    smallest Ritz value is stationary to _EIG_TOL relative AND its
-    M^-1-weighted residual is below _RES_TOL relative to the eigenvalue.
+    ARPACK runs Lanczos on (K + shift M)^-1 M with the single sparse LU of
+    the shifted matrix and a fixed start vector; three Ritz pairs (two
+    without the constant mode) resolve the nearly degenerate first pairs
+    that symmetric domains split by a high power of h. One
+    inverse-iteration step on the same factor polishes the pair. The
+    residual is measured in the M^-1 norm by Jacobi-preconditioned CG on M
+    (on P1 triangles the Jacobi-scaled mass matrix has condition number at
+    most 4), relative to the eigenvalue, and must be below _RES_TOL.
     """
     Kff = K[free][:, free].tocsc()
     Mff = M[free][:, free].tocsc()
     lu = splu((Kff + shift * Mff) if shift else Kff)
-    lu_mass = None
-    rng = np.random.default_rng(_SEED)
-    width = min(block, free.size)
-    V = rng.standard_normal((free.size, width))
-    ones = np.ones(free.size)
-    mass_ones = Mff @ ones
-    ones_norm = float(ones @ mass_ones)
+    solves = 0
 
-    def deflate(W):
-        if bc == "neumann":
-            W -= np.outer(ones, mass_ones @ W) / ones_norm
-        return W
+    def solve(x):
+        nonlocal solves
+        solves += 1
+        return lu.solve(x)
 
-    def orthonormalize(W):
-        # Cholesky QR against M, applied twice to restore orthonormality
-        # after the block columns collapse toward the dominant direction.
-        for _ in range(2):
-            gram = W.T @ (Mff @ W)
-            W = W @ np.linalg.inv(np.linalg.cholesky(gram)).T
-        return W
-
-    V = orthonormalize(deflate(V))
-    value = math.inf
-    residual = math.inf
-    for iteration in range(1, max_iter + 1):
-        V = orthonormalize(deflate(lu.solve(Mff @ V)))
-        ritz_values, rotation = np.linalg.eigh(V.T @ (Kff @ V))
-        V = V @ rotation
-        new_value = float(ritz_values[0])
-        stationary = abs(new_value - value) <= _EIG_TOL * abs(new_value)
-        value = new_value
-        if stationary:
-            if lu_mass is None:
-                lu_mass = splu(Mff)
-            v = V[:, 0]
-            r = Kff @ v - value * (Mff @ v)
-            residual = math.sqrt(max(float(r @ lu_mass.solve(r)), 0.0)) / value
-            if residual <= _RES_TOL:
-                full = np.zeros(K.shape[0])
-                full[free] = v / math.sqrt(float(v @ (Mff @ v)))
-                return EigenPair(value=value, vector=full, bc=bc,
-                                 residual=residual, iterations=iteration)
-    raise ConvergenceError(
-        f"eigen iteration did not converge in {max_iter} steps",
-        residual=residual)
+    neumann = bc == "neumann"
+    k = 3 if neumann else 2
+    n = free.size
+    if n <= _DENSE_SIZE:
+        values, vectors = eigh(Kff.toarray(), Mff.toarray())
+    else:
+        v0 = np.random.default_rng(_SEED).standard_normal(n)
+        try:
+            values, vectors = eigsh(
+                Kff, k, M=Mff, sigma=-shift, v0=v0, tol=0,
+                OPinv=LinearOperator((n, n), matvec=solve, dtype=float))
+        except ArpackError as ex:
+            raise ConvergenceError(f"ARPACK failed: {ex}") from None
+    v = solve(Mff @ vectors[:, np.argsort(values)[1 if neumann else 0]])
+    if neumann:
+        mass_ones = Mff @ np.ones(n)
+        v -= (mass_ones @ v) / mass_ones.sum()
+    v /= math.sqrt(float(v @ (Mff @ v)))
+    value = float(v @ (Kff @ v))
+    r = Kff @ v - value * (Mff @ v)
+    z, info = cg(Mff, r, rtol=1e-12, M=sparse.diags(1.0 / Mff.diagonal()))
+    residual = math.sqrt(max(float(r @ z), 0.0)) / value
+    if info != 0 or not residual <= _RES_TOL:
+        raise ConvergenceError(
+            f"eigen solve not certified: residual {residual:.3g} "
+            f"(tolerance {_RES_TOL:g})",
+            residual=residual)
+    full = np.zeros(K.shape[0])
+    full[free] = v
+    return EigenPair(value=value, vector=full, bc=bc, residual=residual,
+                     iterations=solves)
 
 
 def solve_neumann_mu1(mesh: Mesh) -> EigenPair:

@@ -28,6 +28,8 @@ from .errors import ParameterError
 
 OUTER = "outer"
 DIAGONAL = "diagonal"
+# smallest length the solvers are validated at; far below it 1/h overflows
+MIN_LENGTH = 1e-6
 
 
 @dataclass(frozen=True)
@@ -92,16 +94,18 @@ def make_rhombus(m: int) -> DomainSpec:
 
 
 def make_rectangle(a: float, b: float) -> DomainSpec:
-    if not (a >= b > 0.0):
-        raise ParameterError(f"rectangle requires a >= b > 0, got a={a}, b={b}")
+    if not (a >= b >= MIN_LENGTH):
+        raise ParameterError(f"rectangle requires a >= b >= {MIN_LENGTH:g}, "
+                             f"got a={a}, b={b}")
     return DomainSpec(kind="rectangle", a=float(a), b=float(b))
 
 
 def make_regular_polygon(k: int, radius: float = 1.0) -> DomainSpec:
     if k < 3:
         raise ParameterError(f"polygon requires k >= 3, got {k}")
-    if radius <= 0.0:
-        raise ParameterError(f"polygon radius must be positive, got {radius}")
+    if not radius >= MIN_LENGTH:
+        raise ParameterError(
+            f"polygon radius must be at least {MIN_LENGTH:g}, got {radius}")
     return DomainSpec(kind="regular_polygon", k=int(k), radius=float(radius))
 
 

@@ -27,7 +27,6 @@ from .errors import ParameterError
 from .geometry import Mesh, element_areas
 from .special import omega_n, psi_profile
 
-_MEASURE_GRID = 4096
 CHECK_TOL = 1e-3
 
 
@@ -99,15 +98,19 @@ def _snap_breaks(unique_vals: np.ndarray) -> np.ndarray:
         return unique_vals
     scale = max(abs(unique_vals[0]), abs(unique_vals[-1]))
     snap = 64.0 * np.finfo(float).eps * scale
-    keep = np.empty(len(unique_vals), dtype=bool)
-    keep[0] = True
-    rep = unique_vals[0]
-    for i in range(1, len(unique_vals)):
-        if unique_vals[i] - rep > snap:
-            keep[i] = True
-            rep = unique_vals[i]
-        else:
-            keep[i] = False
+    near = np.diff(unique_vals) <= snap
+    keep = np.concatenate([[True], ~near])
+    # a lone near-tie merges into the value below; only runs of two or more
+    # can reach past snap from their first value, so walk just those
+    change = np.diff(np.concatenate([[0], near.astype(np.int8), [0]]))
+    starts, ends = np.flatnonzero(change == 1), np.flatnonzero(change == -1)
+    runs = ends - starts > 1
+    for lo, hi in zip(starts[runs].tolist(), ends[runs].tolist()):
+        rep = unique_vals[lo]
+        for i in range(lo + 1, hi + 1):
+            if unique_vals[i] - rep > snap:
+                keep[i] = True
+                rep = unique_vals[i]
     return unique_vals[keep]
 
 
@@ -199,24 +202,6 @@ class RearrangedProfile:
         """|{u > 0}|."""
         return float(self.distribution(0.0))
 
-    @cached_property
-    def measure_grid(self) -> np.ndarray:
-        """Measures in [0, |domain|] at which profile_values samples u*:
-        a uniform grid plus both one-sided values of m at every break."""
-        right = np.concatenate([self.pieces.values, [0.0]])
-        grid = np.unique(np.concatenate(
-            [np.linspace(0.0, self.domain_measure, _MEASURE_GRID), right,
-             self._left_limits()]))
-        return grid[(grid >= 0.0) & (grid <= self.domain_measure)]
-
-    @cached_property
-    def profile_values(self) -> np.ndarray:
-        return self.value(self.measure_grid)
-
-    @property
-    def value_breaks(self) -> np.ndarray:
-        return self.pieces.breaks
-
     def distribution(self, t):
         """m(t) = measure of {u > t}, right-continuous."""
         arr = np.asarray(t, dtype=float)
@@ -256,8 +241,10 @@ class RearrangedProfile:
         # right[] is nonincreasing; find the first index with right[k] <= s
         count = np.searchsorted(right[::-1], s, side="right")
         k = np.clip(len(b) - count, 0, len(b) - 1)
+        # u*(s) = max u for s <= 0: m has a double root there, which the
+        # quadratic below would only resolve to ~sqrt(eps)
         out = np.full(s.shape, b[-1])
-        hit = count > 0
+        hit = (count > 0) & (s > 0.0)
         kk = k[hit]
         # the level is crossed inside piece kk-1 only if that piece gets
         # down to s before its right end; otherwise the crossing is the

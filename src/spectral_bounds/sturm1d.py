@@ -4,9 +4,9 @@ sigma1(0, A) minimizes int |phi'|^gamma ds / int |phi|^gamma s^(-beta) ds
 over phi with phi(0) = 0, a zero-flux right end, and 0 < beta < gamma.
 The grid is graded cubically toward 0 so the s^(-beta) weight is resolved.
 For gamma = 2 the discrete problem is a generalized tridiagonal
-eigenproblem solved by the same inverse iteration as the FEM module; for
-other gamma the Rayleigh quotient is minimized by preconditioned
-projected gradient descent with an Armijo line search.
+eigenproblem solved by the same shift-invert eigensolver as the FEM
+module; for other gamma the Rayleigh quotient is minimized by
+preconditioned projected gradient descent with an Armijo line search.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import NumericError, ParameterError
 from .fem import _inverse_iteration
+from .geometry import MIN_LENGTH
 from .special import lambda1_ball
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -42,8 +43,9 @@ class SturmProblem:
             raise ParameterError("gamma must exceed 1")
         if not 0.0 < self.beta < self.gamma:
             raise ParameterError("beta must lie in (0, gamma)")
-        if not self.length > 0.0:
-            raise ParameterError("length must be positive")
+        if not self.length >= MIN_LENGTH:
+            raise ParameterError(
+                f"length must be at least {MIN_LENGTH:g}, got {self.length}")
         if self.n_cells < 4:
             raise ParameterError("need at least 4 cells")
 

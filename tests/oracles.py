@@ -81,3 +81,14 @@ def mesh_positive_power_integral(mesh: geometry.Mesh, nodal, q: int) -> float:
         total += scale * float(np.sum(whole - frac * areas[two]
                                       * v2[two] ** q))
     return total
+
+
+def profile_samples(profile) -> np.ndarray:
+    """u* sampled on [0, |domain|]: a uniform 4096-point grid plus both
+    one-sided values of the distribution function at every break."""
+    right = np.concatenate([profile.pieces.values, [0.0]])
+    grid = np.unique(np.concatenate(
+        [np.linspace(0.0, profile.domain_measure, 4096), right,
+         profile._left_limits()]))
+    grid = grid[(grid >= 0.0) & (grid <= profile.domain_measure)]
+    return profile.value(grid)

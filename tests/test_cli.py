@@ -7,6 +7,7 @@ subprocess, so the tests also pin byte-level determinism of the output.
 import io
 import json
 import math
+import time
 
 import pytest
 
@@ -198,13 +199,31 @@ def test_usage_errors(tmp_path, monkeypatch, capsys):
         code, out, err = run_cli(argv)
         assert (code, out) == (2, "")
         assert "Traceback" not in err + capsys.readouterr().err
-    # inputs that drive the numerics into an unexpected exception
+    # lengths and radii below the validated floor are usage errors
     for argv in (["sturm", "--gamma", "2", "--beta", "1", "--A", "1e-300"],
                  ["bound", "--domain", "polygon", "--k", "4",
-                  "--radius", "1e-320"]):
+                  "--radius", "1e-320"],
+                 ["bound", "--domain", "rectangle", "--a", "1",
+                  "--b", "1e-7"]):
         code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "1e-06" in err
+        assert "Traceback" not in err
+    capsys.readouterr()
+    for sub in ("sturm", "bound"):
+        assert run_cli([sub, "--help"])[0] == 0
+        assert "at least 1e-06" in capsys.readouterr().out
+    # near-degenerate rhombi fail the residual gate at once, on one line
+    for argv in (["compare-bounds", "--domain", "rhombus", "--m", "100000",
+                  "--level", "2"],
+                 ["compare-bounds", "--domain", "rhombus", "--m", "1000",
+                  "--level", "4"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv)
+        assert time.perf_counter() - start < 0.5
         assert (code, out) == (1, "")
-        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and "residual" in err
+        assert "Traceback" not in err
     path = tmp_path / "runs.txt"
     path.write_text("bound --domain square\n", encoding="utf-8")
     monkeypatch.setenv("SPECTRAL_BOUNDS_THREADS", "abc")

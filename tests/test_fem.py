@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 from scipy.special import jnp_zeros
 
@@ -159,6 +160,47 @@ def test_eigsh_cross_check():
                       v0=np.ones(free.size), return_eigenvectors=False)[0])
     assert lam == pytest.approx(
         pipelines.dirichlet(pipelines.SQUARE, 4).value, rel=1e-9)
+
+
+def test_one_factorization_per_solve(monkeypatch):
+    """Each solve factors once: no second (mass) factor for the residual."""
+    shapes = []
+    real_splu = fem.splu
+
+    def counting_splu(A):
+        shapes.append(A.shape)
+        return real_splu(A)
+
+    monkeypatch.setattr(fem, "splu", counting_splu)
+    mesh = pipelines.mesh(pipelines.SQUARE, 4)
+    pair = fem.solve_neumann_mu1(mesh)
+    assert shapes == [(mesh.node_count, mesh.node_count)]
+    assert pair.iterations >= 2          # Lanczos solves plus the polish
+    fem.solve_dirichlet_lambda1(mesh)
+    fem.solve_mixed_dn(geometry.triangulate_half_rhombus(8, 3))
+    assert len(shapes) == 3
+
+
+def test_square_double_mu1_converges():
+    """The square's continuum mu1 is double; on the mesh it splits into a
+    pair closer than 1e-5 relative (8e-11 at level 6). The solve returns
+    the lower one with a certified residual, on the dense small-mesh route
+    (level 1) and the Lanczos one alike."""
+    for level in (1, 3, 5, 6):
+        mesh = pipelines.mesh(pipelines.SQUARE, level)
+        pair = fem.solve_neumann_mu1(mesh)
+        assert pair.residual <= fem._RES_TOL
+        K = fem.assemble_stiffness(mesh)
+        M = fem.assemble_mass(mesh)
+        if level == 1:
+            vals = eigh(K.toarray(), M.toarray(), eigvals_only=True)
+        else:
+            v0 = np.random.default_rng(0).standard_normal(mesh.node_count)
+            vals = eigsh(K.tocsc(), k=4, M=M.tocsc(), sigma=-1.0, v0=v0,
+                         return_eigenvectors=False)
+        mu = np.sort(vals)
+        assert mu[2] - mu[1] <= 1e-5 * mu[1]
+        assert pair.value == pytest.approx(mu[1], rel=1e-12)
 
 
 def test_mixed_equals_rhombus_neumann():

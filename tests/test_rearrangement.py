@@ -126,7 +126,7 @@ def test_staircase_three_levels():
     assert prof.value(0.3) == pytest.approx(0.8, abs=1e-14)
     assert prof.value(0.5) == pytest.approx(0.5, abs=1e-14)   # plateau
     assert prof.value(0.7) == pytest.approx(0.2, abs=1e-14)
-    vals = prof.profile_values
+    vals = oracles.profile_samples(prof)
     assert np.all(np.diff(vals) <= 1e-14)
 
 
@@ -181,6 +181,53 @@ def test_positive_power_dual_route(q):
         # u*(0) = max u+; m(t) has a double root at the maximum, so the
         # root solve pins it down only to about sqrt(eps)
         assert prof.value(0.0) == pytest.approx(v.max(), rel=1e-7)
+        # value() returns the top break there, so u*(0) is max u up to the
+        # 64-ulp width within which breaks are merged
+        snap = 64.0 * np.finfo(float).eps * np.abs(v).max()
+        assert 0.0 <= v.max() - prof.value(0.0) <= snap
+        assert prof.value(-1.0) == prof.value(0.0)
+
+
+def _snap_breaks_loop(unique_vals):
+    """Reference: the value-by-value walk that _snap_breaks replaced."""
+    if len(unique_vals) < 2:
+        return unique_vals
+    scale = max(abs(unique_vals[0]), abs(unique_vals[-1]))
+    snap = 64.0 * np.finfo(float).eps * scale
+    keep = np.empty(len(unique_vals), dtype=bool)
+    keep[0] = True
+    rep = unique_vals[0]
+    for i in range(1, len(unique_vals)):
+        if unique_vals[i] - rep > snap:
+            keep[i] = True
+            rep = unique_vals[i]
+        else:
+            keep[i] = False
+    return unique_vals[keep]
+
+
+def test_snap_breaks_matches_loop_reference():
+    rng = np.random.default_rng(5)
+    ulp = np.finfo(float).eps
+    cases = [np.array([0.5]), np.array([-1.0, 1.0])]
+    for _ in range(20):
+        # gaps of a few ulp to a few hundred, so near-ties come alone and
+        # in runs long enough to reach past the snap width
+        gaps = np.where(rng.random(400) < 0.7,
+                        rng.integers(1, 40, 400) * ulp,
+                        rng.random(400) * 1e-3)
+        cases.append(np.unique(np.cumsum(gaps) - 0.2))
+    for m, level in ((8, 5), (16, 3), (16, 6)):
+        mesh = pipelines.mesh(geometry.make_rhombus(m), level)
+        v = pipelines.neumann(geometry.make_rhombus(m), level).vector
+        cases += [np.unique(v[mesh.elements]), np.unique(-v[mesh.elements])]
+    merged = 0
+    for vals in cases:
+        expected = _snap_breaks_loop(vals)
+        got = rr._snap_breaks(vals)
+        assert got.tobytes() == expected.tobytes()
+        merged += len(vals) - len(got)
+    assert merged > 0
 
 
 def test_ulp_tie_robustness():
@@ -189,7 +236,7 @@ def test_ulp_tie_robustness():
     mesh, v = _radial_bessel(3)
     prof = rr.rearrange(mesh, v)
     assert prof.value(1e-3) >= 0.99
-    assert np.all(np.diff(prof.profile_values) <= 1e-12)
+    assert np.all(np.diff(oracles.profile_samples(prof)) <= 1e-12)
     for q in (1, 2):
         a = prof.positive_power_integral(float(q))
         b = oracles.mesh_positive_power_integral(mesh, v, q)

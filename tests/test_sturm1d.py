@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from spectral_bounds import special, sturm1d
+from spectral_bounds import fem, special, sturm1d
 from spectral_bounds.errors import ParameterError
 from spectral_bounds.sturm1d import (SturmProblem, check_L_bound,
                                      comparison_ball_measure, sigma1,
@@ -26,6 +26,23 @@ def test_linear_closed_form(length):
     problem = SturmProblem(gamma=2.0, beta=1.0, length=length)
     assert sigma1(problem) == pytest.approx(J01 ** 2 / (4.0 * length),
                                             rel=1e-4)
+
+
+@pytest.mark.parametrize("length", [0.5, 1.0, 2.0])
+def test_linear_residual_certified(monkeypatch, length):
+    """The gamma = 2 route runs the FEM eigensolver, whose residual gate
+    holds on the graded grid at every scale."""
+    pairs = []
+
+    def recording(*args):
+        pairs.append(fem._inverse_iteration(*args))
+        return pairs[-1]
+
+    monkeypatch.setattr(sturm1d, "_inverse_iteration", recording)
+    sol = solve(SturmProblem(gamma=2.0, beta=1.0, length=length))
+    assert len(pairs) == 1 and pairs[0].residual <= fem._RES_TOL
+    assert sol.sigma == pairs[0].value
+    assert sol.sigma == pytest.approx(J01 ** 2 / (4.0 * length), rel=1e-4)
 
 
 def test_solution_contract():
