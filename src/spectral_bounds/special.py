@@ -26,7 +26,8 @@ from .errors import NumericError, ParameterError
 #: Number of sample points stored on a profile grid (4096 intervals).
 GRID_POINTS = 4097
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+#: 16-point Gauss-Legendre nodes and weights on [-1, 1].
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BULK_PANELS = 32
 _TAIL_PANELS = 60
 #: Distance from the zero (relative to psi) below which the local Taylor
@@ -130,8 +131,8 @@ class RadialProfile:
         ts, ws = [], []
         for a, b in edges:
             half = 0.5 * (b - a)
-            ts.append(0.5 * (a + b) + half * _GL_NODES)
-            ws.append(half * _GL_WEIGHTS)
+            ts.append(0.5 * (a + b) + half * GL_NODES)
+            ws.append(half * GL_WEIGHTS)
         t = np.concatenate(ts)
         w = np.concatenate(ws)
         u = psi - t

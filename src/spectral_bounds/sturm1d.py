@@ -5,8 +5,10 @@ over phi with phi(0) = 0, a zero-flux right end, and 0 < beta < gamma.
 The grid is graded cubically toward 0 so the s^(-beta) weight is resolved.
 For gamma = 2 the discrete problem is a generalized tridiagonal
 eigenproblem solved by the same shift-invert eigensolver as the FEM
-module; for other gamma the Rayleigh quotient is minimized by
-preconditioned projected gradient descent with an Armijo line search.
+module; for other gamma the Rayleigh quotient is minimized by projected
+gradient descent with an Armijo line search, preconditioned at every step
+by the Hessian of the energy at the current iterate (the gamma-Laplacian
+linearized there, a weighted tridiagonal stiffness factored afresh).
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from scipy.sparse.linalg import splu
 from .errors import NumericError, ParameterError
 from .fem import _inverse_iteration
 from .geometry import MIN_LENGTH
-from .special import lambda1_ball
+from .special import GL_NODES, GL_WEIGHTS, lambda1_ball
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _QUOTIENT_TOL = 1e-10
 _MAX_STEPS = 50_000
 _HARDY_SLACK = 1e-9
@@ -75,12 +76,12 @@ def _moment(lo: np.ndarray, hi: np.ndarray, e: float) -> np.ndarray:
     return lo ** e * np.expm1(e * np.log1p((hi - lo) / lo)) / e
 
 
-def _stiffness(h: np.ndarray) -> sparse.csc_matrix:
-    """gamma = 2 stiffness over nodes 1..n (node 0 constrained to zero)."""
-    inv = 1.0 / h
-    main = inv.copy()
-    main[:-1] += inv[1:]
-    return sparse.diags([main, -inv[1:], -inv[1:]], [0, 1, -1], format="csc")
+def _stiffness(w: np.ndarray) -> sparse.csc_matrix:
+    """Stiffness with cell weights w over nodes 1..n (node 0 constrained
+    to zero); w = 1/h is the gamma = 2 matrix."""
+    main = w.copy()
+    main[:-1] += w[1:]
+    return sparse.diags([main, -w[1:], -w[1:]], [0, 1, -1], format="csc")
 
 
 def _solve_linear(problem: SturmProblem) -> SturmSolution:
@@ -88,7 +89,7 @@ def _solve_linear(problem: SturmProblem) -> SturmSolution:
     beta = problem.beta
     n = problem.n_cells
     h = np.diff(s)
-    K = _stiffness(h)
+    K = _stiffness(1.0 / h)
 
     # weighted mass entries from exact cell moments of s^(-beta)
     lo, hi = s[1:-1], s[2:]
@@ -124,8 +125,8 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
     # the first cell has the closed form |phi_1|^gamma s_1^(1-beta)/(gamma-beta+1)
     mid = 0.5 * (s[1:-1] + s[2:])
     half = 0.5 * np.diff(s[1:])
-    sg = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    wq = (half[:, None] * _GL_WEIGHTS[None, :]) * sg ** (-beta)
+    sg = mid[:, None] + half[:, None] * GL_NODES[None, :]
+    wq = (half[:, None] * GL_WEIGHTS[None, :]) * sg ** (-beta)
     xi = (sg - s[1:-1, None]) / np.diff(s[1:])[:, None]
     first_w = s[1] ** (1.0 - beta) / (gamma - beta + 1.0)
 
@@ -150,9 +151,6 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
         g_f[0] += gamma * first_w * odd_power(phi0, gamma - 1.0)
         return g_e, g_f
 
-    # preconditioner: the gamma = 2 stiffness
-    lu = splu(_stiffness(h))
-
     def finish(phi, quotient, iteration):
         full = np.concatenate([[0.0], phi])
         if full[np.argmax(np.abs(full))] < 0:
@@ -173,7 +171,13 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
             return finish(phi, quotient, iteration)
         g_e, g_f = gradients(d, vals, phi[0])
         grad = (g_e - quotient * g_f) / f_val
-        direction = lu.solve(grad)
+        # precondition with the energy Hessian at phi; slopes are floored so
+        # that flat cells near the zero-flux end keep a finite weight
+        cell_slope = np.abs(d) / h
+        cell_slope = np.maximum(cell_slope, 1e-6 * cell_slope.max())
+        hessian = _stiffness(
+            gamma * (gamma - 1.0) * cell_slope ** (gamma - 2.0) / h)
+        direction = splu(hessian).solve(grad)
         slope = float(grad @ direction)
         accepted = False
         if slope > 0.0:

@@ -57,7 +57,8 @@ def test_solution_contract():
 
 
 @pytest.mark.parametrize("gamma,beta,rel", [(2.0, 1.0, 1e-9),
-                                            (1.5, 1.0, 1e-5)])
+                                            (1.5, 1.0, 1e-5),
+                                            (1.5, 1.0, 1e-9)])
 def test_scale_covariance(gamma, beta, rel):
     # phi(s/c) maps the quotient on (0, A) to the one on (0, cA) times
     # c^(beta - gamma)
@@ -67,6 +68,35 @@ def test_scale_covariance(gamma, beta, rel):
     scaled = sigma1(SturmProblem(gamma=gamma, beta=beta, length=2.0,
                                  n_cells=n))
     assert scaled == pytest.approx(base * 2.0 ** (beta - gamma), rel=rel)
+
+
+@pytest.mark.parametrize("p", [2.2, 2.8, 3.4, 4.0])
+def test_descent_step_count(p):
+    # preconditioned with the energy Hessian, the descent needs a few dozen
+    # steps however strongly the graded grid weights its cells
+    gamma = p / (p - 1.0)
+    sol = solve(SturmProblem(gamma=gamma, beta=gamma / 2.0, length=1.0))
+    assert sol.iterations <= 60
+
+
+def test_descent_near_singular_weight():
+    # beta close to gamma is the slowest case; the reference is this
+    # grid's minimum from a run at _QUOTIENT_TOL = 1e-14
+    gamma = 1.3
+    sol = solve(SturmProblem(gamma=gamma, beta=0.95 * gamma, length=1.0,
+                             n_cells=1024))
+    assert sol.sigma == pytest.approx(0.2778903805, rel=1e-4)
+
+
+def test_descent_reaches_minimum(monkeypatch):
+    # the per-step stopping rule must not stop short of the minimum: a far
+    # tighter tolerance moves the value by less than 1e-9
+    gamma = 3.4 / 2.4
+    problem = SturmProblem(gamma=gamma, beta=gamma / 2.0, length=1.0,
+                           n_cells=1024)
+    default = sigma1(problem)
+    monkeypatch.setattr(sturm1d, "_QUOTIENT_TOL", 1e-14)
+    assert default == pytest.approx(sigma1(problem), rel=1e-9)
 
 
 def test_refinement_cauchy():
@@ -139,6 +169,13 @@ def test_consistency_p3():
     assert report.L == pytest.approx(1.0, rel=1e-12)
     assert report.sigma_target == pytest.approx(1.2289373005746385, rel=1e-7)
     assert report.rel_err <= 1e-4
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_consistency_converged(p, n):
+    # the round trip is exact up to discretisation and the descent's stop
+    assert sturm_consistency(p, n, 1.0, 10.0).rel_err <= 1e-6
 
 
 def test_comparison_ball_measure():
