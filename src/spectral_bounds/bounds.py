@@ -77,7 +77,9 @@ def main_bound(p: float, n: int, K: float, area: float) -> float:
     if K <= 0.0 or area <= 0.0:
         raise ParameterError(f"need K, area > 0, got K={K}, area={area}")
     ratio = K / classical_constant(n)
-    return 2.0 ** (p / n) * ratio ** p * special.lambda1_sharp(p, n, area)
+    # the ball eigenvalue checks p before 2^(p/n) can overflow
+    ball = special.lambda1_sharp(p, n, area)
+    return 2.0 ** (p / n) * ratio ** p * ball
 
 
 def payne_weinberger(diameter: float) -> float:

@@ -27,6 +27,8 @@ from . import bounds, fem, geometry, rearrangement, special, sturm1d
 from .errors import NumericError, ParameterError
 
 _FEM_P_RULE = "FEM mu1 unavailable for p != 2 (discrete solver is linear only)"
+_LEVEL_HELP = (f"refinement level; a mesh past {geometry.MAX_ELEMENTS} "
+               "elements is refused")
 
 
 def _fmt(value) -> str:
@@ -267,35 +269,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("psi", help="first zeros of the radial profiles")
     sub.add_argument("--p", default="2", type=_list_of(_finite_float),
-                     help="comma-separated exponents")
+                     help=f"comma-separated exponents, each in "
+                     f"[2, {special.P_MAX:g}]")
     sub.add_argument("--n", default="2", type=_list_of(int),
                      help="comma-separated dimensions")
     _add_output_flags(sub, "csv")
 
     sub = subs.add_parser("bound", help="closed-form lower bounds, no FEM")
     _add_domain_flags(sub)
-    sub.add_argument("--p", type=_finite_float, default=2.0)
+    sub.add_argument("--p", type=_finite_float, default=2.0,
+                     help=f"exponent in [2, {special.P_MAX:g}]")
     _add_output_flags(sub, "json")
 
     sub = subs.add_parser("compare-bounds",
                           help="all bounds against the FEM eigenvalue")
     _add_domain_flags(sub)
     sub.add_argument("--p", type=_finite_float, default=2.0)
-    sub.add_argument("--level", type=int, default=5)
+    sub.add_argument("--level", type=int, default=5, help=_LEVEL_HELP)
     _add_output_flags(sub, "json")
 
     sub = subs.add_parser("verify-rhombus",
                           help="sharpness ratio table for degenerating rhombi")
     sub.add_argument("--m", default="8,16,32,64", type=_list_of(int),
                      help="comma-separated angle parameters")
-    sub.add_argument("--level", type=int, default=5)
+    sub.add_argument("--level", type=int, default=5, help=_LEVEL_HELP)
     _add_output_flags(sub, "json")
 
     sub = subs.add_parser("chiti", help="cumulative-power domination check")
     _add_domain_flags(sub)
     sub.add_argument("--p", type=_finite_float, default=2.0)
     sub.add_argument("--q", type=_finite_float, default=2.0)
-    sub.add_argument("--level", type=int, default=5)
+    sub.add_argument("--level", type=int, default=5, help=_LEVEL_HELP)
     _add_output_flags(sub, "json")
 
     sub = subs.add_parser("rholder", help="reverse Holder norm check")
@@ -303,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", type=_finite_float, default=2.0)
     sub.add_argument("--q", type=_finite_float, default=2.0)
     sub.add_argument("--r", type=_finite_float, default=1.0)
-    sub.add_argument("--level", type=int, default=5)
+    sub.add_argument("--level", type=int, default=5, help=_LEVEL_HELP)
     _add_output_flags(sub, "json")
 
     sub = subs.add_parser("sturm", help="singular Sturm-Liouville eigenvalue")
@@ -311,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--beta", type=_finite_float, required=True)
     sub.add_argument("--A", type=_finite_float, required=True,
                      help=f"interval length, at least {geometry.MIN_LENGTH:g}")
-    sub.add_argument("--N", type=int, default=4096, help="cell count")
+    sub.add_argument("--N", type=int, default=4096,
+                     help=f"cell count, 4 to {sturm1d.MAX_CELLS}")
     _add_output_flags(sub, "json")
 
     sub = subs.add_parser("suite", help="run one subcommand per file line")

@@ -30,6 +30,9 @@ OUTER = "outer"
 DIAGONAL = "diagonal"
 # smallest length the solvers are validated at; far below it 1/h overflows
 MIN_LENGTH = 1e-6
+# most elements refine may build (square and rhombus level 8, 64-gon level
+# 6); far past it a mesh needs gigabytes, so refine refuses before allocating
+MAX_ELEMENTS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -271,6 +274,10 @@ _CHILDREN = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
 
 def refine(mesh: Mesh) -> Mesh:
     """Uniform midpoint refinement: each triangle into four similar ones."""
+    if 4 * mesh.element_count > MAX_ELEMENTS:
+        raise ParameterError(
+            f"refinement to {4 * mesh.element_count} elements exceeds the "
+            f"budget of {MAX_ELEMENTS}; use a lower level")
     table = edge_table(mesh)
     n = mesh.node_count
     ends = mesh.nodes[table.edges]

@@ -182,7 +182,6 @@ def _stable_roots(c0, c1, c2):
 class CumulativePower:
     """s -> integral of the profile's positive part to power q on (0, s)."""
 
-    exponent: float
     total: float
     _evaluate: object = field(repr=False)
 
@@ -380,7 +379,7 @@ def cumulative_power(profile: RearrangedProfile, q: float) -> CumulativePower:
             out = level ** q * np.minimum(np.atleast_1d(arr), s_tilde)
             return float(out[0]) if scalar else out
 
-        return CumulativePower(exponent=q, total=level ** q * s_tilde,
+        return CumulativePower(total=level ** q * s_tilde,
                                _evaluate=evaluate_const)
 
     piece_int = profile._piece_power_integrals(q, True)
@@ -413,7 +412,7 @@ def cumulative_power(profile: RearrangedProfile, q: float) -> CumulativePower:
         out = np.where(s_eff <= 0.0, 0.0, out)
         return float(out[0]) if scalar else out
 
-    return CumulativePower(exponent=q, total=total, _evaluate=evaluate)
+    return CumulativePower(total=total, _evaluate=evaluate)
 
 
 @dataclass(frozen=True)
@@ -425,7 +424,6 @@ class BallComparisonProfile:
     radius: float
     measure: float
     _scale: float
-    _grid: np.ndarray = field(repr=False)
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
@@ -435,21 +433,16 @@ class BallComparisonProfile:
     def cumulative_power(self, q: float) -> CumulativePower:
         prof = psi_profile(self.p, self.n)
         wn = omega_n(self.n)
-        integrand = self._grid ** (self.n - 1) * prof.values ** q
-        cum = np.concatenate([[0.0], np.cumsum(
-            0.5 * (integrand[1:] + integrand[:-1]) * np.diff(self._grid))])
         factor = self.n * wn / self._scale ** self.n
-        measure = self.measure
-        scale = self._scale
-        n = self.n
 
         def evaluate(s):
-            s = np.asarray(s, dtype=float)
-            x = scale * (np.minimum(s, measure) / wn) ** (1.0 / n)
-            return factor * np.interp(x, self._grid, cum)
+            s = np.minimum(np.asarray(s, dtype=float), self.measure)
+            x = self._scale * (s / wn) ** (1.0 / self.n)
+            return factor * prof.power_integral(q, x)
 
-        return CumulativePower(exponent=q, total=float(factor * cum[-1]),
-                               _evaluate=evaluate)
+        return CumulativePower(
+            total=factor * prof.power_integral(q, prof.first_zero),
+            _evaluate=evaluate)
 
 
 def dirichlet_ball_profile(p: float, n: int, K: float,
@@ -463,8 +456,7 @@ def dirichlet_ball_profile(p: float, n: int, K: float,
     scale = (mu1 / alpha) ** (1.0 / p)
     radius = prof.first_zero / scale
     return BallComparisonProfile(p=p, n=n, radius=radius,
-                                 measure=wn * radius ** n,
-                                 _scale=scale, _grid=prof.grid)
+                                 measure=wn * radius ** n, _scale=scale)
 
 
 @dataclass(frozen=True)

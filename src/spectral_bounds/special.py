@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.special
@@ -23,11 +23,17 @@ from scipy.integrate import solve_ivp
 
 from .errors import NumericError, ParameterError
 
-#: Number of sample points stored on a profile grid (4096 intervals).
-GRID_POINTS = 4097
+#: Largest p accepted: the profile's first zero agrees with an independent
+#: RK45 shooting to 7e-9 at p = 10, n = 2, and drifts apart beyond.
+P_MAX = 10.0
 
 #: 16-point Gauss-Legendre nodes and weights on [-1, 1].
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+#: legvander(xi, 16) @ _GL_SHARE gives, per node, the share of its weighted
+#: value w_j f_j that the degree-15 interpolant of f puts on [-1, xi].
+_GL_SHARE = np.polynomial.legendre.legint(
+    (np.arange(16) + 0.5)[:, None]
+    * np.polynomial.legendre.legvander(GL_NODES, 15).T, lbnd=-1.0, axis=0)
 _BULK_PANELS = 32
 _TAIL_PANELS = 60
 #: Distance from the zero (relative to psi) below which the local Taylor
@@ -80,22 +86,19 @@ def bessel_first_zero(nu: float, tol: float = 1e-12) -> float:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Radial eigenprofile of the p-Laplacian on the ball, sampled to its zero.
+    """Radial eigenprofile of the p-Laplacian on the ball, up to its zero.
 
-    grid/values hold GRID_POINTS samples on [0, first_zero] with values[0] = 1
-    and values[-1] = 0; the continuous solution stays available through
-    ``value`` for quadrature.
+    ``value`` evaluates the continuous solution; integrals of
+    t^(n-1) Psi^q over (0, x) all run on one cached panel table.
     """
 
     p: float
     n: int
-    grid: np.ndarray
-    values: np.ndarray
     first_zero: float
     _dense: object = field(repr=False)
     _series_r0: float = field(repr=False)
     _slope_at_zero: float = field(repr=False)
-    _caches: dict = field(default_factory=dict, repr=False)
+    _log_means: dict = field(default_factory=dict, repr=False)
 
     def value(self, r):
         """Evaluate Psi at radii in [0, first_zero] (0 beyond the zero)."""
@@ -109,32 +112,25 @@ class RadialProfile:
             out[mid] = self._dense(r[mid])[0]
         return out if out.shape != (1,) else float(out[0])
 
-    # -- weighted power means ------------------------------------------------
+    # -- radial power integrals ----------------------------------------------
 
-    def _quadrature(self):
-        """Fixed nodes for int_0^psi t^(n-1) Psi^s dt, uniform in s.
+    @cached_property
+    def _panels(self):
+        """Gauss-Legendre panels for int t^(n-1) Psi^s dt, uniform in s.
 
-        Gauss-Legendre panels cover [0, psi/2]; dyadic panels then halve
-        toward the zero so the (psi - t)^s endpoint factor is resolved for
-        every s at once. Returns (base, logpsi) with base = w * t^(n-1).
+        Panels cover [0, psi/2] evenly; dyadic panels then halve toward the
+        zero so the (psi - t)^s endpoint factor is resolved for every s at
+        once; past about 52 halvings psi - psi/2^k rounds to psi, so the last
+        panels have zero width. Returns (edges, base, logpsi), base = w
+        t^(n-1), the node arrays holding one row per panel.
         """
-        cached = self._caches.get("quad")
-        if cached is not None:
-            return cached
         psi = self.first_zero
-        edges = [(i * psi / (2 * _BULK_PANELS), (i + 1) * psi / (2 * _BULK_PANELS))
-                 for i in range(_BULK_PANELS)]
-        d = psi / 2.0
-        for _ in range(_TAIL_PANELS):
-            edges.append((psi - d, psi - d / 2.0))
-            d /= 2.0
-        ts, ws = [], []
-        for a, b in edges:
-            half = 0.5 * (b - a)
-            ts.append(0.5 * (a + b) + half * GL_NODES)
-            ws.append(half * GL_WEIGHTS)
-        t = np.concatenate(ts)
-        w = np.concatenate(ws)
+        edges = np.concatenate([
+            np.arange(_BULK_PANELS + 1) * psi / (2 * _BULK_PANELS),
+            psi - psi / 2.0 ** np.arange(2, _TAIL_PANELS + 2)])
+        half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+        t = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * GL_NODES
+        w = half * GL_WEIGHTS
         u = psi - t
         deep = u < _TAIL_MODEL_CUT * psi
         logpsi = np.empty_like(t)
@@ -148,22 +144,42 @@ class RadialProfile:
         with np.errstate(divide="ignore"):
             logpsi[deep] = (math.log(a) + np.log(u[deep])
                             + np.log1p(b * u[deep]))
-        base = w * t ** (self.n - 1)
-        self._caches["quad"] = (base, logpsi)
-        return base, logpsi
+        return edges, w * t ** (self.n - 1), logpsi
+
+    def power_integral(self, q: float, x):
+        """int_0^x t^(n-1) Psi^q dt, vectorized over x; 0 for x <= 0.
+
+        Whole panels below x come from cumulative panel sums. The panel
+        holding x integrates the degree-15 Legendre interpolant of its 16
+        node values from its left edge to x, so Psi is not evaluated again.
+        """
+        if not q > 0.0:
+            raise ParameterError(f"exponent must be positive, got {q}")
+        edges, base, logpsi = self._panels
+        terms = base * np.exp(q * logpsi)
+        cum = np.concatenate([[0.0], np.cumsum(terms.sum(axis=1))])
+        arr = np.asarray(x, dtype=float)
+        x = np.atleast_1d(arr)
+        out = np.where(x > 0.0, cum[-1], 0.0)
+        # 0 < x < psi gives edges[k] <= x < edges[k+1], a panel of nonzero width
+        inside = (x > 0.0) & (x < edges[-1])
+        k = np.searchsorted(edges, x[inside], side="right") - 1
+        xi = 2.0 * (x[inside] - edges[k]) / (edges[k + 1] - edges[k]) - 1.0
+        share = np.polynomial.legendre.legvander(xi, 16) @ _GL_SHARE
+        out[inside] = cum[k] + np.einsum("ij,ij->i", share, terms[k])
+        return float(out[0]) if arr.ndim == 0 else out
 
     def log_power_mean(self, s: float) -> float:
         """log f(s) with f(s) = (n/psi^n int_0^psi t^(n-1) Psi^s dt)^(1/s)."""
         if not 0.0 < s <= 50.0:
             raise ParameterError(f"exponent must lie in (0, 50], got {s}")
-        cached = self._caches.setdefault("logf", {})
-        if s in cached:
-            return cached[s]
-        base, logpsi = self._quadrature()
-        integral = float(base @ np.exp(s * logpsi))
+        if s in self._log_means:
+            return self._log_means[s]
+        _, base, logpsi = self._panels
+        integral = float(base.ravel() @ np.exp(s * logpsi.ravel()))
         out = (math.log(self.n) - self.n * math.log(self.first_zero)
                + math.log(integral)) / s
-        cached[s] = out
+        self._log_means[s] = out
         return out
 
     def power_mean(self, s: float) -> float:
@@ -199,8 +215,8 @@ def psi_profile(p: float, n: int) -> RadialProfile:
     rtol 1e-11, first zero located by a terminal event on the dense output.
     """
     p = float(p)
-    if p < 2.0:
-        raise ParameterError(f"p must be >= 2, got {p}")
+    if not 2.0 <= p <= P_MAX:
+        raise ParameterError(f"p must lie in [2, {P_MAX:g}], got {p}")
     if n < 2:
         raise ParameterError(f"dimension must be >= 2, got {n}")
     kappa, c, c2 = _series_coefficients(p, n)
@@ -222,15 +238,8 @@ def psi_profile(p: float, n: int) -> RadialProfile:
     first_zero = float(sol.t_events[0][0])
     q_at_zero = float(sol.y_events[0][0][1])
     slope = -math.copysign(abs(q_at_zero) ** (1.0 / (p - 1.0)), q_at_zero)
-    grid = np.linspace(0.0, first_zero, GRID_POINTS)
-    profile = RadialProfile(p=p, n=n, grid=grid, values=np.empty(0),
-                            first_zero=first_zero, _dense=sol.sol,
-                            _series_r0=r0, _slope_at_zero=slope)
-    values = profile.value(grid)
-    values[0] = 1.0
-    values[-1] = 0.0
-    object.__setattr__(profile, "values", values)
-    return profile
+    return RadialProfile(p=p, n=n, first_zero=first_zero, _dense=sol.sol,
+                         _series_r0=r0, _slope_at_zero=slope)
 
 
 def lambda1_ball(p: float, n: int, radius: float = 1.0) -> float:

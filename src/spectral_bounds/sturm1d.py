@@ -28,6 +28,7 @@ from .special import GL_NODES, GL_WEIGHTS, lambda1_ball
 _QUOTIENT_TOL = 1e-10
 _MAX_STEPS = 50_000
 _HARDY_SLACK = 1e-9
+MAX_CELLS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,9 @@ class SturmProblem:
         if not self.length >= MIN_LENGTH:
             raise ParameterError(
                 f"length must be at least {MIN_LENGTH:g}, got {self.length}")
-        if self.n_cells < 4:
-            raise ParameterError("need at least 4 cells")
+        if not 4 <= self.n_cells <= MAX_CELLS:
+            raise ParameterError(
+                f"cell count must lie in [4, {MAX_CELLS}], got {self.n_cells}")
 
     @property
     def hardy_lower_bound(self) -> float:

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import time
+import warnings
 
 import pytest
 
@@ -230,6 +231,37 @@ def test_usage_errors(tmp_path, monkeypatch, capsys):
     code, out, err = run_cli(["suite", str(path)])
     assert (code, out) == (2, "")
     assert "SPECTRAL_BOUNDS_THREADS" in err and len(err.splitlines()) == 1
+
+
+def test_p_range_is_a_usage_error():
+    assert run_cli(["psi", "--p", "10"])[0] == 0
+    with warnings.catch_warnings():
+        # a warning from the numerics would turn into an exit-1 failure
+        warnings.simplefilter("error")
+        for argv in (["psi", "--p", "10.5"],
+                     ["bound", "--domain", "square", "--p", "1e6"]):
+            code, out, err = run_cli(argv)
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1 and "[2, 10]" in err
+
+
+def test_size_budget_refused_before_building(capsys):
+    for argv in (["compare-bounds", "--domain", "polygon", "--k", "64",
+                  "--level", "10"],
+                 ["sturm", "--gamma", "1.5", "--beta", "0.75", "--A", "1",
+                  "--N", "100000000"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+    capsys.readouterr()
+    for argv, text in ((["psi", "--help"], "[2, 10]"),
+                       (["bound", "--help"], "[2, 10]"),
+                       (["chiti", "--help"], "262144"),
+                       (["sturm", "--help"], "65536")):
+        assert run_cli(argv)[0] == 0
+        assert text in capsys.readouterr().out
 
 
 def test_numeric_failure_exit_code(monkeypatch):

@@ -92,6 +92,17 @@ def test_refinement_counts_and_edge_lengths():
     assert lvl3.element_count == base.element_count * 4 ** 3
 
 
+def test_refine_budget(monkeypatch):
+    spec = geometry.make_regular_polygon(64)
+    assert geometry.triangulate(spec, 6).element_count == geometry.MAX_ELEMENTS
+    monkeypatch.setattr(geometry, "MAX_ELEMENTS", 4 * 64)
+    assert geometry.triangulate(spec, 1).element_count == 4 * 64
+    for build in (lambda: geometry.triangulate(spec, 2),
+                  lambda: geometry.triangulate_half_rhombus(8, 5)):
+        with pytest.raises(ParameterError, match="budget"):
+            build()
+
+
 def _loop_refine(mesh):
     """Reference red refinement: a dict walk that names each midpoint the
     first time an element side (0,1), (1,2), (2,0) meets it."""

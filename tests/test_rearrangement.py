@@ -299,6 +299,26 @@ def test_ball_profile_against_bessel():
         rr.dirichlet_ball_profile(2.0, 2, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("n, K, mu1, radial", [
+    # int_0^x t J0(t)^2 dt = x^2/2 (J0(x)^2 + J1(x)^2)
+    (2, 2.0 * math.sqrt(math.pi), 3.0,
+     lambda x: x ** 2 / 2.0 * (special.bessel_j(0.0, x) ** 2
+                               + special.bessel_j(1.0, x) ** 2)),
+    # Psi(t) = sin(t)/t, so int_0^x t^2 Psi^2 dt = x/2 - sin(2x)/4
+    (3, 1.3, 7.0, lambda x: x / 2.0 - np.sin(2.0 * x) / 4.0),
+])
+def test_ball_cumulative_closed_form(n, K, mu1, radial):
+    ball = rr.dirichlet_ball_profile(2.0, n, K, mu1)
+    psi = special.psi_profile(2.0, n).first_zero
+    # the ball of measure s holds the unit profile up to x = psi (s/L)^(1/n)
+    s = np.linspace(0.0, ball.measure, 1001)
+    x = psi * (s / ball.measure) ** (1.0 / n)
+    exact = n * ball.measure / psi ** n * radial(x)
+    cum = ball.cumulative_power(2.0)
+    assert np.max(np.abs(cum.value(s) - exact)) <= 1e-10 * exact[-1]
+    assert cum.total == pytest.approx(exact[-1], rel=1e-10)
+
+
 @pytest.mark.parametrize("spec,q", [(pipelines.SQUARE, 1.0),
                                     (geometry.make_rhombus(8), 2.0)])
 def test_chiti_domination_eigenfunctions(spec, q):

@@ -68,17 +68,37 @@ def test_psi_profile_oracles():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_psi_profile_matches_bessel_at_p2(n):
     prof = special.psi_profile(2.0, n)
-    exact = oracles.normalized_bessel_profile(n, prof.grid)
-    assert np.abs(prof.values - exact).max() <= 1e-8
+    grid = np.linspace(0.0, prof.first_zero, 4097)
+    exact = oracles.normalized_bessel_profile(n, grid)
+    assert np.abs(prof.value(grid) - exact).max() <= 1e-8
 
 
 def test_profile_shape_invariants():
     for p, n in ((2.0, 2), (3.0, 2), (2.5, 3)):
         prof = special.psi_profile(p, n)
-        assert prof.values[0] == pytest.approx(1.0, abs=1e-12)
-        assert abs(prof.values[-1]) <= 1e-10
-        assert np.all(np.diff(prof.values) < 0.0)
+        values = prof.value(np.linspace(0.0, prof.first_zero, 4097))
+        assert values[0] == pytest.approx(1.0, abs=1e-12)
+        assert abs(values[-1]) <= 1e-10
+        assert np.all(np.diff(values) < 0.0)
         assert prof.value(0.0) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p, n", [(2.0, 2), (2.0, 3), (3.0, 2), (7.0, 4)])
+def test_power_integral_ends(p, n):
+    prof = special.psi_profile(p, n)
+    psi = prof.first_zero
+    for q in (0.5, 2.0, 3.7):
+        assert prof.power_integral(q, 0.0) == 0.0
+        assert prof.power_integral(q, -1.0) == 0.0
+        # the total is the integral behind the power mean f(q)
+        total = psi ** n / n * math.exp(q * prof.log_power_mean(q))
+        assert prof.power_integral(q, psi) == pytest.approx(total, rel=1e-13)
+        assert prof.power_integral(q, 2.0 * psi) == prof.power_integral(q, psi)
+        x = np.linspace(0.0, psi, 257)
+        values = prof.power_integral(q, x)
+        assert np.all(np.diff(values) > 0.0)
+    with pytest.raises(ParameterError):
+        prof.power_integral(0.0, 1.0)
 
 
 def test_lambda1_ball():

@@ -14,7 +14,7 @@ import pytest
 
 from spectral_bounds import fem, special, sturm1d
 from spectral_bounds.errors import ParameterError
-from spectral_bounds.sturm1d import (SturmProblem, check_L_bound,
+from spectral_bounds.sturm1d import (MAX_CELLS, SturmProblem, check_L_bound,
                                      comparison_ball_measure, sigma1,
                                      solve, sturm_consistency)
 
@@ -215,5 +215,8 @@ def test_parameter_validation():
         SturmProblem(gamma=2.0, beta=1.0, length=0.0)
     with pytest.raises(ParameterError):
         SturmProblem(gamma=2.0, beta=1.0, length=1.0, n_cells=3)
+    SturmProblem(gamma=2.0, beta=1.0, length=1.0, n_cells=MAX_CELLS)
+    with pytest.raises(ParameterError):
+        SturmProblem(gamma=2.0, beta=1.0, length=1.0, n_cells=MAX_CELLS + 1)
     with pytest.raises(ParameterError):
         sturm_consistency(1.5, 2, 1.0, 1.0)
