@@ -15,6 +15,7 @@ from .bounds import (
     BoundEntry,
     BoundReport,
     KnEntry,
+    SharedSolves,
     ashbaugh_mercado,
     bct_corollary,
     compare_report,
@@ -25,6 +26,7 @@ from .bounds import (
     pw_improvement_check,
     rhombus_sharpness,
     sector_sandwich,
+    shared_solves,
     symmetric_planar_bound,
 )
 from .errors import ConvergenceError, NumericError, ParameterError
@@ -74,10 +76,11 @@ from .sturm1d import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundEntry", "BoundReport", "KnEntry", "ashbaugh_mercado",
+    "BoundEntry", "BoundReport", "KnEntry", "SharedSolves", "ashbaugh_mercado",
     "bct_corollary", "compare_report", "dominance_ratio", "kn_lookup",
     "main_bound", "payne_weinberger", "pw_improvement_check",
-    "rhombus_sharpness", "sector_sandwich", "symmetric_planar_bound",
+    "rhombus_sharpness", "sector_sandwich", "shared_solves",
+    "symmetric_planar_bound",
     "ConvergenceError", "NumericError", "ParameterError",
     "assemble_mass", "assemble_stiffness", "richardson",
     "solve_dirichlet_lambda1", "solve_mixed_dn", "solve_neumann_mu1",

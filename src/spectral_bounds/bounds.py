@@ -7,17 +7,24 @@ constant is determined by the width. The bound half evaluates the
 rearrangement-based lower bound for the first nontrivial Neumann eigenvalue
 together with the older bounds it competes against, and aggregates everything
 into one report per domain, with a finite element reference value when p = 2.
+
+The (domain, level) pipelines behind those reference values run through
+SharedSolves, a keyed memo that shared_solves() shares within one scope.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import Future
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
-from . import fem, geometry, special
+from . import fem, geometry, rearrangement, special
 from .errors import NumericError, ParameterError
 from .geometry import DomainSpec
 
@@ -231,10 +238,92 @@ class BoundReport:
         return {e.name: e.value / self.mu1 for e in self.entries}
 
 
+class SharedSolves:
+    """Keyed memo of the deterministic (domain, level) pipelines.
+
+    Each key is computed at most once per instance. A level-L mesh is
+    always geometry.refine of the memoized level-(L-1) mesh, so what a key
+    computes does not depend on which caller asks first, and a chain costs
+    the mesh work of one triangulate call. Threads that miss the same key
+    wait for one computation; a failure re-raises in each of them.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._futures: dict[tuple, Future] = {}
+
+    def _once(self, key: tuple, compute):
+        with self._lock:
+            future = self._futures.get(key)
+            owner = future is None
+            if owner:
+                future = self._futures[key] = Future()
+        if owner:
+            try:
+                future.set_result(compute())
+            except BaseException as ex:
+                # re-raised below, and in every thread waiting for the key
+                future.set_exception(ex)
+        return future.result()
+
+    def _refined(self, chain: tuple, level: int, base) -> geometry.Mesh:
+        """Level ``level`` of the chain of base(0); base refuses level < 0."""
+        def build():
+            if level <= 0:
+                return base(level)
+            return geometry.refine(self._refined(chain, level - 1, base))
+
+        return self._once((*chain, level), build)
+
+    def mesh(self, spec: DomainSpec, level: int) -> geometry.Mesh:
+        return self._refined(("mesh", spec), level,
+                             lambda lv: geometry.triangulate(spec, lv))
+
+    def neumann(self, spec: DomainSpec, level: int) -> fem.EigenPair:
+        return self._once(("neumann", spec, level), lambda: (
+            fem.solve_neumann_mu1(self.mesh(spec, level))))
+
+    def profile(self, spec: DomainSpec, level: int):
+        """Oriented rearrangement of the Neumann eigenvector of (spec, level)."""
+        return self._once(("profile", spec, level), lambda: (
+            rearrangement.rearrange_oriented(self.mesh(spec, level),
+                                             self.neumann(spec, level).vector)))
+
+    def mixed(self, m: int, level: int) -> fem.EigenPair:
+        """Mixed pair of the half rhombus, zero on the short diagonal."""
+        return self._once(("mixed", m, level), lambda: fem.solve_mixed_dn(
+            self._refined(("half-rhombus", m), level,
+                          lambda lv: geometry.triangulate_half_rhombus(m, lv))))
+
+
+_SCOPE: ContextVar[SharedSolves | None] = ContextVar("shared_solves",
+                                                     default=None)
+
+
+@contextmanager
+def shared_solves():
+    """Open a shared-solve scope, or join the one already open, and yield
+    its SharedSolves; the memo is dropped when the outermost scope closes.
+
+    The scope is a context variable: another thread joins it only when it
+    runs in a copy of the opening context (contextvars.copy_context).
+    """
+    solves = _SCOPE.get()
+    if solves is not None:
+        yield solves
+        return
+    solves = SharedSolves()
+    token = _SCOPE.set(solves)
+    try:
+        yield solves
+    finally:
+        _SCOPE.reset(token)
+
+
 def _extrapolated_mu1(spec: DomainSpec, level: int) -> float:
-    mesh = geometry.triangulate(spec, level - 1)
-    coarse = fem.solve_neumann_mu1(mesh).value
-    fine = fem.solve_neumann_mu1(geometry.refine(mesh)).value
+    with shared_solves() as solves:
+        coarse = solves.neumann(spec, level - 1).value
+        fine = solves.neumann(spec, level).value
     return fem.richardson(coarse, fine)
 
 
@@ -322,9 +411,9 @@ def sector_sandwich(m: int, level: int = 5, tol: float = 1e-2) -> SectorSandwich
     j_{0,1}^2 / cos^2(pi / m). The discrete value is Richardson-extrapolated
     and compared with `tol` relative slack on both ends.
     """
-    mesh = geometry.triangulate_half_rhombus(m, level - 1)
-    coarse = fem.solve_mixed_dn(mesh).value
-    fine = fem.solve_mixed_dn(geometry.refine(mesh)).value
+    with shared_solves() as solves:
+        coarse = solves.mixed(m, level - 1).value
+        fine = solves.mixed(m, level).value
     value = fem.richardson(coarse, fine)
     j0 = special.bessel_first_zero(0.0)
     lower = j0 * j0

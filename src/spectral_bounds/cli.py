@@ -6,6 +6,11 @@ sweeps), with floats at 12 significant digits. Identical invocations produce
 byte-identical output: field order is declared per subcommand, solver seeds
 are fixed, and the suite runner buffers per line and writes in line order.
 
+Each invocation computes every (domain, level) mesh, Neumann or mixed
+eigenpair and rearranged profile at most once, in one shared-solve scope
+(bounds.shared_solves) that all lines of a suite share and that is dropped
+when the invocation returns. The argument parser is built once per process.
+
 Exit codes: 0 success, 1 numeric failure (a verified inequality broke or an
 iteration stalled), 2 usage error (bad flags, unknown domain class,
 out-of-scope parameter combinations).
@@ -14,7 +19,9 @@ out-of-scope parameter combinations).
 from __future__ import annotations
 
 import argparse
+import contextvars
 import csv
+import functools
 import io
 import math
 import os
@@ -23,7 +30,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from . import bounds, fem, geometry, rearrangement, special, sturm1d
+from . import bounds, geometry, rearrangement, special, sturm1d
 from .errors import NumericError, ParameterError
 
 _FEM_P_RULE = "FEM mu1 unavailable for p != 2 (discrete solver is linear only)"
@@ -128,10 +135,8 @@ def _add_output_flags(sub, default_format: str) -> None:
 
 
 def _eigen_pipeline(spec: geometry.DomainSpec, level: int):
-    mesh = geometry.triangulate(spec, level)
-    pair = fem.solve_neumann_mu1(mesh)
-    profile = rearrangement.rearrange_oriented(mesh, pair.vector)
-    return pair, profile
+    with bounds.shared_solves() as solves:
+        return solves.neumann(spec, level), solves.profile(spec, level)
 
 
 def _require_p2(p: float) -> None:
@@ -272,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"comma-separated exponents, each in "
                      f"[2, {special.P_MAX:g}]")
     sub.add_argument("--n", default="2", type=_list_of(int),
-                     help="comma-separated dimensions")
+                     help=f"comma-separated dimensions, each in "
+                     f"[2, {special.N_MAX}]")
     _add_output_flags(sub, "csv")
 
     sub = subs.add_parser("bound", help="closed-form lower bounds, no FEM")
@@ -325,20 +331,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged, so
+    # every dispatch, suite lines on worker threads included, shares it
+    return build_parser()
+
+
 def dispatch(argv, out=None, err=None) -> int:
-    """Parse argv, run one subcommand, write its table, return the exit code."""
+    """Parse argv, run one subcommand, write its table, return the exit code.
+
+    The subcommand runs in one shared-solve scope (bounds.shared_solves),
+    joined if the caller already opened one, as a suite does for its lines.
+    """
     stream = out if out is not None else sys.stdout
     errstream = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as ex:
         code = ex.code
         return code if isinstance(code, int) else (0 if code is None else 2)
     if args.command == "suite":
         return run_suite(args.path, out=stream, err=errstream)
     try:
-        rows, single, fieldnames = _HANDLERS[args.command](args)
+        with bounds.shared_solves():
+            rows, single, fieldnames = _HANDLERS[args.command](args)
         text = emit_table(rows, args.format, fieldnames=fieldnames, single=single)
         if args.out_path:
             Path(args.out_path).write_text(text, encoding="utf-8")
@@ -409,8 +426,13 @@ def run_suite(path: str, out=None, err=None) -> int:
         return code, buffer.getvalue(), errbuffer.getvalue()
 
     workers = max(1, min(workers, len(runs)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(one, [argv for _, argv in runs]))
+    # worker threads do not inherit contexts: each line runs in a copy of
+    # this one, so that all lines join the suite's shared-solve scope
+    with bounds.shared_solves(), \
+            ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, one, argv)
+                   for _, argv in runs]
+        results = [future.result() for future in futures]
 
     failures = 0
     for (lineno, argv), (code, text, errtext) in zip(runs, results):

@@ -88,9 +88,8 @@ def _true_boundary_nodes(mesh: Mesh) -> np.ndarray:
 
 
 def _tagged_nodes(mesh: Mesh, tag: str) -> np.ndarray:
-    nodes = {idx for i, j, t in mesh.boundary_edges if t == tag
-             for idx in (i, j)}
-    return np.array(sorted(nodes), dtype=int)
+    pairs = [(i, j) for i, j, t in mesh.boundary_edges if t == tag]
+    return np.unique(np.array(pairs, dtype=int).reshape(-1, 2))
 
 
 def _inverse_iteration(K, M, free: np.ndarray, bc: str,

@@ -191,12 +191,6 @@ def edge_table(mesh: Mesh) -> EdgeTable:
                      counts=counts[order])
 
 
-def undirected_edges(mesh: Mesh) -> dict[tuple[int, int], int]:
-    """Multiplicity of each undirected element edge."""
-    table = edge_table(mesh)
-    return dict(zip(map(tuple, table.edges.tolist()), table.counts.tolist()))
-
-
 def validate_mesh(mesh: Mesh, area: float | None = None) -> dict:
     """Check orientation, conformity and the Euler relation; return stats.
 

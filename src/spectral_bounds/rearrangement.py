@@ -299,40 +299,6 @@ class RearrangedProfile:
         total += float(np.sum(p.atoms[pos] * p.breaks[pos] ** q))
         return total
 
-    def abs_power_integral(self, q: float) -> float:
-        """Exact integral of |u|^q over the domain."""
-        if q <= 0:
-            raise ParameterError("exponent must be positive")
-        total = self.positive_power_integral(q)
-        p = self.pieces
-        if len(p.values) > 0:
-            # mirror the negative side: w = -t runs over [-hi, -lo]
-            w_lo = np.maximum(-p.breaks[1:], 0.0)
-            w_hi = np.maximum(-p.breaks[:-1], 0.0)
-            d1 = _power_diff(w_lo, w_hi, q + 1.0) / (q + 1.0)
-            d2 = _power_diff(w_lo, w_hi, q + 2.0) / (q + 2.0)
-            anchor = p.breaks[:-1]
-            total += float(np.sum(
-                2.0 * p.curvatures * (anchor * d1 + d2) - p.slopes * d1))
-        neg = p.breaks < 0
-        total += float(np.sum(p.atoms[neg] * (-p.breaks[neg]) ** q))
-        return total
-
-    def integral(self) -> float:
-        """Exact integral of u over the domain (Cavalieri)."""
-        p = self.pieces
-        total = float(np.sum(p.atoms * p.breaks))
-        if len(p.values) == 0:
-            return total
-        lo, hi = p.breaks[:-1], p.breaks[1:]
-        width = hi - lo
-        d1 = width * (hi + lo) / 2.0
-        # exact grouping of int t(t - lo) dt over the piece
-        d2_anchor = width ** 2 * (2.0 * hi + lo) / 6.0
-        total += float(np.sum(-(p.slopes * d1
-                                + 2.0 * p.curvatures * d2_anchor)))
-        return total
-
 
 def rearrange(mesh: Mesh, nodal) -> RearrangedProfile:
     """Exact decreasing rearrangement of a nodal P1 function."""

@@ -10,6 +10,7 @@ import numpy as np
 
 from spectral_bounds import geometry, special
 from spectral_bounds.errors import ParameterError
+from spectral_bounds.rearrangement import _power_diff
 
 
 def max_edge_length(mesh: geometry.Mesh) -> float:
@@ -17,6 +18,12 @@ def max_edge_length(mesh: geometry.Mesh) -> float:
     lengths = [np.linalg.norm(p[:, i] - p[:, j], axis=1)
                for i, j in ((0, 1), (1, 2), (2, 0))]
     return float(np.max(lengths))
+
+
+def undirected_edges(mesh: geometry.Mesh) -> dict[tuple[int, int], int]:
+    """Multiplicity of each undirected element edge."""
+    table = geometry.edge_table(mesh)
+    return dict(zip(map(tuple, table.edges.tolist()), table.counts.tolist()))
 
 
 def normalized_bessel_profile(n: int, r):
@@ -92,3 +99,40 @@ def profile_samples(profile) -> np.ndarray:
          profile._left_limits()]))
     grid = grid[(grid >= 0.0) & (grid <= profile.domain_measure)]
     return profile.value(grid)
+
+
+def profile_integral(profile) -> float:
+    """Exact integral of u over the domain, by Cavalieri from the pieces of
+    its rearrangement."""
+    p = profile.pieces
+    total = float(np.sum(p.atoms * p.breaks))
+    if len(p.values) == 0:
+        return total
+    lo, hi = p.breaks[:-1], p.breaks[1:]
+    width = hi - lo
+    d1 = width * (hi + lo) / 2.0
+    # exact grouping of int t(t - lo) dt over the piece
+    d2_anchor = width ** 2 * (2.0 * hi + lo) / 6.0
+    total += float(np.sum(-(p.slopes * d1 + 2.0 * p.curvatures * d2_anchor)))
+    return total
+
+
+def profile_abs_power_integral(profile, q: float) -> float:
+    """Exact integral of |u|^q over the domain: the profile's positive part
+    plus the mirrored negative side of its pieces."""
+    if q <= 0:
+        raise ParameterError("exponent must be positive")
+    total = profile.positive_power_integral(q)
+    p = profile.pieces
+    if len(p.values) > 0:
+        # mirror the negative side: w = -t runs over [-hi, -lo]
+        w_lo = np.maximum(-p.breaks[1:], 0.0)
+        w_hi = np.maximum(-p.breaks[:-1], 0.0)
+        d1 = _power_diff(w_lo, w_hi, q + 1.0) / (q + 1.0)
+        d2 = _power_diff(w_lo, w_hi, q + 2.0) / (q + 2.0)
+        anchor = p.breaks[:-1]
+        total += float(np.sum(
+            2.0 * p.curvatures * (anchor * d1 + d2) - p.slopes * d1))
+    neg = p.breaks < 0
+    total += float(np.sum(p.atoms[neg] * (-p.breaks[neg]) ** q))
+    return total

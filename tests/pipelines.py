@@ -1,27 +1,25 @@
 """Shared, cached solver pipelines for the test suite.
 
-Meshing and the eigensolvers are deterministic, so tests share one cache
-keyed by (domain spec, level). This keeps the full suite well under the
+Meshing and the eigensolvers are deterministic, so tests share one
+session-wide bounds.SharedSolves keyed by (domain spec, level): the same
+memo the CLI opens per invocation. This keeps the full suite well under the
 runtime budget even though several test modules touch the same domains.
 """
 
 from functools import lru_cache
 
-from spectral_bounds import fem, geometry, rearrangement
+from spectral_bounds import bounds, fem, geometry
 
 SQUARE = geometry.make_rectangle(1.0, 1.0)
 RECT21 = geometry.make_rectangle(2.0, 1.0)
 GON64 = geometry.make_regular_polygon(64, 1.0)
 
-
-@lru_cache(maxsize=None)
-def mesh(spec: geometry.DomainSpec, level: int) -> geometry.Mesh:
-    return geometry.triangulate(spec, level)
-
-
-@lru_cache(maxsize=None)
-def neumann(spec: geometry.DomainSpec, level: int) -> fem.EigenPair:
-    return fem.solve_neumann_mu1(mesh(spec, level))
+_SOLVES = bounds.SharedSolves()
+mesh = _SOLVES.mesh
+neumann = _SOLVES.neumann
+mixed_half_rhombus = _SOLVES.mixed
+# rearranged first Neumann eigenfunction, positive part the smaller one
+oriented_profile = _SOLVES.profile
 
 
 @lru_cache(maxsize=None)
@@ -29,18 +27,6 @@ def dirichlet(spec: geometry.DomainSpec, level: int) -> fem.EigenPair:
     return fem.solve_dirichlet_lambda1(mesh(spec, level))
 
 
-@lru_cache(maxsize=None)
-def mixed_half_rhombus(m: int, level: int) -> fem.EigenPair:
-    return fem.solve_mixed_dn(geometry.triangulate_half_rhombus(m, level))
-
-
 def mu1_extrapolated(spec: geometry.DomainSpec, level: int) -> float:
     return fem.richardson(neumann(spec, level - 1).value,
                           neumann(spec, level).value)
-
-
-@lru_cache(maxsize=None)
-def oriented_profile(spec: geometry.DomainSpec, level: int):
-    """Rearranged first Neumann eigenfunction, positive part the smaller one."""
-    return rearrangement.rearrange_oriented(mesh(spec, level),
-                                            neumann(spec, level).vector)

@@ -8,11 +8,14 @@ checked as identities, not near-misses.
 """
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from spectral_bounds import bounds, geometry, special
+from spectral_bounds import bounds, fem, geometry, special
 from spectral_bounds.errors import NumericError, ParameterError
 
 J01 = special.bessel_first_zero(0.0)
@@ -227,3 +230,75 @@ def test_sector_sandwich_degeneration():
     sandwich = bounds.sector_sandwich(64, level=4)
     assert sandwich.ok
     assert sandwich.value <= J01 ** 2 * 1.01
+
+
+def test_shared_solves_single_flight(monkeypatch):
+    """More threads than cores miss the same keys at once: each key is
+    computed once, and every thread gets its result or its error."""
+    calls = []
+
+    class SlowSpec:
+        # hashing yields the thread, which widens any gap between looking
+        # a key up and claiming it
+        def __hash__(self):
+            time.sleep(1e-3)
+            return 1
+
+    def counted(name, action):
+        def fn(*args):
+            calls.append(name)
+            time.sleep(0.01)
+            return action(*args)
+        return fn
+
+    def broken(mesh):
+        raise NumericError("synthetic failure")
+
+    monkeypatch.setattr(geometry, "triangulate",
+                        counted("base", lambda spec, level: object()))
+    monkeypatch.setattr(fem, "solve_neumann_mu1",
+                        counted("neumann", lambda mesh: object()))
+    monkeypatch.setattr(fem, "solve_mixed_dn", counted("mixed", broken))
+    solves = bounds.SharedSolves()
+    spec = SlowSpec()
+    pairs, errors = [], []
+
+    def worker():
+        pairs.append(solves.neumann(spec, 0))
+        try:
+            solves.mixed(8, 1)
+        except NumericError as ex:
+            errors.append(ex)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(16)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(calls) == ["base", "mixed", "neumann"]
+    assert len(pairs) == len(errors) == 16
+    assert all(pair is pairs[0] for pair in pairs)
+    assert all(ex is errors[0] for ex in errors)
+
+
+def test_shared_solves_scope():
+    with bounds.shared_solves() as outer:
+        with bounds.shared_solves() as inner:
+            assert inner is outer
+    with bounds.shared_solves() as fresh:
+        assert fresh is not outer
+    spec = geometry.make_rhombus(8)
+    # the refinement chain builds the same mesh as triangulate
+    mesh = bounds.SharedSolves().mesh(spec, 3)
+    direct = geometry.triangulate(spec, 3)
+    assert np.array_equal(mesh.nodes, direct.nodes)
+    assert np.array_equal(mesh.elements, direct.elements)
+    assert mesh.boundary_edges == direct.boundary_edges
+    with pytest.raises(ParameterError, match="got -1"):
+        bounds.SharedSolves().neumann(spec, -1)

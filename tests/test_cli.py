@@ -4,15 +4,17 @@ Everything runs through dispatch() with StringIO streams, never a
 subprocess, so the tests also pin byte-level determinism of the output.
 """
 
+import gc
 import io
 import json
 import math
 import time
 import warnings
+import weakref
 
 import pytest
 
-from spectral_bounds import cli, special, sturm1d
+from spectral_bounds import cli, fem, special, sturm1d
 from spectral_bounds.errors import NumericError, ParameterError
 
 J01 = special.bessel_first_zero(0.0)
@@ -243,6 +245,10 @@ def test_p_range_is_a_usage_error():
             code, out, err = run_cli(argv)
             assert (code, out) == (2, "")
             assert len(err.splitlines()) == 1 and "[2, 10]" in err
+        for argv in (["psi", "--n", "200"], ["psi", "--n", "2,1"]):
+            code, out, err = run_cli(argv)
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1 and "[2, 32]" in err
 
 
 def test_size_budget_refused_before_building(capsys):
@@ -257,6 +263,7 @@ def test_size_budget_refused_before_building(capsys):
         assert len(err.splitlines()) == 1 and "Traceback" not in err
     capsys.readouterr()
     for argv, text in ((["psi", "--help"], "[2, 10]"),
+                       (["psi", "--help"], "[2, 32]"),
                        (["bound", "--help"], "[2, 10]"),
                        (["chiti", "--help"], "262144"),
                        (["sturm", "--help"], "65536")):
@@ -325,3 +332,102 @@ def test_suite_deterministic(tmp_path):
         "sturm --gamma 2 --beta 1 --A 1 --N 256\n",
         encoding="utf-8")
     assert run_cli(["suite", str(path)]) == run_cli(["suite", str(path)])
+
+
+# lines that ask for the same (domain, level) keys: six distinct eigen
+# solves (square L3 and L4, rhombus 8 L2 and L3, half rhombus 8 L2 and L3)
+# where the lines run one by one need eleven
+SHARED_LINES = ["compare-bounds --domain square --level 4",
+                "chiti --domain square --level 4",
+                "rholder --domain square --level 3 --q 3 --r 1",
+                "verify-rhombus --m 8 --level 3",
+                "compare-bounds --domain rhombus --m 8 --level 3",
+                "chiti --domain square --level 3 --format csv"]
+
+
+def _counting_splu(monkeypatch):
+    calls = []
+    factor = fem.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "splu", counted)
+    return calls
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_suite_shares_solves_across_lines(tmp_path, monkeypatch, threads):
+    path = tmp_path / "shared.txt"
+    path.write_text("\n".join(SHARED_LINES) + "\n", encoding="utf-8")
+    expected = ""
+    for lineno, line in enumerate(SHARED_LINES, start=1):
+        code, out, _ = run_cli(line.split())
+        assert code == 0
+        expected += out + f"# line {lineno} ok: {line}\n"
+    expected += f"# suite: {len(SHARED_LINES)} runs, 0 failures\n"
+    monkeypatch.setenv("SPECTRAL_BOUNDS_THREADS", threads)
+    calls = _counting_splu(monkeypatch)
+    code, out, err = run_cli(["suite", str(path)])
+    assert (code, out, err) == (0, expected, "")
+    assert len(calls) == 6
+
+
+def test_failed_solve_fails_every_line_that_needs_it(tmp_path, monkeypatch):
+    # the level-4 Neumann solve of this thin rhombus fails its residual
+    # gate; all three lines need it, and it is attempted once
+    lines = [f"{sub} --domain rhombus --m 1000 --level 4"
+             for sub in ("compare-bounds", "rholder", "chiti")]
+    path = tmp_path / "failing.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setenv("SPECTRAL_BOUNDS_THREADS", "3")
+    calls = _counting_splu(monkeypatch)
+    code, out, err = run_cli(["suite", str(path)])
+    assert code == 1 and err == ""
+    status = out.splitlines()
+    assert status[-1] == "# suite: 3 runs, 3 failures"
+    messages = {line.split(": ", 1)[1].split(": ", 1)[1]
+                for line in status[:-1]}
+    assert len(status) == 4 and len(messages) == 1
+    message = messages.pop()
+    assert message.startswith("numeric failure:") and "residual" in message
+    assert "Traceback" not in out
+    assert len(calls) == 2   # level 3, and the failing level 4
+
+
+def test_solves_are_dropped_when_dispatch_returns(monkeypatch):
+    refs = []
+    solve = fem.solve_neumann_mu1
+
+    def tracked(mesh):
+        pair = solve(mesh)
+        refs.append(weakref.ref(pair))
+        return pair
+
+    monkeypatch.setattr(fem, "solve_neumann_mu1", tracked)
+    gc.disable()   # reference counting alone must free them
+    try:
+        assert run_cli(["chiti", "--domain", "square", "--level", "3"])[0] == 0
+        assert run_cli(["compare-bounds", "--domain", "square",
+                        "--level", "3"])[0] == 0
+        assert len(refs) == 3
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_parser_built_once_per_process(monkeypatch):
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for argv in (["bound", "--domain", "square"], ["psi", "--n", "2,3"],
+                 ["bound", "--domain", "rhombus", "--m", "8"], ["nope"]):
+        run_cli(argv)
+    assert len(calls) == 1

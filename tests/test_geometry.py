@@ -163,7 +163,7 @@ def test_edge_table():
     assert table.edges.tolist() == [[0, 1], [1, 2], [0, 2], [2, 3], [0, 3]]
     assert table.element_edges.tolist() == [[0, 1, 2], [2, 3, 4]]
     assert table.counts.tolist() == [1, 1, 2, 1, 1]
-    assert geometry.undirected_edges(mesh) == {
+    assert oracles.undirected_edges(mesh) == {
         (0, 1): 1, (1, 2): 1, (0, 2): 2, (2, 3): 1, (0, 3): 1}
     bad = geometry.Mesh(nodes=mesh.nodes, elements=mesh.elements,
                         boundary_edges=[(1, 3, geometry.OUTER)])
@@ -182,7 +182,7 @@ def test_rhombus_diagonal_chain_every_level():
         diag = [(i, j) for i, j, tag in mesh.boundary_edges
                 if tag == geometry.DIAGONAL]
         assert diag, "no diagonal edges tagged"
-        edges = geometry.undirected_edges(mesh)
+        edges = oracles.undirected_edges(mesh)
         for i, j in diag:
             key = (min(i, j), max(i, j))
             assert key in edges, "tagged diagonal pair is not a mesh edge"

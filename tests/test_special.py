@@ -73,6 +73,15 @@ def test_psi_profile_matches_bessel_at_p2(n):
     assert np.abs(prof.value(grid) - exact).max() <= 1e-8
 
 
+def test_dimension_range():
+    n = special.N_MAX
+    assert special.psi_profile(2.0, n).first_zero == pytest.approx(
+        special.bessel_first_zero(n / 2.0 - 1.0), rel=1e-8)
+    for bad in (1, n + 1):
+        with pytest.raises(ParameterError, match=f"\\[2, {n}\\]"):
+            special.psi_profile(2.0, bad)
+
+
 def test_profile_shape_invariants():
     for p, n in ((2.0, 2), (3.0, 2), (2.5, 3)):
         prof = special.psi_profile(p, n)
