@@ -12,7 +12,6 @@ subcommands with deterministic CSV/JSON output.
 """
 
 from .bounds import (
-    BoundEntry,
     BoundReport,
     KnEntry,
     SharedSolves,
@@ -21,6 +20,7 @@ from .bounds import (
     compare_report,
     dominance_ratio,
     kn_lookup,
+    lower_bounds,
     main_bound,
     payne_weinberger,
     pw_improvement_check,
@@ -76,9 +76,9 @@ from .sturm1d import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundEntry", "BoundReport", "KnEntry", "SharedSolves", "ashbaugh_mercado",
+    "BoundReport", "KnEntry", "SharedSolves", "ashbaugh_mercado",
     "bct_corollary", "compare_report", "dominance_ratio", "kn_lookup",
-    "main_bound", "payne_weinberger", "pw_improvement_check",
+    "lower_bounds", "main_bound", "payne_weinberger", "pw_improvement_check",
     "rhombus_sharpness", "sector_sandwich", "shared_solves",
     "symmetric_planar_bound",
     "ConvergenceError", "NumericError", "ParameterError",

@@ -15,8 +15,6 @@ SharedSolves, a keyed memo that shared_solves() shares within one scope.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import Future
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -203,11 +201,23 @@ def pw_improvement_check(spec: DomainSpec, c: float) -> PwImprovementReport:
                                holds, bound_d2, threshold, pw_d2, improves)
 
 
-@dataclass(frozen=True)
-class BoundEntry:
-    name: str
-    value: float
-    applicable: bool
+def lower_bounds(spec: DomainSpec, p: float) -> dict[str, float]:
+    """Every closed-form lower bound that applies to one domain at p, by name.
+
+    The main and Ashbaugh-Mercado bounds hold for every p >= 2; the others
+    are p = 2 bounds. All three domain families here are convex, so the
+    diameter bound applies whenever p = 2; the width bound additionally
+    needs central symmetry, which kn_lookup already enforces.
+    """
+    K = kn_lookup(spec).value
+    area = spec.area
+    values = {"main": main_bound(p, 2, K, area),
+              "ashbaugh_mercado": ashbaugh_mercado(p, 2, K, area)}
+    if p == 2.0:
+        values["payne_weinberger"] = payne_weinberger(spec.diameter)
+        values["bct_corollary"] = bct_corollary(2, K, area)
+        values["symmetric_planar"] = symmetric_planar_bound(spec.width, area)
+    return values
 
 
 @dataclass(frozen=True)
@@ -223,19 +233,18 @@ class BoundReport:
     p: float
     n: int
     mu1: float | None
-    entries: tuple[BoundEntry, ...]
+    bounds: dict[str, float]
 
     def value(self, name: str) -> float:
-        for entry in self.entries:
-            if entry.name == name:
-                return entry.value
-        raise ParameterError(f"no bound named {name!r} in this report")
+        if name not in self.bounds:
+            raise ParameterError(f"no bound named {name!r} in this report")
+        return self.bounds[name]
 
     @property
     def ratios(self) -> dict[str, float]:
         if self.mu1 is None:
             return {}
-        return {e.name: e.value / self.mu1 for e in self.entries}
+        return {name: value / self.mu1 for name, value in self.bounds.items()}
 
 
 class SharedSolves:
@@ -244,27 +253,25 @@ class SharedSolves:
     Each key is computed at most once per instance. A level-L mesh is
     always geometry.refine of the memoized level-(L-1) mesh, so what a key
     computes does not depend on which caller asks first, and a chain costs
-    the mesh work of one triangulate call. Threads that miss the same key
-    wait for one computation; a failure re-raises in each of them.
+    the mesh work of one triangulate call. A key whose computation fails
+    keeps its exception, which re-raises on every later call for the key.
+    An instance is not locked: it belongs to one thread.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._futures: dict[tuple, Future] = {}
+        self._values: dict[tuple, object] = {}
+        self._errors: dict[tuple, Exception] = {}
 
     def _once(self, key: tuple, compute):
-        with self._lock:
-            future = self._futures.get(key)
-            owner = future is None
-            if owner:
-                future = self._futures[key] = Future()
-        if owner:
+        if key in self._errors:
+            raise self._errors[key]
+        if key not in self._values:
             try:
-                future.set_result(compute())
-            except BaseException as ex:
-                # re-raised below, and in every thread waiting for the key
-                future.set_exception(ex)
-        return future.result()
+                self._values[key] = compute()
+            except Exception as ex:
+                self._errors[key] = ex
+                raise
+        return self._values[key]
 
     def _refined(self, chain: tuple, level: int, base) -> geometry.Mesh:
         """Level ``level`` of the chain of base(0); base refuses level < 0."""
@@ -305,8 +312,8 @@ def shared_solves():
     """Open a shared-solve scope, or join the one already open, and yield
     its SharedSolves; the memo is dropped when the outermost scope closes.
 
-    The scope is a context variable: another thread joins it only when it
-    runs in a copy of the opening context (contextvars.copy_context).
+    The scope is a context variable of the thread that opens it, and its
+    memo is not locked: use a scope from that one thread only.
     """
     solves = _SCOPE.get()
     if solves is not None:
@@ -320,49 +327,39 @@ def shared_solves():
         _SCOPE.reset(token)
 
 
+def _extrapolated(pair_at, level: int) -> float:
+    """Richardson value of the eigenpairs pair_at(level - 1), pair_at(level)."""
+    if level < 1:
+        raise ParameterError(f"level must be >= 1, got {level}")
+    return fem.richardson(pair_at(level - 1).value, pair_at(level).value)
+
+
 def _extrapolated_mu1(spec: DomainSpec, level: int) -> float:
     with shared_solves() as solves:
-        coarse = solves.neumann(spec, level - 1).value
-        fine = solves.neumann(spec, level).value
-    return fem.richardson(coarse, fine)
+        return _extrapolated(lambda lv: solves.neumann(spec, lv), level)
 
 
 def compare_report(spec: DomainSpec, p: float, level: int = 5,
                    tol: float = _REPORT_TOL) -> BoundReport:
-    """Evaluate every lower bound applicable to one domain.
+    """Evaluate every lower bound applicable to one domain (lower_bounds).
 
     For p = 2 the report carries a finite element reference eigenvalue from
     two consecutive refinements plus Richardson extrapolation, and every
     listed bound is required to sit below it with `tol` relative slack for
-    the leftover discretization error. All three domain families here are
-    convex, so the diameter bound applies whenever p = 2; the width bound
-    additionally needs central symmetry, which kn_lookup already enforces.
+    the leftover discretization error.
     """
     if p < 2.0:
         raise ParameterError(f"bounds require p >= 2, got p={p}")
-    if level < 1:
-        raise ParameterError(f"level must be >= 1, got {level}")
-    K = kn_lookup(spec).value
-    area = spec.area
-    entries = [
-        BoundEntry("main", main_bound(p, 2, K, area), True),
-        BoundEntry("ashbaugh_mercado", ashbaugh_mercado(p, 2, K, area), True),
-    ]
+    values = lower_bounds(spec, p)
     mu1 = None
     if p == 2.0:
-        entries.append(
-            BoundEntry("payne_weinberger", payne_weinberger(spec.diameter), True))
-        entries.append(BoundEntry("bct_corollary", bct_corollary(2, K, area), True))
-        entries.append(
-            BoundEntry("symmetric_planar",
-                       symmetric_planar_bound(spec.width, area), True))
         mu1 = _extrapolated_mu1(spec, level)
-        for entry in entries:
-            if entry.value > mu1 * (1.0 + tol):
+        for name, value in values.items():
+            if value > mu1 * (1.0 + tol):
                 raise NumericError(
-                    f"lower bound {entry.name} = {entry.value:.6g} exceeds "
+                    f"lower bound {name} = {value:.6g} exceeds "
                     f"reference mu1 = {mu1:.6g} on {spec.label}")
-    return BoundReport(spec.label, p, 2, mu1, tuple(entries))
+    return BoundReport(spec.label, p, 2, mu1, values)
 
 
 @dataclass(frozen=True)
@@ -412,9 +409,7 @@ def sector_sandwich(m: int, level: int = 5, tol: float = 1e-2) -> SectorSandwich
     and compared with `tol` relative slack on both ends.
     """
     with shared_solves() as solves:
-        coarse = solves.mixed(m, level - 1).value
-        fine = solves.mixed(m, level).value
-    value = fem.richardson(coarse, fine)
+        value = _extrapolated(lambda lv: solves.mixed(m, lv), level)
     j0 = special.bessel_first_zero(0.0)
     lower = j0 * j0
     upper = lower / math.cos(math.pi / m) ** 2

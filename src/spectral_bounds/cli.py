@@ -4,7 +4,7 @@ Every subcommand renders one flat table, as CSV (header always present) or
 JSON (a single flat object for scalar reports, an array of flat objects for
 sweeps), with floats at 12 significant digits. Identical invocations produce
 byte-identical output: field order is declared per subcommand, solver seeds
-are fixed, and the suite runner buffers per line and writes in line order.
+are fixed, and a suite runs its lines one after another in file order.
 
 Each invocation computes every (domain, level) mesh, Neumann or mixed
 eigenpair and rearranged profile at most once, in one shared-solve scope
@@ -13,21 +13,19 @@ when the invocation returns. The argument parser is built once per process.
 
 Exit codes: 0 success, 1 numeric failure (a verified inequality broke or an
 iteration stalled), 2 usage error (bad flags, unknown domain class,
-out-of-scope parameter combinations).
+out-of-scope parameter combinations). Every failure is reported on one
+line of the error stream.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextvars
 import csv
 import functools
 import io
 import math
-import os
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import bounds, geometry, rearrangement, special, sturm1d
@@ -159,18 +157,12 @@ def _cmd_psi(args):
 def _cmd_bound(args):
     spec = _spec_from_args(args)
     entry = bounds.kn_lookup(spec)
-    area = spec.area
     row = {
         "domain": spec.label, "p": args.p, "n": 2,
         "k_value": entry.value, "rule": entry.rule,
-        "area": area, "width": spec.width, "diameter": spec.diameter,
-        "main": bounds.main_bound(args.p, 2, entry.value, area),
-        "ashbaugh_mercado": bounds.ashbaugh_mercado(args.p, 2, entry.value, area),
+        "area": spec.area, "width": spec.width, "diameter": spec.diameter,
+        **bounds.lower_bounds(spec, args.p),
     }
-    if args.p == 2.0:
-        row["payne_weinberger"] = bounds.payne_weinberger(spec.diameter)
-        row["bct_corollary"] = bounds.bct_corollary(2, entry.value, area)
-        row["symmetric_planar"] = bounds.symmetric_planar_bound(spec.width, area)
     return [row], True, list(row.keys())
 
 
@@ -179,10 +171,10 @@ def _cmd_compare_bounds(args):
     spec = _spec_from_args(args)
     report = bounds.compare_report(spec, args.p, level=args.level)
     rows = [{"domain": report.domain, "p": report.p, "n": report.n,
-             "mu1": report.mu1, "bound": entry.name, "value": entry.value,
-             "ratio": entry.value / report.mu1, "applicable": entry.applicable}
-            for entry in report.entries]
-    names = ["domain", "p", "n", "mu1", "bound", "value", "ratio", "applicable"]
+             "mu1": report.mu1, "bound": name, "value": value,
+             "ratio": value / report.mu1}
+            for name, value in report.bounds.items()]
+    names = ["domain", "p", "n", "mu1", "bound", "value", "ratio"]
     return rows, False, names
 
 
@@ -266,8 +258,16 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ParameterError instead of printing the usage
+    and exiting, so that dispatch reports it on one line of its err stream."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spectral-bounds",
         description="Verification pipelines for Neumann eigenvalue lower bounds.")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # built once per process: parse_args leaves the parser unchanged, so
-    # every dispatch, suite lines on worker threads included, shares it
+    # every dispatch, suite lines included, shares it
     return build_parser()
 
 
@@ -348,12 +348,8 @@ def dispatch(argv, out=None, err=None) -> int:
     errstream = err if err is not None else sys.stderr
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as ex:
-        code = ex.code
-        return code if isinstance(code, int) else (0 if code is None else 2)
-    if args.command == "suite":
-        return run_suite(args.path, out=stream, err=errstream)
-    try:
+        if args.command == "suite":
+            return run_suite(args.path, out=stream, err=errstream)
         with bounds.shared_solves():
             rows, single, fieldnames = _HANDLERS[args.command](args)
         text = emit_table(rows, args.format, fieldnames=fieldnames, single=single)
@@ -361,6 +357,9 @@ def dispatch(argv, out=None, err=None) -> int:
             Path(args.out_path).write_text(text, encoding="utf-8")
         else:
             stream.write(text)
+    except SystemExit:
+        # only --help leaves the parser this way, once its text is printed
+        return 0
     except ParameterError as ex:
         print(f"error: {ex}", file=errstream)
         return 2
@@ -379,21 +378,14 @@ def dispatch(argv, out=None, err=None) -> int:
 def run_suite(path: str, out=None, err=None) -> int:
     """Run every non-blank, non-comment line of a suite file as an invocation.
 
-    Lines run concurrently on a thread pool (SPECTRAL_BOUNDS_THREADS caps the
-    width, machine cores by default) but output is buffered per line and
-    written strictly in file order, one status comment per line. Nested
-    suite lines are rejected. Exit 1 if any line fails, 2 if the file cannot
-    be read or SPECTRAL_BOUNDS_THREADS is not an integer, 0 otherwise.
+    Lines run one after another in file order, on the calling thread and in
+    one shared-solve scope. Each line's table is followed by its status
+    comment, which carries the line's one-line failure message if it failed.
+    Nested suite lines are rejected. Exit 1 if any line fails, 2 if the file
+    cannot be read or split into lines, 0 otherwise.
     """
     stream = out if out is not None else sys.stdout
     errstream = err if err is not None else sys.stderr
-    env_threads = os.environ.get("SPECTRAL_BOUNDS_THREADS", "")
-    try:
-        workers = int(env_threads) if env_threads else (os.cpu_count() or 1)
-    except ValueError:
-        print(f"error: SPECTRAL_BOUNDS_THREADS must be an integer, "
-              f"got {env_threads!r}", file=errstream)
-        return 2
     try:
         content = Path(path).read_text(encoding="utf-8")
     except OSError as ex:
@@ -410,42 +402,24 @@ def run_suite(path: str, out=None, err=None) -> int:
             print(f"cannot parse suite line {lineno}: {ex}", file=errstream)
             return 2
         runs.append((lineno, argv))
-    if not runs:
-        print("# suite: 0 runs, 0 failures", file=stream)
-        return 0
-
-    def one(argv):
-        if argv and argv[0] == "suite":
-            return 2, "", "nested suite lines are not allowed\n"
-        buffer = io.StringIO()
-        errbuffer = io.StringIO()
-        try:
-            code = dispatch(argv, out=buffer, err=errbuffer)
-        except SystemExit as ex:
-            code = ex.code if isinstance(ex.code, int) else 2
-        return code, buffer.getvalue(), errbuffer.getvalue()
-
-    workers = max(1, min(workers, len(runs)))
-    # worker threads do not inherit contexts: each line runs in a copy of
-    # this one, so that all lines join the suite's shared-solve scope
-    with bounds.shared_solves(), \
-            ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, one, argv)
-                   for _, argv in runs]
-        results = [future.result() for future in futures]
 
     failures = 0
-    for (lineno, argv), (code, text, errtext) in zip(runs, results):
-        if text:
-            stream.write(text if text.endswith("\n") else text + "\n")
-        if code != 0:
+    with bounds.shared_solves():
+        for lineno, argv in runs:
+            errbuffer = io.StringIO()
+            if argv and argv[0] == "suite":
+                print("nested suite lines are not allowed", file=errbuffer)
+                code = 2
+            else:
+                code = dispatch(argv, out=stream, err=errbuffer)
+            if code == 0:
+                print(f"# line {lineno} ok: {shlex.join(argv)}", file=stream)
+                continue
             failures += 1
-            detail = errtext.strip().splitlines()
+            detail = errbuffer.getvalue().strip().splitlines()
             suffix = f": {detail[-1]}" if detail else ""
             print(f"# line {lineno} fail({code}): {shlex.join(argv)}{suffix}",
                   file=stream)
-        else:
-            print(f"# line {lineno} ok: {shlex.join(argv)}", file=stream)
     print(f"# suite: {len(runs)} runs, {failures} failures", file=stream)
     return 1 if failures else 0
 

@@ -57,15 +57,19 @@ def _binned_cumsum(index: np.ndarray, terms: np.ndarray,
 
 
 def _power_diff(lo: np.ndarray, hi: np.ndarray, e: float) -> np.ndarray:
-    """hi**e - lo**e for 0 <= lo <= hi, accurate when hi - lo is tiny."""
+    """hi**e - lo**e for 0 <= lo <= hi, accurate when hi - lo is tiny.
+
+    Where hi >= 2 lo, lo**e is at most 2**-e hi**e and the direct
+    difference has no cancellation to lose; it also stays finite where lo**e
+    underflows while (hi/lo)**e overflows. Only closer pairs take the
+    expm1 form.
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    out = np.empty(lo.shape)
-    small = lo <= 0.0
-    out[small] = hi[small] ** e
-    big = ~small
-    out[big] = lo[big] ** e * np.expm1(e * np.log1p((hi[big] - lo[big])
-                                                    / lo[big]))
+    out = hi ** e - lo ** e
+    near = hi < 2.0 * lo
+    out[near] = lo[near] ** e * np.expm1(e * np.log1p((hi[near] - lo[near])
+                                                      / lo[near]))
     return out
 
 

@@ -8,14 +8,11 @@ checked as identities, not near-misses.
 """
 
 import math
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
 
-from spectral_bounds import bounds, fem, geometry, special
+from spectral_bounds import bounds, geometry, special
 from spectral_bounds.errors import NumericError, ParameterError
 
 J01 = special.bessel_first_zero(0.0)
@@ -172,12 +169,12 @@ def test_compare_report_square():
     square = geometry.make_rectangle(1.0, 1.0)
     report = bounds.compare_report(square, 2.0, level=5)
     assert report.mu1 == pytest.approx(math.pi ** 2, rel=1e-5)
-    names = {entry.name for entry in report.entries}
-    assert names == {"main", "ashbaugh_mercado", "payne_weinberger",
-                     "bct_corollary", "symmetric_planar"}
-    for entry in report.entries:
-        assert entry.value <= report.mu1 * 1.01
-        assert entry.applicable
+    assert list(report.bounds) == ["main", "ashbaugh_mercado",
+                                   "payne_weinberger", "bct_corollary",
+                                   "symmetric_planar"]
+    assert report.bounds == bounds.lower_bounds(square, 2.0)
+    for value in report.bounds.values():
+        assert value <= report.mu1 * 1.01
     assert report.value("payne_weinberger") == pytest.approx(
         math.pi ** 2 / 2.0, rel=1e-12)
     assert report.ratios["payne_weinberger"] == pytest.approx(0.5, abs=1e-4)
@@ -193,8 +190,7 @@ def test_compare_report_square():
 def test_compare_report_p3():
     report = bounds.compare_report(geometry.make_rhombus(8), 3.0)
     assert report.mu1 is None
-    assert {entry.name for entry in report.entries} \
-        == {"main", "ashbaugh_mercado"}
+    assert list(report.bounds) == ["main", "ashbaugh_mercado"]
     assert report.ratios == {}
     assert report.value("main") > report.value("ashbaugh_mercado")
 
@@ -230,61 +226,6 @@ def test_sector_sandwich_degeneration():
     sandwich = bounds.sector_sandwich(64, level=4)
     assert sandwich.ok
     assert sandwich.value <= J01 ** 2 * 1.01
-
-
-def test_shared_solves_single_flight(monkeypatch):
-    """More threads than cores miss the same keys at once: each key is
-    computed once, and every thread gets its result or its error."""
-    calls = []
-
-    class SlowSpec:
-        # hashing yields the thread, which widens any gap between looking
-        # a key up and claiming it
-        def __hash__(self):
-            time.sleep(1e-3)
-            return 1
-
-    def counted(name, action):
-        def fn(*args):
-            calls.append(name)
-            time.sleep(0.01)
-            return action(*args)
-        return fn
-
-    def broken(mesh):
-        raise NumericError("synthetic failure")
-
-    monkeypatch.setattr(geometry, "triangulate",
-                        counted("base", lambda spec, level: object()))
-    monkeypatch.setattr(fem, "solve_neumann_mu1",
-                        counted("neumann", lambda mesh: object()))
-    monkeypatch.setattr(fem, "solve_mixed_dn", counted("mixed", broken))
-    solves = bounds.SharedSolves()
-    spec = SlowSpec()
-    pairs, errors = [], []
-
-    def worker():
-        pairs.append(solves.neumann(spec, 0))
-        try:
-            solves.mixed(8, 1)
-        except NumericError as ex:
-            errors.append(ex)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(16)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert sorted(calls) == ["base", "mixed", "neumann"]
-    assert len(pairs) == len(errors) == 16
-    assert all(pair is pairs[0] for pair in pairs)
-    assert all(ex is errors[0] for ex in errors)
 
 
 def test_shared_solves_scope():

@@ -105,7 +105,7 @@ def test_compare_bounds_square_csv():
                             "--level", "4", "--format", "csv"])
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "domain,p,n,mu1,bound,value,ratio,applicable"
+    assert lines[0] == "domain,p,n,mu1,bound,value,ratio"
     assert len(lines) == 6
     for line in lines[1:]:
         parts = line.split(",")
@@ -186,10 +186,19 @@ def test_byte_determinism():
         assert first == second
 
 
-def test_usage_errors(tmp_path, monkeypatch, capsys):
-    assert run_cli([])[0] == 2
-    assert run_cli(["no-such-command"])[0] == 2
-    assert run_cli(["bound"])[0] == 2                      # missing --domain
+def test_usage_errors(capsys):
+    # argparse's rejections come back as one line on the err stream
+    for argv, text in (([], "required: command"),
+                       (["no-such-command"], "invalid choice"),
+                       (["bound"], "required: --domain"),
+                       (["bound", "--domain", "square", "--p", "x"],
+                        "invalid float value: 'x'"),
+                       (["verify-rhombus", "--level", "0"], "got 0")):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and text in err
+        assert len(err.splitlines()) == 1
+        assert capsys.readouterr().err == ""
     code, _, err = run_cli(["bound", "--domain", "rectangle"])
     assert code == 2 and "rectangle needs --a and --b" in err
     code, _, err = run_cli(["bound", "--domain", "polygon", "--k", "5"])
@@ -227,12 +236,6 @@ def test_usage_errors(tmp_path, monkeypatch, capsys):
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and "residual" in err
         assert "Traceback" not in err
-    path = tmp_path / "runs.txt"
-    path.write_text("bound --domain square\n", encoding="utf-8")
-    monkeypatch.setenv("SPECTRAL_BOUNDS_THREADS", "abc")
-    code, out, err = run_cli(["suite", str(path)])
-    assert (code, out) == (2, "")
-    assert "SPECTRAL_BOUNDS_THREADS" in err and len(err.splitlines()) == 1
 
 
 def test_p_range_is_a_usage_error():
@@ -249,6 +252,18 @@ def test_p_range_is_a_usage_error():
             code, out, err = run_cli(argv)
             assert (code, out) == (2, "")
             assert len(err.splitlines()) == 1 and "[2, 32]" in err
+
+
+def test_rholder_with_an_ulp_sized_break_stays_finite():
+    # the level-0 16-gon eigenvector has a break at 2.5e-16, where lo**41
+    # underflows while (hi/lo)**41 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["rholder", "--domain", "polygon", "--k", "16",
+                                  "--level", "0", "--q", "40", "--r", "0.001"])
+    assert (code, err) == (0, "")
+    row = json.loads(out)
+    assert math.isfinite(row["lhs"]) and row["ok"] is True
 
 
 def test_size_budget_refused_before_building(capsys):
@@ -315,6 +330,20 @@ def test_suite_reports_failures(tmp_path):
     assert out.splitlines()[-1] == "# suite: 3 runs, 2 failures"
 
 
+def test_suite_usage_errors_stay_in_their_status_line(tmp_path, capsys):
+    path = tmp_path / "runs.txt"
+    path.write_text("bound\nbound --domain square --p x\n", encoding="utf-8")
+    code, out, err = run_cli(["suite", str(path)])
+    assert (code, err) == (1, "")
+    assert capsys.readouterr().err == ""
+    assert out.splitlines() == [
+        "# line 1 fail(2): bound: error: the following arguments are "
+        "required: --domain",
+        "# line 2 fail(2): bound --domain square --p x: error: argument --p: "
+        "invalid float value: 'x'",
+        "# suite: 2 runs, 2 failures"]
+
+
 def test_suite_empty_and_missing(tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing here\n\n", encoding="utf-8")
@@ -357,8 +386,7 @@ def _counting_splu(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_suite_shares_solves_across_lines(tmp_path, monkeypatch, threads):
+def test_suite_shares_solves_across_lines(tmp_path, monkeypatch):
     path = tmp_path / "shared.txt"
     path.write_text("\n".join(SHARED_LINES) + "\n", encoding="utf-8")
     expected = ""
@@ -367,7 +395,6 @@ def test_suite_shares_solves_across_lines(tmp_path, monkeypatch, threads):
         assert code == 0
         expected += out + f"# line {lineno} ok: {line}\n"
     expected += f"# suite: {len(SHARED_LINES)} runs, 0 failures\n"
-    monkeypatch.setenv("SPECTRAL_BOUNDS_THREADS", threads)
     calls = _counting_splu(monkeypatch)
     code, out, err = run_cli(["suite", str(path)])
     assert (code, out, err) == (0, expected, "")
@@ -381,7 +408,6 @@ def test_failed_solve_fails_every_line_that_needs_it(tmp_path, monkeypatch):
              for sub in ("compare-bounds", "rholder", "chiti")]
     path = tmp_path / "failing.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    monkeypatch.setenv("SPECTRAL_BOUNDS_THREADS", "3")
     calls = _counting_splu(monkeypatch)
     code, out, err = run_cli(["suite", str(path)])
     assert code == 1 and err == ""

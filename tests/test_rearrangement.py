@@ -6,6 +6,8 @@ an independent per-element decomposition of the same power integrals.
 """
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -232,6 +234,23 @@ def test_snap_breaks_matches_loop_reference():
         assert got.tobytes() == expected.tobytes()
         merged += len(vals) - len(got)
     assert merged > 0
+
+
+def test_power_diff_against_exact_differences():
+    ulp = np.finfo(float).eps
+    # both sides of hi = 2 lo, where the direct difference takes over
+    lo = np.array([0.0, 0.0, 2.48e-16, 1e-300, 0.1, 0.25, 0.3, 0.3, 0.5,
+                   0.7, 0.7])
+    hi = np.array([0.0, 0.6, 0.8, 0.9, 0.9, 0.5, 0.3 * (1 + 4 * ulp), 0.31,
+                   0.7, 0.7, 1.2])
+    for e in (2, 3, 41, 42):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rr._power_diff(lo, hi, float(e))
+        exact = [float(Fraction(h) ** e - Fraction(l) ** e)
+                 for l, h in zip(lo.tolist(), hi.tolist())]
+        assert np.all(np.isfinite(got))
+        assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def test_ulp_tie_robustness():
