@@ -30,7 +30,7 @@ RULE_RHOMBUS = "rhombus-short-diagonal"
 RULE_SYMMETRIC_WIDTH = "symmetric-convex-width"
 
 _SUP_GRID = 200
-_SUP_QMAX = 50.0
+# relative slack of the FEM reference values for leftover discretization error
 _REPORT_TOL = 1e-2
 
 
@@ -43,7 +43,6 @@ def classical_constant(n: int) -> float:
 class KnEntry:
     """Relative isoperimetric constant of one domain, with the rule used."""
 
-    spec: DomainSpec
     value: float
     rule: str
 
@@ -66,10 +65,10 @@ def kn_lookup(spec: DomainSpec) -> KnEntry:
     """
     if spec.kind == "rhombus":
         value = math.sqrt(2.0 * math.sin(2.0 * math.pi / spec.m))
-        return KnEntry(spec, value, RULE_RHOMBUS)
+        return KnEntry(value, RULE_RHOMBUS)
     if spec.centrally_symmetric:
         value = math.sqrt(2.0 * spec.width ** 2 / spec.area)
-        return KnEntry(spec, value, RULE_SYMMETRIC_WIDTH)
+        return KnEntry(value, RULE_SYMMETRIC_WIDTH)
     raise ParameterError(f"no known isoperimetric constant for {spec.label}")
 
 
@@ -131,7 +130,7 @@ def bct_corollary(n: int, K: float, area: float) -> float:
     def log_term(q: float) -> float:
         return 2.0 * q / (n * (q - 1.0)) * (log_f1 - profile.log_power_mean(q))
 
-    qs = 1.0 + np.logspace(-6.0, math.log10(_SUP_QMAX - 1.0), _SUP_GRID)
+    qs = 1.0 + np.logspace(-6.0, math.log10(special.Q_MAX - 1.0), _SUP_GRID)
     vals = np.array([log_term(q) for q in qs])
     k = int(np.argmax(vals))
     lo, hi = qs[max(k - 1, 0)], qs[min(k + 1, len(qs) - 1)]
@@ -235,11 +234,6 @@ class BoundReport:
     mu1: float | None
     bounds: dict[str, float]
 
-    def value(self, name: str) -> float:
-        if name not in self.bounds:
-            raise ParameterError(f"no bound named {name!r} in this report")
-        return self.bounds[name]
-
     @property
     def ratios(self) -> dict[str, float]:
         if self.mu1 is None:
@@ -339,14 +333,12 @@ def _extrapolated_mu1(spec: DomainSpec, level: int) -> float:
         return _extrapolated(lambda lv: solves.neumann(spec, lv), level)
 
 
-def compare_report(spec: DomainSpec, p: float, level: int = 5,
-                   tol: float = _REPORT_TOL) -> BoundReport:
+def compare_report(spec: DomainSpec, p: float, level: int = 5) -> BoundReport:
     """Evaluate every lower bound applicable to one domain (lower_bounds).
 
     For p = 2 the report carries a finite element reference eigenvalue from
     two consecutive refinements plus Richardson extrapolation, and every
-    listed bound is required to sit below it with `tol` relative slack for
-    the leftover discretization error.
+    listed bound is required to sit below it with _REPORT_TOL relative slack.
     """
     if p < 2.0:
         raise ParameterError(f"bounds require p >= 2, got p={p}")
@@ -355,7 +347,7 @@ def compare_report(spec: DomainSpec, p: float, level: int = 5,
     if p == 2.0:
         mu1 = _extrapolated_mu1(spec, level)
         for name, value in values.items():
-            if value > mu1 * (1.0 + tol):
+            if value > mu1 * (1.0 + _REPORT_TOL):
                 raise NumericError(
                     f"lower bound {name} = {value:.6g} exceeds "
                     f"reference mu1 = {mu1:.6g} on {spec.label}")
@@ -399,19 +391,20 @@ class SectorSandwich:
     ok: bool
 
 
-def sector_sandwich(m: int, level: int = 5, tol: float = 1e-2) -> SectorSandwich:
+def sector_sandwich(m: int, level: int = 5) -> SectorSandwich:
     """Sandwich the first mixed eigenvalue of the half rhombus.
 
     Zero data is imposed on the short diagonal and natural conditions on the
     two unit sides. Domain monotonicity pins the eigenvalue between the
     inscribed sector value j_{0,1}^2 and the circumscribed sector value
     j_{0,1}^2 / cos^2(pi / m). The discrete value is Richardson-extrapolated
-    and compared with `tol` relative slack on both ends.
+    and compared with _REPORT_TOL relative slack on both ends.
     """
     with shared_solves() as solves:
         value = _extrapolated(lambda lv: solves.mixed(m, lv), level)
     j0 = special.bessel_first_zero(0.0)
     lower = j0 * j0
     upper = lower / math.cos(math.pi / m) ** 2
-    ok = bool(lower * (1.0 - tol) <= value <= upper * (1.0 + tol))
+    ok = bool(lower * (1.0 - _REPORT_TOL) <= value
+              <= upper * (1.0 + _REPORT_TOL))
     return SectorSandwich(m, value, lower, upper, ok)

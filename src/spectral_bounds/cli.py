@@ -1,18 +1,21 @@
 """Command-line front end for the verification pipelines.
 
 Every subcommand renders one flat table, as CSV (header always present) or
-JSON (a single flat object for scalar reports, an array of flat objects for
-sweeps), with floats at 12 significant digits. Identical invocations produce
-byte-identical output: field order is declared per subcommand, solver seeds
-are fixed, and a suite runs its lines one after another in file order.
+JSON, with floats at 12 significant digits. A handler returns a dict for a
+one-row report, which JSON prints as a bare object, or a list of rows for a
+sweep, which JSON prints as an array even when it holds one row. Identical
+invocations produce byte-identical output: field order is each handler's
+row order, solver seeds are fixed, and a suite runs its lines one after
+another in file order.
 
 Each invocation computes every (domain, level) mesh, Neumann or mixed
 eigenpair and rearranged profile at most once, in one shared-solve scope
 (bounds.shared_solves) that all lines of a suite share and that is dropped
 when the invocation returns. The argument parser is built once per process.
 
-Exit codes: 0 success, 1 numeric failure (a verified inequality broke or an
-iteration stalled), 2 usage error (bad flags, unknown domain class,
+Exit codes: 0 success, 1 numeric failure (a verified inequality broke, an
+iteration stalled, numpy arithmetic overflowed or went invalid, or a row
+came out non-finite), 2 usage error (bad flags, unknown domain class,
 out-of-scope parameter combinations). Every failure is reported on one
 line of the error stream.
 """
@@ -28,12 +31,15 @@ import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import bounds, geometry, rearrangement, special, sturm1d
 from .errors import NumericError, ParameterError
 
 _FEM_P_RULE = "FEM mu1 unavailable for p != 2 (discrete solver is linear only)"
 _LEVEL_HELP = (f"refinement level; a mesh past {geometry.MAX_ELEMENTS} "
                "elements is refused")
+_Q_HELP = f"exponent in (0, {special.Q_MAX:g}]"
 
 
 def _fmt(value) -> str:
@@ -52,17 +58,22 @@ def _json_ready(value):
     return value
 
 
-def emit_table(rows, fmt: str, fieldnames=None, single: bool = False) -> str:
-    """Render row dicts as CSV or JSON text.
+def emit_table(table, fmt: str) -> str:
+    """Render a table as CSV or JSON text.
 
-    fieldnames pins the column set (needed when rows is empty); otherwise the
-    keys of the first row are used in their insertion order. With single=True
-    a one-row JSON table is emitted as a bare object instead of an array.
+    A dict is one row, which JSON renders as a bare object; a list of row
+    dicts is a sweep, which JSON renders as an array. The columns are the
+    first row's keys in insertion order. A non-finite float in any row is a
+    NumericError, so it is never printed.
     """
     import json
 
-    if fieldnames is None:
-        fieldnames = list(rows[0].keys()) if rows else []
+    rows = [table] if isinstance(table, dict) else table
+    fieldnames = list(rows[0])
+    for row in rows:
+        for name, value in row.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise NumericError(f"non-finite {name} = {value}")
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -74,7 +85,7 @@ def emit_table(rows, fmt: str, fieldnames=None, single: bool = False) -> str:
         raise ParameterError(f"unknown format {fmt!r}")
     payload = [{name: _json_ready(row.get(name)) for name in fieldnames}
                for row in rows]
-    obj = payload[0] if (single and len(payload) == 1) else payload
+    obj = payload[0] if isinstance(table, dict) else payload
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -151,31 +162,29 @@ def _cmd_psi(args):
         for n in ns:
             zero = special.psi_profile(p, n).first_zero
             rows.append({"p": p, "n": n, "psi": zero, "psi_p": zero ** p})
-    return rows, False, ["p", "n", "psi", "psi_p"]
+    return rows
 
 
 def _cmd_bound(args):
     spec = _spec_from_args(args)
     entry = bounds.kn_lookup(spec)
-    row = {
+    return {
         "domain": spec.label, "p": args.p, "n": 2,
         "k_value": entry.value, "rule": entry.rule,
         "area": spec.area, "width": spec.width, "diameter": spec.diameter,
         **bounds.lower_bounds(spec, args.p),
     }
-    return [row], True, list(row.keys())
 
 
 def _cmd_compare_bounds(args):
     _require_p2(args.p)
     spec = _spec_from_args(args)
     report = bounds.compare_report(spec, args.p, level=args.level)
-    rows = [{"domain": report.domain, "p": report.p, "n": report.n,
+    ratios = report.ratios
+    return [{"domain": report.domain, "p": report.p, "n": report.n,
              "mu1": report.mu1, "bound": name, "value": value,
-             "ratio": value / report.mu1}
+             "ratio": ratios[name]}
             for name, value in report.bounds.items()]
-    names = ["domain", "p", "n", "mu1", "bound", "value", "ratio"]
-    return rows, False, names
 
 
 def _cmd_verify_rhombus(args):
@@ -192,9 +201,7 @@ def _cmd_verify_rhombus(args):
             "dn_value": sandwich.value, "dn_lower": sandwich.lower,
             "dn_upper": sandwich.upper, "dn_ok": sandwich.ok,
         })
-    names = ["m", "level", "mu1", "scaled_ball_value", "r_m",
-             "dn_value", "dn_lower", "dn_upper", "dn_ok"]
-    return rows, False, names
+    return rows
 
 
 def _cmd_chiti(args):
@@ -204,7 +211,7 @@ def _cmd_chiti(args):
     K = bounds.kn_lookup(spec).value
     ball = rearrangement.dirichlet_ball_profile(2.0, 2, K, pair.value)
     report = rearrangement.chiti_check(profile, ball, args.q)
-    row = {
+    return {
         "domain": spec.label, "p": args.p, "q": args.q, "r": None,
         "lhs": report.lhs, "rhs": report.rhs,
         "max_violation": report.max_violation, "mesh_level": args.level,
@@ -212,7 +219,6 @@ def _cmd_chiti(args):
         "positive_measure": report.s_tilde,
         "lemma_violated": report.lemma_violated,
     }
-    return [row], True, list(row.keys())
 
 
 def _cmd_rholder(args):
@@ -224,27 +230,25 @@ def _cmd_rholder(args):
     K = bounds.kn_lookup(spec).value
     report = rearrangement.reverse_holder_check(profile, 2.0, 2, K, pair.value,
                                                 q=args.q, r=args.r)
-    row = {
+    return {
         "domain": spec.label, "p": args.p, "q": args.q, "r": args.r,
         "lhs": report.lhs, "rhs": report.rhs,
         "max_violation": max(0.0, report.lhs - report.rhs),
         "mesh_level": args.level,
         "constant": report.constant, "ok": report.ok,
     }
-    return [row], True, list(row.keys())
 
 
 def _cmd_sturm(args):
     problem = sturm1d.SturmProblem(gamma=args.gamma, beta=args.beta,
                                    length=args.A, n_cells=args.N)
     solution = sturm1d.solve(problem)
-    row = {
+    return {
         "gamma": args.gamma, "beta": args.beta, "a": args.A, "n_cells": args.N,
         "sigma1": solution.sigma,
         "hardy_lower_bound": solution.hardy_lower_bound,
         "iterations": solution.iterations,
     }
-    return [row], True, list(row.keys())
 
 
 _HANDLERS = {
@@ -304,15 +308,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("chiti", help="cumulative-power domination check")
     _add_domain_flags(sub)
     sub.add_argument("--p", type=_finite_float, default=2.0)
-    sub.add_argument("--q", type=_finite_float, default=2.0)
+    sub.add_argument("--q", type=_finite_float, default=2.0, help=_Q_HELP)
     sub.add_argument("--level", type=int, default=5, help=_LEVEL_HELP)
     _add_output_flags(sub, "json")
 
     sub = subs.add_parser("rholder", help="reverse Holder norm check")
     _add_domain_flags(sub)
     sub.add_argument("--p", type=_finite_float, default=2.0)
-    sub.add_argument("--q", type=_finite_float, default=2.0)
-    sub.add_argument("--r", type=_finite_float, default=1.0)
+    sub.add_argument("--q", type=_finite_float, default=2.0, help=_Q_HELP)
+    sub.add_argument("--r", type=_finite_float, default=1.0,
+                     help="exponent in (0, q)")
     sub.add_argument("--level", type=int, default=5, help=_LEVEL_HELP)
     _add_output_flags(sub, "json")
 
@@ -350,9 +355,12 @@ def dispatch(argv, out=None, err=None) -> int:
         args = _parser().parse_args(argv)
         if args.command == "suite":
             return run_suite(args.path, out=stream, err=errstream)
-        with bounds.shared_solves():
-            rows, single, fieldnames = _HANDLERS[args.command](args)
-        text = emit_table(rows, args.format, fieldnames=fieldnames, single=single)
+        # overflow or an invalid operation anywhere in the numerics is a
+        # failure of this invocation, not a warning beside a NaN row
+        with bounds.shared_solves(), np.errstate(over="raise",
+                                                 invalid="raise"):
+            table = _HANDLERS[args.command](args)
+        text = emit_table(table, args.format)
         if args.out_path:
             Path(args.out_path).write_text(text, encoding="utf-8")
         else:

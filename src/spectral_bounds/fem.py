@@ -20,7 +20,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, splu
 
 from .errors import ConvergenceError, ParameterError
-from .geometry import Mesh, edge_table, element_areas
+from .geometry import DIAGONAL, Mesh, edge_table, element_areas
 
 _SEED = 42
 _RES_TOL = 1e-9
@@ -87,11 +87,6 @@ def _true_boundary_nodes(mesh: Mesh) -> np.ndarray:
     return np.unique(table.edges[table.counts == 1])
 
 
-def _tagged_nodes(mesh: Mesh, tag: str) -> np.ndarray:
-    pairs = [(i, j) for i, j, t in mesh.boundary_edges if t == tag]
-    return np.unique(np.array(pairs, dtype=int).reshape(-1, 2))
-
-
 def _inverse_iteration(K, M, free: np.ndarray, bc: str,
                        shift: float) -> EigenPair:
     """Lowest eigenpair (above the constant mode for Neumann) on one factor.
@@ -103,7 +98,8 @@ def _inverse_iteration(K, M, free: np.ndarray, bc: str,
     inverse-iteration step on the same factor polishes the pair. The
     residual is measured in the M^-1 norm by Jacobi-preconditioned CG on M
     (on P1 triangles the Jacobi-scaled mass matrix has condition number at
-    most 4), relative to the eigenvalue, and must be below _RES_TOL.
+    most 4), relative to the eigenvalue, and must be below _RES_TOL; the
+    eigenvalue itself must be positive.
     """
     Kff = K[free][:, free].tocsc()
     Mff = M[free][:, free].tocsc()
@@ -136,8 +132,10 @@ def _inverse_iteration(K, M, free: np.ndarray, bc: str,
     value = float(v @ (Kff @ v))
     r = Kff @ v - value * (Mff @ v)
     z, info = cg(Mff, r, rtol=1e-12, M=sparse.diags(1.0 / Mff.diagonal()))
-    residual = math.sqrt(max(float(r @ z), 0.0)) / value
-    if info != 0 or not residual <= _RES_TOL:
+    residual = math.sqrt(max(float(r @ z), 0.0)) / abs(value)
+    # a non-positive Rayleigh quotient is roundoff on a degenerate mesh,
+    # however small its residual
+    if info != 0 or not (value > 0.0 and residual <= _RES_TOL):
         raise ConvergenceError(
             f"eigen solve not certified: residual {residual:.3g} "
             f"(tolerance {_RES_TOL:g})",
@@ -169,16 +167,15 @@ def solve_dirichlet_lambda1(mesh: Mesh) -> EigenPair:
     return _inverse_iteration(K, M, free, "dirichlet", 0.0)
 
 
-def solve_mixed_dn(mesh: Mesh, dirichlet_tag: str = "diagonal") -> EigenPair:
-    """First eigenvalue with u = 0 on edges carrying ``dirichlet_tag`` only."""
-    constrained = _tagged_nodes(mesh, dirichlet_tag)
-    if constrained.size == 0:
-        raise ParameterError(f"mesh has no edges tagged {dirichlet_tag!r}")
+def solve_mixed_dn(mesh: Mesh) -> EigenPair:
+    """First eigenvalue with u = 0 on the edges tagged DIAGONAL only."""
+    pairs = [(i, j) for i, j, tag in mesh.boundary_edges if tag == DIAGONAL]
+    if not pairs:
+        raise ParameterError(f"mesh has no edges tagged {DIAGONAL!r}")
     K = assemble_stiffness(mesh)
     M = assemble_mass(mesh)
-    free = np.setdiff1d(np.arange(mesh.node_count), constrained)
-    pair = _inverse_iteration(K, M, free, "mixed", 0.0)
-    return pair
+    free = np.setdiff1d(np.arange(mesh.node_count), np.unique(pairs))
+    return _inverse_iteration(K, M, free, "mixed", 0.0)
 
 
 def richardson(coarse: float, fine: float) -> float:

@@ -253,13 +253,14 @@ def _base_mesh(spec: DomainSpec) -> Mesh:
 
 def _half_rhombus_base(m: int) -> Mesh:
     """Triangle A B D of the rhombus: the two left base triangles."""
+    spec = make_rhombus(m)
     half = math.pi / m
     c, s = math.cos(half), math.sin(half)
     nodes = np.array([[0.0, 0.0], [c, s], [c, -s], [c, 0.0]])
     elements = np.array([[0, 3, 1], [0, 2, 3]])
     edges = [(0, 1, OUTER), (2, 0, OUTER), (1, 3, DIAGONAL), (3, 2, DIAGONAL)]
     return Mesh(nodes=nodes, elements=elements, boundary_edges=edges,
-                refinement_level=0, spec=make_rhombus(m))
+                refinement_level=0, spec=spec)
 
 
 # children of a red-refined element, as columns of [i0, i1, i2, m01, m12, m20]
@@ -288,14 +289,18 @@ def refine(mesh: Mesh) -> Mesh:
                 refinement_level=mesh.refinement_level + 1, spec=mesh.spec)
 
 
-def triangulate(spec: DomainSpec, level: int = 0) -> Mesh:
-    """Base triangulation refined ``level`` times."""
+def _refined(mesh: Mesh, level: int) -> Mesh:
+    """``mesh`` refined ``level`` times."""
     if level < 0:
         raise ParameterError(f"refinement level must be >= 0, got {level}")
-    mesh = _base_mesh(spec)
     for _ in range(level):
         mesh = refine(mesh)
     return mesh
+
+
+def triangulate(spec: DomainSpec, level: int = 0) -> Mesh:
+    """Base triangulation refined ``level`` times."""
+    return _refined(_base_mesh(spec), level)
 
 
 def triangulate_half_rhombus(m: int, level: int = 0) -> Mesh:
@@ -304,14 +309,7 @@ def triangulate_half_rhombus(m: int, level: int = 0) -> Mesh:
     At every level this is the sub-complex of triangulate(make_rhombus(m))
     lying left of the short diagonal.
     """
-    if m < 5:
-        raise ParameterError(f"rhombus requires m >= 5, got {m}")
-    if level < 0:
-        raise ParameterError(f"refinement level must be >= 0, got {level}")
-    mesh = _half_rhombus_base(m)
-    for _ in range(level):
-        mesh = refine(mesh)
-    return mesh
+    return _refined(_half_rhombus_base(m), level)
 
 
 def scaled(mesh: Mesh, factor: float) -> Mesh:

@@ -25,9 +25,10 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import Mesh, element_areas
-from .special import omega_n, psi_profile
+from .special import Q_MAX, omega_n, psi_profile
 
 CHECK_TOL = 1e-3
+_CHITI_GRID = 2048
 
 
 def _binned_cumsum(index: np.ndarray, terms: np.ndarray,
@@ -87,6 +88,19 @@ class _PieceData:
     slopes: np.ndarray
     curvatures: np.ndarray
     atoms: np.ndarray
+
+    def power_integrals(self, k, lo, hi, q: float) -> np.ndarray:
+        """Integral of t^q (-m'(t)) dt over [lo, hi] inside piece k, for
+        0 <= lo <= hi.
+
+        Grouped so that the huge-curvature pieces cancel in a stable way:
+        the slope and curvature factors multiply accurate power
+        differences of the (tiny) piece widths.
+        """
+        d1 = _power_diff(lo, hi, q + 1.0) / (q + 1.0)
+        d2 = _power_diff(lo, hi, q + 2.0) / (q + 2.0)
+        return -(self.slopes[k] * d1
+                 + 2.0 * self.curvatures[k] * (d2 - self.breaks[k] * d1))
 
 
 def _snap_breaks(unique_vals: np.ndarray) -> np.ndarray:
@@ -275,34 +289,6 @@ class RearrangedProfile:
         out[hit] = res
         return float(out[0]) if scalar else out
 
-    def _piece_power_integrals(self, q: float, clip_positive: bool):
-        """Per piece: integral of t^q (-m') dt, optionally only over t>0.
-
-        Grouped so that the huge-curvature pieces cancel in a stable way:
-        the slope and curvature factors multiply accurate power
-        differences of the (tiny) piece widths.
-        """
-        p = self.pieces
-        if len(p.values) == 0:
-            return np.empty(0)
-        lo, hi = p.breaks[:-1], p.breaks[1:]
-        if clip_positive:
-            lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
-        d1 = _power_diff(lo, hi, q + 1.0) / (q + 1.0)
-        d2 = _power_diff(lo, hi, q + 2.0) / (q + 2.0)
-        anchor = p.breaks[:-1]
-        return -(p.slopes * d1 + 2.0 * p.curvatures * (d2 - anchor * d1))
-
-    def positive_power_integral(self, q: float) -> float:
-        """Exact integral of the positive part to power q over the domain."""
-        if q <= 0:
-            raise ParameterError("exponent must be positive")
-        p = self.pieces
-        total = float(np.sum(self._piece_power_integrals(q, True)))
-        pos = p.breaks > 0
-        total += float(np.sum(p.atoms[pos] * p.breaks[pos] ** q))
-        return total
-
 
 def rearrange(mesh: Mesh, nodal) -> RearrangedProfile:
     """Exact decreasing rearrangement of a nodal P1 function."""
@@ -328,9 +314,7 @@ def rearrange_oriented(mesh: Mesh, nodal) -> RearrangedProfile:
 
 def lq_norm_positive(profile: RearrangedProfile, q: float) -> float:
     """L^q norm of the positive part, from the exact pieces."""
-    if q <= 0:
-        raise ParameterError("q must be positive")
-    return profile.positive_power_integral(q) ** (1.0 / q)
+    return cumulative_power(profile, q).total ** (1.0 / q)
 
 
 def cumulative_power(profile: RearrangedProfile, q: float) -> CumulativePower:
@@ -352,8 +336,10 @@ def cumulative_power(profile: RearrangedProfile, q: float) -> CumulativePower:
         return CumulativePower(total=level ** q * s_tilde,
                                _evaluate=evaluate_const)
 
-    piece_int = profile._piece_power_integrals(q, True)
-    atom_terms = np.where(b > 0, p.atoms * np.maximum(b, 0.0) ** q, 0.0)
+    positive = np.maximum(b, 0.0)
+    piece_int = p.power_integrals(np.arange(len(p.values)), positive[:-1],
+                                  positive[1:], q)
+    atom_terms = np.where(b > 0, p.atoms * positive ** q, 0.0)
     # tail[k] = integral of t^q over the part of -dm above b[k]
     tail = np.zeros(len(b))
     tail[:-1] = np.cumsum((piece_int + atom_terms[1:])[::-1])[::-1]
@@ -368,12 +354,8 @@ def cumulative_power(profile: RearrangedProfile, q: float) -> CumulativePower:
                       0, len(b) - 1)
         # at the top break there is no piece below t*, only the atom ramp
         ip = np.minimum(idx, len(b) - 2)
-        low = np.maximum(b[ip], 0.0)
-        t_c = np.maximum(np.minimum(tstar, b[ip + 1]), low)
-        d1 = _power_diff(low, t_c, q + 1.0) / (q + 1.0)
-        d2 = _power_diff(low, t_c, q + 2.0) / (q + 2.0)
-        partial = -(p.slopes[ip] * d1
-                    + 2.0 * p.curvatures[ip] * (d2 - b[ip] * d1))
+        t_c = np.maximum(np.minimum(tstar, b[ip + 1]), positive[ip])
+        partial = p.power_integrals(ip, positive[ip], t_c, q)
         partial = np.where(idx > ip, 0.0, partial)
         plateau = tstar ** q * np.maximum(
             s_eff - np.atleast_1d(profile.distribution(tstar)), 0.0)
@@ -442,23 +424,22 @@ class ChitiReport:
 
 def chiti_check(u_profile: RearrangedProfile,
                 ball_profile: BallComparisonProfile,
-                q: float, grid: int = 2048) -> ChitiReport:
-    """Max of the normalized cumulative-power gap on [0, L].
+                q: float) -> ChitiReport:
+    """Max of the normalized cumulative-power gap on _CHITI_GRID points of
+    [0, L], for q in (0, Q_MAX].
 
     The ball cumulative is rescaled so the totals match, then both are
     normalized to unit total; a max_violation above CHECK_TOL means the
     domination fails at the reported measure.
     """
-    if q <= 0:
-        raise ParameterError("q must be positive")
-    if grid < 2:
-        raise ParameterError("grid must have at least two points")
+    if not 0.0 < q <= Q_MAX:
+        raise ParameterError(f"exponent must lie in (0, {Q_MAX:g}], got {q}")
     L = ball_profile.measure
     s_tilde = u_profile.positive_measure
     lemma_violated = L > s_tilde + CHECK_TOL * u_profile.domain_measure
     upper = cumulative_power(u_profile, q)
     lower = ball_profile.cumulative_power(q)
-    s = np.linspace(0.0, L, grid)
+    s = np.linspace(0.0, L, _CHITI_GRID)
     u_side = np.asarray(upper.value(s)) / upper.total
     ball_side = np.asarray(lower.value(s)) / lower.total
     gap = u_side - ball_side
@@ -478,8 +459,8 @@ class ReverseHolderReport:
 
 
 def reverse_holder_check(u_profile: RearrangedProfile, p: float, n: int,
-                         K: float, mu1: float, q: float, r: float,
-                         tol: float = CHECK_TOL) -> ReverseHolderReport:
+                         K: float, mu1: float, q: float,
+                         r: float) -> ReverseHolderReport:
     """Check that the L^q norm of u⁺ is below C times its L^r norm.
 
     C = L^{1/q - 1/r} f(q)/f(r) with f the normalized radial power mean
@@ -497,4 +478,4 @@ def reverse_holder_check(u_profile: RearrangedProfile, p: float, n: int,
     rhs = constant * lq_norm_positive(u_profile, r)
     return ReverseHolderReport(lhs=float(lhs), rhs=float(rhs),
                                constant=float(constant),
-                               ok=bool(lhs <= rhs * (1.0 + tol)))
+                               ok=bool(lhs <= rhs * (1.0 + CHECK_TOL)))

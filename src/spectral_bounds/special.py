@@ -31,6 +31,9 @@ P_MAX = 10.0
 #: (17 p in [2, 10]) to 2.3e-9, and drifts apart beyond: 1.2e-8 at n = 39,
 #: 4e-6 at n = 100, 5% at n = 150.
 N_MAX = 32
+#: Largest exponent q accepted by the power means and by the cumulative
+#: power checks; past it (u+)^q of a discrete eigenfunction can overflow.
+Q_MAX = 50.0
 
 #: 16-point Gauss-Legendre nodes and weights on [-1, 1].
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -60,8 +63,9 @@ def bessel_j(nu: float, x):
     return scipy.special.jv(nu, x)
 
 
-def bessel_first_zero(nu: float, tol: float = 1e-12) -> float:
-    """First positive zero of J_nu by scanning for a bracket, then bisection."""
+def bessel_first_zero(nu: float) -> float:
+    """First positive zero of J_nu by scanning for a bracket, then bisection
+    to a bracket width of 1e-12."""
     if nu < 0:
         raise ParameterError(f"order must be >= 0, got {nu}")
     lo = max(nu, 0.5)
@@ -80,7 +84,7 @@ def bessel_first_zero(nu: float, tol: float = 1e-12) -> float:
         hi += step
     else:
         raise NumericError(f"no sign change of J_{nu} found up to x = {hi}")
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if bessel_j(nu, mid) > 0.0:
             lo = mid
@@ -176,8 +180,9 @@ class RadialProfile:
 
     def log_power_mean(self, s: float) -> float:
         """log f(s) with f(s) = (n/psi^n int_0^psi t^(n-1) Psi^s dt)^(1/s)."""
-        if not 0.0 < s <= 50.0:
-            raise ParameterError(f"exponent must lie in (0, 50], got {s}")
+        if not 0.0 < s <= Q_MAX:
+            raise ParameterError(
+                f"exponent must lie in (0, {Q_MAX:g}], got {s}")
         if s in self._log_means:
             return self._log_means[s]
         _, base, logpsi = self._panels

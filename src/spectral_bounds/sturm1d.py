@@ -23,6 +23,7 @@ from scipy.sparse.linalg import splu
 from .errors import NumericError, ParameterError
 from .fem import _inverse_iteration
 from .geometry import MIN_LENGTH
+from .rearrangement import CHECK_TOL
 from .special import GL_NODES, GL_WEIGHTS, lambda1_ball
 
 _QUOTIENT_TOL = 1e-10
@@ -272,10 +273,9 @@ class LBoundReport:
 
 
 def check_L_bound(p: float, n: int, K: float, mu1: float,
-                  s_tilde: float, area: float,
-                  tol: float = 1e-3) -> LBoundReport:
+                  s_tilde: float, area: float) -> LBoundReport:
     """Check L <= min(s_tilde, area - s_tilde, area/2), margins in units
-    of the domain measure."""
+    of the domain measure, up to CHECK_TOL."""
     if not 0.0 < s_tilde < area:
         raise ParameterError("s_tilde must lie strictly inside (0, area)")
     L = comparison_ball_measure(p, n, K, mu1)
@@ -283,4 +283,5 @@ def check_L_bound(p: float, n: int, K: float, mu1: float,
                (0.5 * area - L) / area)
     min_margin = min(margins)
     return LBoundReport(L=L, s_tilde=s_tilde, margins=margins,
-                        min_margin=min_margin, ok=bool(min_margin >= -tol))
+                        min_margin=min_margin,
+                        ok=bool(min_margin >= -CHECK_TOL))

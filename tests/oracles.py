@@ -10,7 +10,7 @@ import numpy as np
 
 from spectral_bounds import geometry, special
 from spectral_bounds.errors import ParameterError
-from spectral_bounds.rearrangement import _power_diff
+from spectral_bounds.rearrangement import _power_diff, cumulative_power
 
 
 def max_edge_length(mesh: geometry.Mesh) -> float:
@@ -122,7 +122,7 @@ def profile_abs_power_integral(profile, q: float) -> float:
     plus the mirrored negative side of its pieces."""
     if q <= 0:
         raise ParameterError("exponent must be positive")
-    total = profile.positive_power_integral(q)
+    total = cumulative_power(profile, q).total
     p = profile.pieces
     if len(p.values) > 0:
         # mirror the negative side: w = -t runs over [-hi, -lo]

@@ -49,14 +49,11 @@ def test_kn_registry():
 
 
 def test_kn_entry_invariant():
-    spec = geometry.make_rectangle(1.0, 1.0)
     too_big = bounds.classical_constant(2) * 1.01
     with pytest.raises(NumericError):
-        bounds.KnEntry(spec=spec, value=too_big,
-                       rule=bounds.RULE_SYMMETRIC_WIDTH)
+        bounds.KnEntry(value=too_big, rule=bounds.RULE_SYMMETRIC_WIDTH)
     with pytest.raises(NumericError):
-        bounds.KnEntry(spec=spec, value=0.0,
-                       rule=bounds.RULE_SYMMETRIC_WIDTH)
+        bounds.KnEntry(value=0.0, rule=bounds.RULE_SYMMETRIC_WIDTH)
 
 
 def test_main_bound_square_and_rhombi():
@@ -175,16 +172,14 @@ def test_compare_report_square():
     assert report.bounds == bounds.lower_bounds(square, 2.0)
     for value in report.bounds.values():
         assert value <= report.mu1 * 1.01
-    assert report.value("payne_weinberger") == pytest.approx(
+    assert report.bounds["payne_weinberger"] == pytest.approx(
         math.pi ** 2 / 2.0, rel=1e-12)
     assert report.ratios["payne_weinberger"] == pytest.approx(0.5, abs=1e-4)
     # on a centrally symmetric planar domain the width bound equals the
     # main bound; they differ only through the two routes to j01
     assert report.ratios["main"] == pytest.approx(
         report.ratios["symmetric_planar"], rel=1e-9)
-    assert report.value("main") == pytest.approx(J01 ** 2, rel=1e-9)
-    with pytest.raises(ParameterError):
-        report.value("nonexistent")
+    assert report.bounds["main"] == pytest.approx(J01 ** 2, rel=1e-9)
 
 
 def test_compare_report_p3():
@@ -192,7 +187,7 @@ def test_compare_report_p3():
     assert report.mu1 is None
     assert list(report.bounds) == ["main", "ashbaugh_mercado"]
     assert report.ratios == {}
-    assert report.value("main") > report.value("ashbaugh_mercado")
+    assert report.bounds["main"] > report.bounds["ashbaugh_mercado"]
 
 
 def test_rhombus_sharpness_sequence():

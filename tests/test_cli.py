@@ -30,27 +30,26 @@ def test_emit_table_csv():
     rows = [{"name": "x", "value": math.pi, "flag": True, "extra": None}]
     text = cli.emit_table(rows, "csv")
     assert text == "name,value,flag,extra\nx,3.14159265359,true,\n"
-
-
-def test_emit_table_csv_empty_needs_fieldnames():
-    text = cli.emit_table([], "csv", fieldnames=["a", "b"])
-    assert text == "a,b\n"
+    # a non-finite value is a numeric failure, never a printed row
+    for value in (math.nan, math.inf):
+        with pytest.raises(NumericError, match="non-finite value"):
+            cli.emit_table([{"name": "x", "value": value}], "csv")
 
 
 def test_emit_table_json_shapes():
     row = {"a": 1, "b": 2.5}
-    single = cli.emit_table([row], "json", single=True)
-    assert json.loads(single) == {"a": 1, "b": 2.5}
-    array = cli.emit_table([row, row], "json", single=True)
-    assert json.loads(array) == [row, row]
-    assert cli.emit_table([row], "json").startswith("[")
+    # a dict is one row, a list a sweep of any length
+    assert json.loads(cli.emit_table(row, "json")) == {"a": 1, "b": 2.5}
+    assert json.loads(cli.emit_table([row, row], "json")) == [row, row]
+    assert json.loads(cli.emit_table([row], "json")) == [row]
+    assert cli.emit_table(row, "csv") == cli.emit_table([row], "csv")
     with pytest.raises(ParameterError):
         cli.emit_table([row], "yaml")
 
 
 def test_json_rounding_is_lossless_at_12_digits():
     value = 2.404825557695773
-    out = json.loads(cli.emit_table([{"v": value}], "json", single=True))
+    out = json.loads(cli.emit_table({"v": value}, "json"))
     assert out["v"] == pytest.approx(value, rel=1e-11)
 
 
@@ -193,7 +192,9 @@ def test_usage_errors(capsys):
                        (["bound"], "required: --domain"),
                        (["bound", "--domain", "square", "--p", "x"],
                         "invalid float value: 'x'"),
-                       (["verify-rhombus", "--level", "0"], "got 0")):
+                       (["verify-rhombus", "--level", "0"], "got 0"),
+                       (["chiti", "--domain", "square", "--level", "1",
+                         "--q", "1100"], "(0, 50], got 1100.0")):
         code, out, err = run_cli(argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and text in err
@@ -225,11 +226,17 @@ def test_usage_errors(capsys):
     for sub in ("sturm", "bound"):
         assert run_cli([sub, "--help"])[0] == 0
         assert "at least 1e-06" in capsys.readouterr().out
+    for sub in ("chiti", "rholder"):
+        assert run_cli([sub, "--help"])[0] == 0
+        assert "exponent in (0, 50]" in capsys.readouterr().out
     # near-degenerate rhombi fail the residual gate at once, on one line
     for argv in (["compare-bounds", "--domain", "rhombus", "--m", "100000",
                   "--level", "2"],
                  ["compare-bounds", "--domain", "rhombus", "--m", "1000",
-                  "--level", "4"]):
+                  "--level", "4"],
+                 # a 1e9:1 rectangle used to pass with a negative mu1
+                 ["chiti", "--domain", "rectangle", "--a", "1000",
+                  "--b", "1e-6", "--level", "3"]):
         start = time.perf_counter()
         code, out, err = run_cli(argv)
         assert time.perf_counter() - start < 0.5
@@ -264,6 +271,20 @@ def test_rholder_with_an_ulp_sized_break_stays_finite():
     assert (code, err) == (0, "")
     row = json.loads(out)
     assert math.isfinite(row["lhs"]) and row["ok"] is True
+
+
+def test_overflow_is_one_exit_1_line():
+    # on a 1e-6 square u ~ 1e6, so u^(q+2) overflows at q = 50: the
+    # invocation fails on one line instead of printing NaN after warnings
+    tiny = ["--domain", "rectangle", "--a", "1e-6", "--b", "1e-6",
+            "--level", "2", "--q", "50"]
+    for argv in (["chiti", *tiny], ["rholder", *tiny, "--r", "1"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(argv)
+        assert (code, out, caught) == (1, "", [])
+        assert err.startswith("failure: FloatingPointError: overflow")
+        assert len(err.splitlines()) == 1
 
 
 def test_size_budget_refused_before_building(capsys):

@@ -211,7 +211,8 @@ def test_mixed_equals_rhombus_neumann():
         assert dn.value == pytest.approx(mu.value, rel=1e-8)
         # constrained nodes are hard zeros
         half = geometry.triangulate_half_rhombus(m, 4)
-        tagged = fem._tagged_nodes(half, geometry.DIAGONAL)
+        tagged = np.unique([(i, j) for i, j, tag in half.boundary_edges
+                            if tag == geometry.DIAGONAL])
         assert np.abs(dn.vector[tagged]).max() == 0.0
 
 

@@ -49,7 +49,7 @@ def test_constant_function():
     assert prof.value(0.5 * area) == 0.7
     assert oracles.profile_integral(prof) == pytest.approx(0.7 * area,
                                                            rel=1e-12)
-    assert prof.positive_power_integral(3.0) == pytest.approx(
+    assert rr.cumulative_power(prof, 3.0).total == pytest.approx(
         0.7 ** 3 * area, rel=1e-12)
     cum = rr.cumulative_power(prof, 2.0)
     assert cum.total == pytest.approx(0.49 * area, rel=1e-12)
@@ -68,7 +68,8 @@ def test_linear_ramp_exact():
     assert np.max(np.abs(prof.distribution(ts) - (1.0 - ts))) == 0.0
     assert np.max(np.abs(prof.value(ss) - (1.0 - ss))) == 0.0
     assert oracles.profile_integral(prof) == pytest.approx(0.5, abs=1e-14)
-    assert prof.positive_power_integral(3.0) == pytest.approx(0.25, abs=1e-14)
+    assert rr.cumulative_power(prof, 3.0).total == pytest.approx(0.25,
+                                                                 abs=1e-14)
     assert oracles.profile_abs_power_integral(prof, 2.0) == pytest.approx(
         1.0 / 3.0, abs=1e-14)
     # roundtrip both ways (profile strictly decreasing, no plateaus)
@@ -88,8 +89,8 @@ def test_signed_ramp():
     assert oracles.profile_integral(prof) == pytest.approx(0.0, abs=1e-14)
     assert oracles.profile_abs_power_integral(prof, 1.0) == pytest.approx(
         0.25, abs=1e-14)
-    assert prof.positive_power_integral(2.0) == pytest.approx(1.0 / 24.0,
-                                                              abs=1e-14)
+    assert rr.cumulative_power(prof, 2.0).total == pytest.approx(
+        1.0 / 24.0, abs=1e-14)
     flipped = rr.rearrange(mesh, -v)
     assert (prof.positive_measure + flipped.positive_measure
             == pytest.approx(prof.domain_measure, abs=1e-14))
@@ -105,8 +106,8 @@ def test_plateau_and_atom():
     assert prof.positive_measure == pytest.approx(0.5 + h, abs=1e-14)
     assert oracles.profile_integral(prof) == pytest.approx(0.5 + h / 2,
                                                            abs=1e-14)
-    assert prof.positive_power_integral(2.0) == pytest.approx(0.5 + h / 3,
-                                                              abs=1e-14)
+    assert rr.cumulative_power(prof, 2.0).total == pytest.approx(
+        0.5 + h / 3, abs=1e-14)
     assert prof.value(0.25) == 1.0
     assert prof.value(0.5 + h / 2) == pytest.approx(0.5, abs=1e-14)
     assert prof.value(0.9) == 0.0
@@ -126,8 +127,8 @@ def test_staircase_three_levels():
     prof = rr.rearrange(mesh, v)
     assert prof.positive_measure == pytest.approx(0.75, abs=1e-14)
     assert oracles.profile_integral(prof) == pytest.approx(0.5, abs=1e-14)
-    assert prof.positive_power_integral(2.0) == pytest.approx(19.0 / 48.0,
-                                                              abs=1e-14)
+    assert rr.cumulative_power(prof, 2.0).total == pytest.approx(
+        19.0 / 48.0, abs=1e-14)
     assert prof.distribution(0.25) == pytest.approx(0.6875, abs=1e-14)
     assert prof.value(0.3) == pytest.approx(0.8, abs=1e-14)
     assert prof.value(0.5) == pytest.approx(0.5, abs=1e-14)   # plateau
@@ -181,7 +182,7 @@ def test_positive_power_dual_route(q):
                   (pipelines.mesh(spec, level), -v)]
     for mesh, v in cases:
         prof = rr.rearrange(mesh, v)
-        a = prof.positive_power_integral(float(q))
+        a = rr.cumulative_power(prof, float(q)).total
         b = oracles.mesh_positive_power_integral(mesh, v, q)
         assert a == pytest.approx(b, rel=1e-8)
         # u*(0) = max u+; m(t) has a double root at the maximum, so the
@@ -261,7 +262,7 @@ def test_ulp_tie_robustness():
     assert prof.value(1e-3) >= 0.99
     assert np.all(np.diff(oracles.profile_samples(prof)) <= 1e-12)
     for q in (1, 2):
-        a = prof.positive_power_integral(float(q))
+        a = rr.cumulative_power(prof, float(q)).total
         b = oracles.mesh_positive_power_integral(mesh, v, q)
         assert a == pytest.approx(b, rel=1e-8)
 
@@ -294,8 +295,6 @@ def test_cumulative_power_shape():
     second = np.diff(vals, 2)
     assert np.max(second) <= 1e-12
     assert vals[-1] == pytest.approx(cum.total, rel=1e-9)
-    assert cum.total == pytest.approx(prof.positive_power_integral(2.0),
-                                      rel=1e-12)
     assert cum.value(prof.domain_measure) == pytest.approx(cum.total,
                                                            rel=1e-12)
     with pytest.raises(ParameterError):
@@ -374,10 +373,9 @@ def test_chiti_disk_equality():
                                         J01 ** 2), 2.0)
     assert strict.lemma_violated
     assert strict.max_violation <= 1e-6
-    with pytest.raises(ParameterError):
-        rr.chiti_check(prof, ball, 2.0, grid=1)
-    with pytest.raises(ParameterError):
-        rr.chiti_check(prof, ball, 0.0)
+    for q in (0.0, 50.5):
+        with pytest.raises(ParameterError, match=r"\(0, 50\]"):
+            rr.chiti_check(prof, ball, q)
 
 
 def test_reverse_holder_eigenfunctions():
