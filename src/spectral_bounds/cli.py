@@ -14,10 +14,10 @@ eigenpair and rearranged profile at most once, in one shared-solve scope
 when the invocation returns. The argument parser is built once per process.
 
 Exit codes: 0 success, 1 numeric failure (a verified inequality broke, an
-iteration stalled, numpy arithmetic overflowed or went invalid, or a row
-came out non-finite), 2 usage error (bad flags, unknown domain class,
-out-of-scope parameter combinations). Every failure is reported on one
-line of the error stream.
+iteration stalled, a factorization met an exactly singular pivot, numpy
+arithmetic overflowed or went invalid, or a value came out non-finite), 2
+usage error (bad flags, unknown domain class, out-of-scope parameter
+combinations). Every failure is reported on one line of the error stream.
 """
 
 from __future__ import annotations
@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--A", type=_finite_float, required=True,
                      help=f"interval length, at least {geometry.MIN_LENGTH:g}")
     sub.add_argument("--N", type=int, default=4096,
-                     help=f"cell count, 4 to {sturm1d.MAX_CELLS}")
+                     help=f"cell count, 4 to {sturm1d.MAX_CELLS} "
+                     f"(at most {sturm1d.MAX_LINEAR_CELLS} at gamma 2)")
     _add_output_flags(sub, "json")
 
     sub = subs.add_parser("suite", help="run one subcommand per file line")

@@ -103,7 +103,13 @@ def _inverse_iteration(K, M, free: np.ndarray, bc: str,
     """
     Kff = K[free][:, free].tocsc()
     Mff = M[free][:, free].tocsc()
-    lu = splu((Kff + shift * Mff) if shift else Kff)
+    try:
+        lu = splu((Kff + shift * Mff) if shift else Kff)
+    except RuntimeError as ex:
+        # SuperLU reports an exactly singular pivot this way
+        raise ConvergenceError(
+            f"eigen solve could not factor its shifted stiffness: {ex}"
+        ) from None
     solves = 0
 
     def solve(x):

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 from .geometry import Mesh, element_areas
 from .special import Q_MAX, omega_n, psi_profile
 
@@ -472,10 +472,23 @@ def reverse_holder_check(u_profile: RearrangedProfile, p: float, n: int,
         raise ParameterError("need r > 0")
     ball = dirichlet_ball_profile(p, n, K, mu1)
     prof = psi_profile(p, n)
-    constant = (ball.measure ** (1.0 / q - 1.0 / r)
-                * math.exp(prof.log_power_mean(q) - prof.log_power_mean(r)))
+
+    def finite(name, compute):
+        # float powers raise OverflowError, products silently give inf
+        try:
+            value = compute()
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise NumericError(f"reverse Holder {name} exceeds the float "
+                               f"range at q = {q:g}, r = {r:g}")
+        return value
+
+    constant = finite("constant", lambda: (
+        ball.measure ** (1.0 / q - 1.0 / r)
+        * math.exp(prof.log_power_mean(q) - prof.log_power_mean(r))))
     lhs = lq_norm_positive(u_profile, q)
-    rhs = constant * lq_norm_positive(u_profile, r)
+    rhs = finite("rhs", lambda: constant * lq_norm_positive(u_profile, r))
     return ReverseHolderReport(lhs=float(lhs), rhs=float(rhs),
                                constant=float(constant),
                                ok=bool(lhs <= rhs * (1.0 + CHECK_TOL)))

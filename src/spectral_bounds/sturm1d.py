@@ -8,7 +8,12 @@ eigenproblem solved by the same shift-invert eigensolver as the FEM
 module; for other gamma the Rayleigh quotient is minimized by projected
 gradient descent with an Armijo line search, preconditioned at every step
 by the Hessian of the energy at the current iterate (the gamma-Laplacian
-linearized there, a weighted tridiagonal stiffness factored afresh).
+linearized there, a weighted tridiagonal stiffness factored afresh). One
+builder fills the CSC arrays of both stiffness matrices directly. The
+Hessian is factored in natural order, where a tridiagonal matrix has no
+fill (nnz(L+U) = 4N - 2), so each factorization costs O(N) and runs no
+ordering pass. The gamma = 2 grid is capped at MAX_LINEAR_CELLS, past
+which its residual no longer certifies.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
-from .errors import NumericError, ParameterError
+from .errors import ConvergenceError, NumericError, ParameterError
 from .fem import _inverse_iteration
 from .geometry import MIN_LENGTH
 from .rearrangement import CHECK_TOL
@@ -30,6 +35,9 @@ _QUOTIENT_TOL = 1e-10
 _MAX_STEPS = 50_000
 _HARDY_SLACK = 1e-9
 MAX_CELLS = 2 ** 16
+# the gamma = 2 eigensolve's residual grows like N^2 on the graded grid and
+# stays certifiable (below fem._RES_TOL) only up to this many cells
+MAX_LINEAR_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -52,6 +60,10 @@ class SturmProblem:
         if not 4 <= self.n_cells <= MAX_CELLS:
             raise ParameterError(
                 f"cell count must lie in [4, {MAX_CELLS}], got {self.n_cells}")
+        if self.gamma == 2.0 and self.n_cells > MAX_LINEAR_CELLS:
+            raise ParameterError(
+                f"at gamma = 2 the cell count must be at most "
+                f"{MAX_LINEAR_CELLS}, got {self.n_cells}")
 
     @property
     def hardy_lower_bound(self) -> float:
@@ -81,10 +93,41 @@ def _moment(lo: np.ndarray, hi: np.ndarray, e: float) -> np.ndarray:
 
 def _stiffness(w: np.ndarray) -> sparse.csc_matrix:
     """Stiffness with cell weights w over nodes 1..n (node 0 constrained
-    to zero); w = 1/h is the gamma = 2 matrix."""
-    main = w.copy()
-    main[:-1] += w[1:]
-    return sparse.diags([main, -w[1:], -w[1:]], [0, 1, -1], format="csc")
+    to zero); w = 1/h is the gamma = 2 matrix.
+
+    The tridiagonal CSC arrays are filled directly: column j holds rows
+    j-1, j and j+1, so a full three-slot layout per column, less its first
+    and last slot, is the canonical (sorted, duplicate-free) matrix.
+    """
+    n = w.size
+    cols = np.empty((n, 3))
+    cols[:, 0] = -w
+    cols[:, 1] = w
+    cols[:-1, 1] += w[1:]
+    cols[:-1, 2] = -w[1:]
+    rows = np.arange(n, dtype=np.int32)[:, None] \
+        + np.array([-1, 0, 1], dtype=np.int32)
+    indptr = np.arange(-1, 3 * n, 3, dtype=np.int32)
+    indptr[0], indptr[-1] = 0, 3 * n - 2
+    return sparse.csc_matrix((cols.ravel()[1:-1], rows.ravel()[1:-1], indptr),
+                             shape=(n, n))
+
+
+def _solve_hessian(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the Hessian, the stiffness with cell weights w, for rhs.
+
+    A tridiagonal matrix fills nothing in natural order, so an ordering
+    pass and supernode relaxation would be pure overhead. The factor is
+    freed on return: kept alive among the line search's large temporaries
+    it fragments the heap and raises the peak resident size.
+    """
+    try:
+        lu = splu(_stiffness(w), permc_spec="NATURAL", relax=1, panel_size=1)
+    except RuntimeError as ex:
+        # SuperLU reports an exactly singular pivot this way
+        raise ConvergenceError(
+            f"descent Hessian could not be factored: {ex}") from None
+    return lu.solve(rhs)
 
 
 def _solve_linear(problem: SturmProblem) -> SturmSolution:
@@ -178,9 +221,8 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
         # that flat cells near the zero-flux end keep a finite weight
         cell_slope = np.abs(d) / h
         cell_slope = np.maximum(cell_slope, 1e-6 * cell_slope.max())
-        hessian = _stiffness(
-            gamma * (gamma - 1.0) * cell_slope ** (gamma - 2.0) / h)
-        direction = splu(hessian).solve(grad)
+        direction = _solve_hessian(
+            gamma * (gamma - 1.0) * cell_slope ** (gamma - 2.0) / h, grad)
         slope = float(grad @ direction)
         accepted = False
         if slope > 0.0:

@@ -243,6 +243,14 @@ def test_usage_errors(capsys):
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and "residual" in err
         assert "Traceback" not in err
+    # at levels 1 and 2 the same rectangle's shifted stiffness is singular
+    for level in ("1", "2"):
+        code, out, err = run_cli(["chiti", "--domain", "rectangle",
+                                  "--a", "1000", "--b", "1e-6",
+                                  "--level", level])
+        assert (code, out) == (1, "")
+        assert err.startswith("numeric failure: ") and "singular" in err
+        assert len(err.splitlines()) == 1
 
 
 def test_p_range_is_a_usage_error():
@@ -287,11 +295,27 @@ def test_overflow_is_one_exit_1_line():
         assert len(err.splitlines()) == 1
 
 
+def test_rholder_constant_overflow_is_one_numeric_failure():
+    # L^(1/q - 1/r) leaves the float range for small r
+    for argv in (["rholder", "--domain", "square", "--level", "3",
+                  "--q", "1", "--r", "0.001"],
+                 ["rholder", "--domain", "rectangle", "--a", "1e-6",
+                  "--b", "1e-6", "--q", "1", "--r", "0.01", "--level", "0"]):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("numeric failure: reverse Holder constant")
+        assert len(err.splitlines()) == 1
+
+
 def test_size_budget_refused_before_building(capsys):
     for argv in (["compare-bounds", "--domain", "polygon", "--k", "64",
                   "--level", "10"],
                  ["sturm", "--gamma", "1.5", "--beta", "0.75", "--A", "1",
-                  "--N", "100000000"]):
+                  "--N", "100000000"],
+                 # at gamma = 2 the residual grows like N^2 and certifies
+                 # up to 4096 cells only
+                 ["sturm", "--gamma", "2", "--beta", "1", "--A", "1",
+                  "--N", "4097"]):
         start = time.perf_counter()
         code, out, err = run_cli(argv)
         assert time.perf_counter() - start < 1.0
@@ -302,7 +326,8 @@ def test_size_budget_refused_before_building(capsys):
                        (["psi", "--help"], "[2, 32]"),
                        (["bound", "--help"], "[2, 10]"),
                        (["chiti", "--help"], "262144"),
-                       (["sturm", "--help"], "65536")):
+                       (["sturm", "--help"], "65536"),
+                       (["sturm", "--help"], "at most 4096 at gamma 2")):
         assert run_cli(argv)[0] == 0
         assert text in capsys.readouterr().out
 

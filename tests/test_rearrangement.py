@@ -14,7 +14,7 @@ import pytest
 
 from spectral_bounds import bounds, fem, geometry, special
 from spectral_bounds import rearrangement as rr
-from spectral_bounds.errors import ParameterError
+from spectral_bounds.errors import NumericError, ParameterError
 
 import oracles
 import pipelines
@@ -400,6 +400,21 @@ def test_reverse_holder_eigenfunctions():
         rr.reverse_holder_check(prof, 2.0, 2, K, pair.value, 1.0, 2.0)
     with pytest.raises(ParameterError):
         rr.reverse_holder_check(prof, 2.0, 2, K, pair.value, 2.0, 0.0)
+
+
+def test_reverse_holder_rhs_overflow_is_named(monkeypatch):
+    # a finite constant times an L^r norm past the float range
+    pair = pipelines.neumann(pipelines.SQUARE, 2)
+    prof = pipelines.oriented_profile(pipelines.SQUARE, 2)
+    K = bounds.kn_lookup(pipelines.SQUARE).value
+    real = rr.lq_norm_positive
+
+    def huge_lr(profile, q):
+        return 1e308 if q == 1.0 else real(profile, q)
+
+    monkeypatch.setattr(rr, "lq_norm_positive", huge_lr)
+    with pytest.raises(NumericError, match="reverse Holder rhs"):
+        rr.reverse_holder_check(prof, 2.0, 2, K, pair.value, 2.0, 1.0)
 
 
 def test_reverse_holder_disk_sharpness():

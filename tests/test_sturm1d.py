@@ -11,10 +11,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from spectral_bounds import fem, special, sturm1d
-from spectral_bounds.errors import ParameterError
-from spectral_bounds.sturm1d import (MAX_CELLS, SturmProblem, check_L_bound,
+from spectral_bounds.errors import ConvergenceError, ParameterError
+from spectral_bounds.sturm1d import (MAX_CELLS, MAX_LINEAR_CELLS,
+                                     SturmProblem, check_L_bound,
                                      comparison_ball_measure, sigma1,
                                      solve, sturm_consistency)
 
@@ -97,6 +99,78 @@ def test_descent_reaches_minimum(monkeypatch):
     default = sigma1(problem)
     monkeypatch.setattr(sturm1d, "_QUOTIENT_TOL", 1e-14)
     assert default == pytest.approx(sigma1(problem), rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 1024])
+def test_stiffness_matches_diags_reference(n):
+    # the direct CSC build must be the sparse.diags matrix, bit for bit
+    w = np.random.default_rng(n).random(n) + 0.1
+    main = w.copy()
+    main[:-1] += w[1:]
+    ref = sparse.diags([main, -w[1:], -w[1:]], [0, 1, -1], format="csc")
+    got = sturm1d._stiffness(w)
+    assert got.format == "csc" and got.shape == (n, n)
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data, ref.data)
+    # computed from the arrays: sorted indices, no duplicates
+    assert got.has_canonical_format
+
+
+def test_descent_factors_in_natural_order_without_fill(monkeypatch):
+    # every descent factor keeps both permutations the identity and has
+    # the fill-free tridiagonal nnz(L + U) = 4N - 2
+    factors = []
+    real_splu = sturm1d.splu
+
+    def recording(matrix, **options):
+        lu = real_splu(matrix, **options)
+        factors.append((matrix.shape[0], lu))
+        return lu
+
+    monkeypatch.setattr(sturm1d, "splu", recording)
+    n = 1024
+    gamma = 3.0 / 2.0
+    sol = solve(SturmProblem(gamma=gamma, beta=gamma / 2.0, length=1.0,
+                             n_cells=n))
+    assert len(factors) == sol.iterations - 1
+    for size, lu in factors:
+        assert size == n
+        assert np.array_equal(lu.perm_c, np.arange(n))
+        assert np.array_equal(lu.perm_r, np.arange(n))
+        assert lu.L.nnz + lu.U.nnz == 4 * n - 2
+
+
+def test_descent_singular_factor_is_a_convergence_error(monkeypatch):
+    def singular(matrix, **options):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(sturm1d, "splu", singular)
+    with pytest.raises(ConvergenceError, match="exactly singular"):
+        solve(SturmProblem(gamma=1.5, beta=0.75, length=1.0, n_cells=64))
+
+
+# sigma1 at the CLI's 12 significant digits and the step count; a change
+# to the matrix build or the factorization must leave both as they are.
+# p = 2 gives gamma = 2, the linear eigensolve.
+GOLDEN = [
+    # p, A, N, sigma1, iterations (gamma = p/(p-1), beta = gamma/2)
+    (2.0, 1.0, 1024, "1.4457976906", 22),
+    (2.2, 0.5, 1024, "2.53073620802", 11),
+    (2.2, 1.3, 4096, "1.05403333568", 12),
+    (3.0, 1.0, 4096, "1.10857448358", 15),
+    (4.0, 1.0, 1024, "0.971743707412", 21),
+    (5.0, 2.0, 4096, "0.579020672026", 27),
+    (6.0, 0.5, 1024, "1.27375033888", 40),
+]
+
+
+@pytest.mark.parametrize("p,length,n,sigma,iterations", GOLDEN)
+def test_golden_rows(p, length, n, sigma, iterations):
+    gamma = p / (p - 1.0)
+    sol = solve(SturmProblem(gamma=gamma, beta=gamma / 2.0, length=length,
+                             n_cells=n))
+    assert (f"{sol.sigma:.12g}", sol.iterations) == (sigma, iterations)
 
 
 def test_refinement_cauchy():
@@ -215,8 +289,13 @@ def test_parameter_validation():
         SturmProblem(gamma=2.0, beta=1.0, length=0.0)
     with pytest.raises(ParameterError):
         SturmProblem(gamma=2.0, beta=1.0, length=1.0, n_cells=3)
-    SturmProblem(gamma=2.0, beta=1.0, length=1.0, n_cells=MAX_CELLS)
+    SturmProblem(gamma=1.5, beta=1.0, length=1.0, n_cells=MAX_CELLS)
     with pytest.raises(ParameterError):
-        SturmProblem(gamma=2.0, beta=1.0, length=1.0, n_cells=MAX_CELLS + 1)
+        SturmProblem(gamma=1.5, beta=1.0, length=1.0, n_cells=MAX_CELLS + 1)
+    # gamma = 2 has the smaller budget its residual gate certifies
+    SturmProblem(gamma=2.0, beta=1.0, length=1.0, n_cells=MAX_LINEAR_CELLS)
+    for cells in (MAX_LINEAR_CELLS + 1, MAX_CELLS):
+        with pytest.raises(ParameterError, match="at gamma = 2"):
+            SturmProblem(gamma=2.0, beta=1.0, length=1.0, n_cells=cells)
     with pytest.raises(ParameterError):
         sturm_consistency(1.5, 2, 1.0, 1.0)
