@@ -17,7 +17,8 @@ Exit codes: 0 success, 1 numeric failure (a verified inequality broke, an
 iteration stalled, a factorization met an exactly singular pivot, numpy
 arithmetic overflowed or went invalid, or a value came out non-finite), 2
 usage error (bad flags, unknown domain class, out-of-scope parameter
-combinations). Every failure is reported on one line of the error stream.
+combinations, an --out file that cannot be written). Every failure is
+reported on one line of the error stream.
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ def _add_domain_flags(sub) -> None:
     sub.add_argument("--a", type=_finite_float, help="rectangle long side")
     sub.add_argument("--b", type=_finite_float, help="rectangle short side, "
                      f"at least {geometry.MIN_LENGTH:g}")
-    sub.add_argument("--k", type=int, help="polygon vertex count")
+    sub.add_argument("--k", type=int, help="polygon vertex count, at most "
+                     f"{geometry.MAX_ELEMENTS}")
     sub.add_argument("--radius", type=_finite_float, default=1.0, help="polygon "
                      f"circumradius, at least {geometry.MIN_LENGTH:g}")
 
@@ -363,7 +365,11 @@ def dispatch(argv, out=None, err=None) -> int:
             table = _HANDLERS[args.command](args)
         text = emit_table(table, args.format)
         if args.out_path:
-            Path(args.out_path).write_text(text, encoding="utf-8")
+            try:
+                Path(args.out_path).write_text(text, encoding="utf-8")
+            except OSError as ex:
+                raise ParameterError(
+                    f"cannot write output file: {ex}") from None
         else:
             stream.write(text)
     except SystemExit:

@@ -20,7 +20,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, splu
 
 from .errors import ConvergenceError, ParameterError
-from .geometry import DIAGONAL, Mesh, edge_table, element_areas
+from .geometry import Mesh, edge_table, element_areas
 
 _SEED = 42
 _RES_TOL = 1e-9
@@ -174,13 +174,16 @@ def solve_dirichlet_lambda1(mesh: Mesh) -> EigenPair:
 
 
 def solve_mixed_dn(mesh: Mesh) -> EigenPair:
-    """First eigenvalue with u = 0 on the edges tagged DIAGONAL only."""
-    pairs = [(i, j) for i, j, tag in mesh.boundary_edges if tag == DIAGONAL]
-    if not pairs:
-        raise ParameterError(f"mesh has no edges tagged {DIAGONAL!r}")
+    """First eigenvalue with u = 0 on the mesh's diagonal chain only.
+
+    The rest of the boundary carries the natural (Neumann) condition. A mesh
+    with an empty diagonal is refused.
+    """
+    if not len(mesh.diagonal):
+        raise ParameterError("mesh has no diagonal chain to constrain")
     K = assemble_stiffness(mesh)
     M = assemble_mass(mesh)
-    free = np.setdiff1d(np.arange(mesh.node_count), np.unique(pairs))
+    free = np.setdiff1d(np.arange(mesh.node_count), mesh.diagonal)
     return _inverse_iteration(K, M, free, "mixed", 0.0)
 
 

@@ -3,10 +3,12 @@
 Domains come in three families: rhombi with unit side and acute angle 2*pi/m,
 axis-aligned rectangles, and regular polygons inscribed in a circle. Meshes
 are produced by uniform midpoint (red) refinement of a small hand-built base
-triangulation, so every refinement is nested in the previous one. Rhombus
-meshes carry the short diagonal as a tagged edge chain at every level; the
-half-rhombus triangle used for the mixed eigenvalue problem is literally a
-sub-complex of the rhombus mesh.
+triangulation, so every refinement is nested in the previous one. A mesh is
+its nodes, its elements and, on rhombi, the short-diagonal edge chain, which
+refinement splits in chain order; the half-rhombus triangle used for the
+mixed eigenvalue problem is literally a sub-complex of the rhombus mesh, cut
+off along that chain. The outer boundary is not stored: it is the set of
+edges that one element has.
 
 A mesh's topology lives in one edge table (``edge_table``), built in a
 single ``np.unique`` pass over the element edges. Edges are numbered in
@@ -19,15 +21,13 @@ bytes of everything computed downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
 
-OUTER = "outer"
-DIAGONAL = "diagonal"
 # smallest length the solvers are validated at; far below it 1/h overflows
 MIN_LENGTH = 1e-6
 # most elements refine may build (square and rhombus level 8, 64-gon level
@@ -116,17 +116,15 @@ def make_regular_polygon(k: int, radius: float = 1.0) -> DomainSpec:
 class Mesh:
     """Conforming triangle mesh with counterclockwise elements.
 
-    boundary_edges holds tagged node pairs. The tag is "outer" for edges of
-    the domain boundary and "diagonal" for the rhombus short-diagonal chain
-    (which is interior to the rhombus but becomes true boundary on the
-    half-rhombus sub-mesh).
+    diagonal holds the node pairs of the rhombus short-diagonal chain, shape
+    (D, 2), in chain order. The chain is interior to the rhombus and becomes
+    true boundary on the half-rhombus sub-mesh; it is empty on other meshes.
     """
 
     nodes: np.ndarray
     elements: np.ndarray
-    boundary_edges: list[tuple[int, int, str]]
-    refinement_level: int = 0
-    spec: DomainSpec | None = field(default=None, repr=False)
+    diagonal: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 2), dtype=int))
 
     @property
     def node_count(self) -> int:
@@ -164,15 +162,14 @@ def _edge_keys(pairs, node_count: int) -> np.ndarray:
     return pairs.min(axis=1) * node_count + pairs.max(axis=1)
 
 
-def _tagged_edge_ids(mesh: Mesh, table: EdgeTable) -> np.ndarray:
-    """Table id of each tagged boundary pair, -1 where it is no mesh edge."""
+def _diagonal_edge_ids(mesh: Mesh, table: EdgeTable) -> np.ndarray:
+    """Table id of each diagonal pair, -1 where it is no mesh edge."""
     keys = _edge_keys(table.edges, mesh.node_count)
     order = np.argsort(keys)
-    tagged = _edge_keys([(i, j) for i, j, _ in mesh.boundary_edges],
-                        mesh.node_count)
-    pos = np.searchsorted(keys, tagged, sorter=order)
+    wanted = _edge_keys(mesh.diagonal, mesh.node_count)
+    pos = np.searchsorted(keys, wanted, sorter=order)
     ids = order[np.minimum(pos, len(keys) - 1)]
-    return np.where(keys[ids] == tagged, ids, -1)
+    return np.where(keys[ids] == wanted, ids, -1)
 
 
 def edge_table(mesh: Mesh) -> EdgeTable:
@@ -191,76 +188,45 @@ def edge_table(mesh: Mesh) -> EdgeTable:
                      counts=counts[order])
 
 
-def validate_mesh(mesh: Mesh, area: float | None = None) -> dict:
-    """Check orientation, conformity and the Euler relation; return stats.
-
-    Raises ParameterError on any violation. The Euler count V - E + F = 1
-    holds for a simply connected triangulated disk.
-    """
-    areas = element_areas(mesh)
-    if np.any(areas <= 0.0):
-        raise ParameterError("mesh has non-positive element areas")
-    table = edge_table(mesh)
-    if np.any(table.counts > 2):
-        raise ParameterError("mesh edge shared by more than two elements")
-    euler = mesh.node_count - len(table.counts) + mesh.element_count
-    if euler != 1:
-        raise ParameterError(f"Euler relation violated: V - E + F = {euler}")
-    untagged = table.counts == 1
-    boundary_count = int(np.sum(untagged))
-    ids = _tagged_edge_ids(mesh, table)
-    untagged[ids[ids >= 0]] = False
-    if np.any(untagged):
-        raise ParameterError("untagged boundary edges present")
-    total = float(np.sum(areas))
-    if area is not None and abs(total - area) > 1e-12 * max(area, 1.0):
-        raise ParameterError(f"mesh area {total} != domain area {area}")
-    return {"area": total, "edges": len(table.counts),
-            "boundary_edges": boundary_count}
-
-
 def _base_mesh(spec: DomainSpec) -> Mesh:
     if spec.kind == "rectangle":
         a, b = spec.a, spec.b
-        nodes = np.array([[0.0, 0.0], [a, 0.0], [a, b], [0.0, b]])
-        elements = np.array([[0, 1, 2], [0, 2, 3]])
-        edges = [(0, 1, OUTER), (1, 2, OUTER), (2, 3, OUTER), (3, 0, OUTER)]
-    elif spec.kind == "regular_polygon":
+        return Mesh(nodes=np.array([[0.0, 0.0], [a, 0.0], [a, b], [0.0, b]]),
+                    elements=np.array([[0, 1, 2], [0, 2, 3]]))
+    if spec.kind == "regular_polygon":
         k, r = spec.k, spec.radius
+        # a k-gon's base mesh already has k elements
+        if k > MAX_ELEMENTS:
+            raise ParameterError(
+                f"a {k}-gon mesh has {k} elements, past the budget of "
+                f"{MAX_ELEMENTS}; use fewer vertices")
         angles = 2.0 * math.pi * np.arange(k) / k
         ring = np.column_stack([r * np.cos(angles), r * np.sin(angles)])
-        nodes = np.vstack([[0.0, 0.0], ring])
         ring_ids = 1 + np.arange(k)
         elements = np.column_stack([np.zeros(k, dtype=int), ring_ids,
                                     np.roll(ring_ids, -1)])
-        edges = [(1 + i, 1 + (i + 1) % k, OUTER) for i in range(k)]
-    else:
-        # Rhombus A B C D with A at the origin and the long diagonal on the
-        # positive x axis; both diagonals meet at O, giving four triangles.
-        half = math.pi / spec.m
-        c, s = math.cos(half), math.sin(half)
-        nodes = np.array([[0.0, 0.0],   # A
-                          [c, s],       # B
-                          [2 * c, 0.0],  # C
-                          [c, -s],      # D
-                          [c, 0.0]])    # O
-        elements = np.array([[0, 4, 1], [4, 2, 1], [0, 3, 4], [4, 3, 2]])
-        edges = [(0, 1, OUTER), (1, 2, OUTER), (2, 3, OUTER), (3, 0, OUTER),
-                 (1, 4, DIAGONAL), (4, 3, DIAGONAL)]
-    return Mesh(nodes=nodes, elements=elements, boundary_edges=edges,
-                refinement_level=0, spec=spec)
+        return Mesh(nodes=np.vstack([[0.0, 0.0], ring]), elements=elements)
+    # Rhombus A B C D with A at the origin and the long diagonal on the
+    # positive x axis; both diagonals meet at O, giving four triangles.
+    half = math.pi / spec.m
+    c, s = math.cos(half), math.sin(half)
+    nodes = np.array([[0.0, 0.0],   # A
+                      [c, s],       # B
+                      [2 * c, 0.0],  # C
+                      [c, -s],      # D
+                      [c, 0.0]])    # O
+    elements = np.array([[0, 4, 1], [4, 2, 1], [0, 3, 4], [4, 3, 2]])
+    return Mesh(nodes=nodes, elements=elements,
+                diagonal=np.array([[1, 4], [4, 3]]))
 
 
 def _half_rhombus_base(m: int) -> Mesh:
-    """Triangle A B D of the rhombus: the two left base triangles."""
-    spec = make_rhombus(m)
-    half = math.pi / m
-    c, s = math.cos(half), math.sin(half)
-    nodes = np.array([[0.0, 0.0], [c, s], [c, -s], [c, 0.0]])
-    elements = np.array([[0, 3, 1], [0, 2, 3]])
-    edges = [(0, 1, OUTER), (2, 0, OUTER), (1, 3, DIAGONAL), (3, 2, DIAGONAL)]
-    return Mesh(nodes=nodes, elements=elements, boundary_edges=edges,
-                refinement_level=0, spec=spec)
+    """Triangle A B D of the rhombus: base elements 0 and 2, left of the
+    diagonal, on the rhombus nodes A, B, D, O renumbered in that order."""
+    full = _base_mesh(make_rhombus(m))
+    kept, elements = np.unique(full.elements[[0, 2]], return_inverse=True)
+    return Mesh(nodes=full.nodes[kept], elements=elements.reshape(-1, 3),
+                diagonal=np.searchsorted(kept, full.diagonal))
 
 
 # children of a red-refined element, as columns of [i0, i1, i2, m01, m12, m20]
@@ -279,14 +245,13 @@ def refine(mesh: Mesh) -> Mesh:
     nodes = np.vstack([mesh.nodes, 0.5 * (ends[:, 0] + ends[:, 1])])
     corners = np.hstack([mesh.elements, n + table.element_edges])
     elements = corners[:, _CHILDREN].reshape(-1, 3)
-    mids = n + _tagged_edge_ids(mesh, table)
+    mids = n + _diagonal_edge_ids(mesh, table)
     if np.any(mids < n):
-        raise ParameterError("tagged boundary pair is not a mesh edge")
-    edges = []
-    for (i, j, tag), k in zip(mesh.boundary_edges, mids.tolist()):
-        edges.extend([(i, k, tag), (k, j, tag)])
-    return Mesh(nodes=nodes, elements=elements, boundary_edges=edges,
-                refinement_level=mesh.refinement_level + 1, spec=mesh.spec)
+        raise ParameterError("diagonal pair is not a mesh edge")
+    # pair (i, j) with midpoint k becomes (i, k), (k, j), in chain order
+    i, j = mesh.diagonal.T
+    diagonal = np.column_stack([i, mids, mids, j]).reshape(-1, 2)
+    return Mesh(nodes=nodes, elements=elements, diagonal=diagonal)
 
 
 def _refined(mesh: Mesh, level: int) -> Mesh:
@@ -304,38 +269,9 @@ def triangulate(spec: DomainSpec, level: int = 0) -> Mesh:
 
 
 def triangulate_half_rhombus(m: int, level: int = 0) -> Mesh:
-    """Mesh of the half-rhombus triangle, diagonal side tagged for Dirichlet.
+    """Mesh of the half-rhombus triangle; its diagonal is the Dirichlet side.
 
     At every level this is the sub-complex of triangulate(make_rhombus(m))
     lying left of the short diagonal.
     """
     return _refined(_half_rhombus_base(m), level)
-
-
-def scaled(mesh: Mesh, factor: float) -> Mesh:
-    """Mesh with all coordinates multiplied by ``factor``."""
-    if factor <= 0.0:
-        raise ParameterError(f"scale factor must be positive, got {factor}")
-    return replace(mesh, nodes=mesh.nodes * factor, spec=None)
-
-
-def mesh_to_text(mesh: Mesh, nodal_values: np.ndarray | None = None) -> str:
-    """Plain-text mesh export; node lines carry an extra value column if given.
-
-    Format: "N <count>" then one "x y [v]" line per node, "E <count>" then one
-    "i j k" line per element, "B <count>" then one "i j tag" line per tagged
-    edge. Floats use 17 significant digits so the mesh round-trips exactly.
-    """
-    if nodal_values is not None and len(nodal_values) != mesh.node_count:
-        raise ParameterError("nodal value column length does not match mesh")
-    lines = [f"N {mesh.node_count}"]
-    for idx, (x, y) in enumerate(mesh.nodes):
-        line = f"{x:.17g} {y:.17g}"
-        if nodal_values is not None:
-            line += f" {nodal_values[idx]:.17g}"
-        lines.append(line)
-    lines.append(f"E {mesh.element_count}")
-    lines.extend(f"{i} {j} {k}" for i, j, k in mesh.elements)
-    lines.append(f"B {len(mesh.boundary_edges)}")
-    lines.extend(f"{i} {j} {tag}" for i, j, tag in mesh.boundary_edges)
-    return "\n".join(lines) + "\n"

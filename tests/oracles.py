@@ -1,9 +1,11 @@
-"""Reference routes that only the tests use.
+"""Reference routes and mesh helpers that only the tests use.
 
-Each one computes a quantity the library also computes, by an independent
-route: the tests compare the two.
+Each reference route computes a quantity the library also computes, by an
+independent route: the tests compare the two. ``validate_mesh`` checks a
+mesh's topology and area; ``scaled`` rescales a mesh for covariance tests.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +26,34 @@ def undirected_edges(mesh: geometry.Mesh) -> dict[tuple[int, int], int]:
     """Multiplicity of each undirected element edge."""
     table = geometry.edge_table(mesh)
     return dict(zip(map(tuple, table.edges.tolist()), table.counts.tolist()))
+
+
+def validate_mesh(mesh: geometry.Mesh, area: float | None = None) -> float:
+    """Check orientation, conformity and the Euler relation; return the area.
+
+    Raises ParameterError on any violation. The Euler count V - E + F = 1
+    holds for a simply connected triangulated disk.
+    """
+    areas = geometry.element_areas(mesh)
+    if np.any(areas <= 0.0):
+        raise ParameterError("mesh has non-positive element areas")
+    table = geometry.edge_table(mesh)
+    if np.any(table.counts > 2):
+        raise ParameterError("mesh edge shared by more than two elements")
+    euler = mesh.node_count - len(table.counts) + mesh.element_count
+    if euler != 1:
+        raise ParameterError(f"Euler relation violated: V - E + F = {euler}")
+    total = float(np.sum(areas))
+    if area is not None and abs(total - area) > 1e-12 * max(area, 1.0):
+        raise ParameterError(f"mesh area {total} != domain area {area}")
+    return total
+
+
+def scaled(mesh: geometry.Mesh, factor: float) -> geometry.Mesh:
+    """Mesh with all coordinates multiplied by ``factor``."""
+    if factor <= 0.0:
+        raise ParameterError(f"scale factor must be positive, got {factor}")
+    return dataclasses.replace(mesh, nodes=mesh.nodes * factor)
 
 
 def normalized_bessel_profile(n: int, r):

@@ -14,7 +14,7 @@ import weakref
 
 import pytest
 
-from spectral_bounds import cli, fem, special, sturm1d
+from spectral_bounds import cli, fem, geometry, special, sturm1d
 from spectral_bounds.errors import NumericError, ParameterError
 
 J01 = special.bessel_first_zero(0.0)
@@ -112,6 +112,19 @@ def test_compare_bounds_square_csv():
         assert float(parts[6]) <= 1.01
 
 
+def test_verify_rhombus_golden_rows():
+    """Every column at 12 digits, the mixed solve's dn_value included."""
+    code, out, err = run_cli(["verify-rhombus", "--m", "8,16", "--level", "3",
+                              "--format", "csv"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "m,level,mu1,scaled_ball_value,r_m,dn_value,dn_lower,dn_upper,dn_ok\n"
+        "8,3,6.48913088476,2.89159298152,2.24413702974,6.48913088476,"
+        "5.78318596295,6.77542380674,true\n"
+        "16,3,5.94489230738,2.89159298152,2.05592292739,5.94489230738,"
+        "5.78318596295,6.01200424997,true\n")
+
+
 def test_verify_rhombus_row():
     code, out, _ = run_cli(["verify-rhombus", "--m", "8", "--level", "4"])
     assert code == 0
@@ -173,6 +186,13 @@ def test_out_flag_writes_file(tmp_path):
     assert out == ""
     _, direct, _ = run_cli(["bound", "--domain", "square"])
     assert target.read_text(encoding="utf-8") == direct
+    # an unwritable target is a usage error, not a computation failure
+    missing = tmp_path / "no-such-dir" / "table.json"
+    code, out, err = run_cli(["bound", "--domain", "square",
+                              "--out", str(missing)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output file: ")
+    assert len(err.splitlines()) == 1 and not missing.exists()
 
 
 def test_byte_determinism():
@@ -330,6 +350,19 @@ def test_size_budget_refused_before_building(capsys):
                        (["sturm", "--help"], "at most 4096 at gamma 2")):
         assert run_cli(argv)[0] == 0
         assert text in capsys.readouterr().out
+
+
+def test_polygon_vertex_budget(monkeypatch):
+    """A k-gon's base mesh has k elements: k past the budget is refused
+    before any mesh is built."""
+    monkeypatch.setattr(geometry, "MAX_ELEMENTS", 64)
+    code, out, err = run_cli(["chiti", "--domain", "polygon", "--k", "1000",
+                              "--level", "0"])
+    assert (code, out) == (2, "")
+    assert err == ("error: a 1000-gon mesh has 1000 elements, past the "
+                   "budget of 64; use fewer vertices\n")
+    code, _, _ = run_cli(["bound", "--domain", "polygon", "--k", "1000"])
+    assert code == 0
 
 
 def test_numeric_failure_exit_code(monkeypatch):

@@ -11,15 +11,13 @@ from scipy.special import jnp_zeros
 from spectral_bounds import fem, geometry, special
 from spectral_bounds.errors import ParameterError
 
+import oracles
 import pipelines
 
 
 def _single_triangle():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    elements = np.array([[0, 1, 2]])
-    edges = [(0, 1, geometry.OUTER), (1, 2, geometry.OUTER),
-             (2, 0, geometry.OUTER)]
-    return geometry.Mesh(nodes=nodes, elements=elements, boundary_edges=edges)
+    return geometry.Mesh(nodes=nodes, elements=np.array([[0, 1, 2]]))
 
 
 def test_stiffness_hand_oracle():
@@ -64,8 +62,7 @@ def test_mass_hand_oracle_and_area():
 
 def test_assembly_rejects_degenerate_element():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    flat = geometry.Mesh(nodes=nodes, elements=np.array([[0, 1, 2]]),
-                         boundary_edges=[])
+    flat = geometry.Mesh(nodes=nodes, elements=np.array([[0, 1, 2]]))
     with pytest.raises(ParameterError):
         fem.assemble_stiffness(flat)
 
@@ -211,9 +208,7 @@ def test_mixed_equals_rhombus_neumann():
         assert dn.value == pytest.approx(mu.value, rel=1e-8)
         # constrained nodes are hard zeros
         half = geometry.triangulate_half_rhombus(m, 4)
-        tagged = np.unique([(i, j) for i, j, tag in half.boundary_edges
-                            if tag == geometry.DIAGONAL])
-        assert np.abs(dn.vector[tagged]).max() == 0.0
+        assert np.abs(dn.vector[half.diagonal]).max() == 0.0
 
 
 def test_mixed_sector_sandwich_and_limit():
@@ -248,7 +243,7 @@ def test_richardson():
 
 def test_scaling_covariance():
     mesh = pipelines.mesh(pipelines.SQUARE, 3)
-    double = geometry.scaled(mesh, 2.0)
+    double = oracles.scaled(mesh, 2.0)
     mu = pipelines.neumann(pipelines.SQUARE, 3).value
     mu_scaled = fem.solve_neumann_mu1(double).value
     assert mu_scaled == pytest.approx(mu / 4.0, rel=1e-10)

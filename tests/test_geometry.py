@@ -1,4 +1,4 @@
-"""Domain specs, mesh construction, refinement, and the export format."""
+"""Domain specs, mesh construction, refinement and the diagonal chain."""
 
 import math
 
@@ -74,9 +74,8 @@ def test_spec_validation():
 @pytest.mark.parametrize("level", [0, 2])
 def test_mesh_invariants(spec, level):
     mesh = pipelines.mesh(spec, level)
-    stats = geometry.validate_mesh(mesh, area=spec.area)
-    assert stats["area"] == pytest.approx(spec.area, rel=1e-12)
-    assert mesh.refinement_level == level
+    assert oracles.validate_mesh(mesh, area=spec.area) == pytest.approx(
+        spec.area, rel=1e-12)
 
 
 def test_refinement_counts_and_edge_lengths():
@@ -97,15 +96,21 @@ def test_refine_budget(monkeypatch):
     assert geometry.triangulate(spec, 6).element_count == geometry.MAX_ELEMENTS
     monkeypatch.setattr(geometry, "MAX_ELEMENTS", 4 * 64)
     assert geometry.triangulate(spec, 1).element_count == 4 * 64
+    # a polygon's base mesh has one element per vertex: refused before the
+    # vertex arrays are allocated
     for build in (lambda: geometry.triangulate(spec, 2),
-                  lambda: geometry.triangulate_half_rhombus(8, 5)):
+                  lambda: geometry.triangulate_half_rhombus(8, 5),
+                  lambda: geometry.triangulate(
+                      geometry.make_regular_polygon(4 * 64 + 1), 0)):
         with pytest.raises(ParameterError, match="budget"):
             build()
 
 
-def _loop_refine(mesh):
+def _loop_refine(mesh, outer):
     """Reference red refinement: a dict walk that names each midpoint the
-    first time an element side (0,1), (1,2), (2,0) meets it."""
+    first time an element side (0,1), (1,2), (2,0) meets it. The diagonal
+    chain and the outer boundary pairs ``outer`` are split at those
+    midpoints; returns the refined mesh and outer pairs."""
     nodes = [tuple(xy) for xy in mesh.nodes]
     midpoint = {}
 
@@ -123,15 +128,25 @@ def _loop_refine(mesh):
         m01, m12, m20 = mid(i0, i1), mid(i1, i2), mid(i2, i0)
         elements.extend([(i0, m01, m20), (i1, m12, m01),
                          (i2, m20, m12), (m01, m12, m20)])
-    edges = []
-    for i, j, tag in mesh.boundary_edges:
-        k = mid(i, j)
-        edges.extend([(i, k, tag), (k, j, tag)])
+
+    def split(pairs):
+        halves = []
+        for i, j in pairs:
+            k = mid(i, j)
+            halves.extend([(i, k), (k, j)])
+        return halves
+
+    diagonal = np.array(split(mesh.diagonal.tolist()), dtype=int)
     return geometry.Mesh(nodes=np.array(nodes),
                          elements=np.array(elements, dtype=int),
-                         boundary_edges=edges,
-                         refinement_level=mesh.refinement_level + 1,
-                         spec=mesh.spec)
+                         diagonal=diagonal.reshape(-1, 2)), split(outer)
+
+
+def _outer_edges(mesh):
+    """Edges of one element, less the diagonal chain, as sorted pairs."""
+    table = geometry.edge_table(mesh)
+    single = {tuple(edge) for edge in table.edges[table.counts == 1].tolist()}
+    return single - {tuple(sorted(pair)) for pair in mesh.diagonal.tolist()}
 
 
 @pytest.mark.parametrize("build", [
@@ -144,15 +159,19 @@ def _loop_refine(mesh):
     lambda level: geometry.triangulate_half_rhombus(8, level),
 ], ids=["rectangle", "rhombus8", "polygon3", "polygon16", "half_rhombus8"])
 def test_refine_matches_loop_reference(build):
-    """The edge-table refinement numbers nodes exactly as the dict walk."""
+    """The edge-table refinement numbers nodes exactly as the dict walk, and
+    the outer boundary stays the split base boundary."""
     reference = build(0)
+    outer = _outer_edges(reference)
     for level in range(6):
         mesh = build(level)
         assert mesh.nodes.tobytes() == reference.nodes.tobytes()
         assert mesh.elements.dtype == reference.elements.dtype
         assert np.array_equal(mesh.elements, reference.elements)
-        assert mesh.boundary_edges == reference.boundary_edges
-        reference = _loop_refine(reference)
+        assert mesh.diagonal.dtype == reference.diagonal.dtype
+        assert np.array_equal(mesh.diagonal, reference.diagonal)
+        assert _outer_edges(mesh) == {tuple(sorted(pair)) for pair in outer}
+        reference, outer = _loop_refine(reference, outer)
 
 
 def test_edge_table():
@@ -166,26 +185,23 @@ def test_edge_table():
     assert oracles.undirected_edges(mesh) == {
         (0, 1): 1, (1, 2): 1, (0, 2): 2, (2, 3): 1, (0, 3): 1}
     bad = geometry.Mesh(nodes=mesh.nodes, elements=mesh.elements,
-                        boundary_edges=[(1, 3, geometry.OUTER)])
-    with pytest.raises(ParameterError):
+                        diagonal=np.array([[1, 3]]))
+    with pytest.raises(ParameterError, match="not a mesh edge"):
         geometry.refine(bad)
-    partial = geometry.Mesh(nodes=mesh.nodes, elements=mesh.elements,
-                            boundary_edges=mesh.boundary_edges[1:])
-    with pytest.raises(ParameterError, match="untagged"):
-        geometry.validate_mesh(partial)
 
 
 def test_rhombus_diagonal_chain_every_level():
-    """The short diagonal must be a tagged edge chain at every level."""
+    """The short diagonal must be an edge chain at every level."""
     for level in range(4):
         mesh = pipelines.mesh(geometry.make_rhombus(8), level)
-        diag = [(i, j) for i, j, tag in mesh.boundary_edges
-                if tag == geometry.DIAGONAL]
-        assert diag, "no diagonal edges tagged"
+        diag = mesh.diagonal.tolist()
+        assert len(diag) == 2 ** (level + 1)
+        # consecutive pairs share their end node: one chain from B to D
+        assert all(a[1] == b[0] for a, b in zip(diag, diag[1:]))
         edges = oracles.undirected_edges(mesh)
         for i, j in diag:
             key = (min(i, j), max(i, j))
-            assert key in edges, "tagged diagonal pair is not a mesh edge"
+            assert edges.get(key) == 2, "diagonal pair is not an interior edge"
         # The chain covers the full short diagonal: its summed length is the
         # diagonal length 2 sin(pi / 8), and every node on it has x = const.
         nodes = mesh.nodes
@@ -198,40 +214,36 @@ def test_rhombus_diagonal_chain_every_level():
 def test_half_rhombus_is_submesh():
     full = pipelines.mesh(geometry.make_rhombus(8), 2)
     half = geometry.triangulate_half_rhombus(8, 2)
-    geometry.validate_mesh(half, area=full.spec.area / 2.0)
+    oracles.validate_mesh(half, area=geometry.make_rhombus(8).area / 2.0)
     # every half-rhombus element appears in the full mesh with matching
     # coordinates (the sub-complex property used by the mixed eigenproblem)
     full_tris = {tuple(sorted(map(tuple, full.nodes[el]))) for el in full.elements}
     half_tris = {tuple(sorted(map(tuple, half.nodes[el]))) for el in half.elements}
     assert half_tris <= full_tris
     assert len(half_tris) * 2 == len(full_tris)
-    tags = {tag for _, _, tag in half.boundary_edges}
-    assert tags == {geometry.OUTER, geometry.DIAGONAL}
+    # the diagonal chain is true boundary of the half: one element per edge
+    edges = oracles.undirected_edges(half)
+    assert {edges[tuple(sorted(pair))] for pair in half.diagonal.tolist()} \
+        == {1}
+
+
+@pytest.mark.parametrize("m", [5, 8, 16, 33, 64])
+def test_half_rhombus_base_numbering(m):
+    """Nodes A, B, D, O of the rhombus base, in that order."""
+    c, s = math.cos(math.pi / m), math.sin(math.pi / m)
+    half = geometry.triangulate_half_rhombus(m, 0)
+    assert half.nodes.tobytes() == np.array(
+        [[0.0, 0.0], [c, s], [c, -s], [c, 0.0]]).tobytes()
+    assert half.elements.tolist() == [[0, 3, 1], [0, 2, 3]]
+    assert half.diagonal.tolist() == [[1, 3], [3, 2]]
 
 
 def test_scaled_mesh():
     mesh = pipelines.mesh(pipelines.SQUARE, 1)
-    double = geometry.scaled(mesh, 2.0)
+    double = oracles.scaled(mesh, 2.0)
     assert np.allclose(double.nodes, 2.0 * mesh.nodes)
     assert float(np.sum(geometry.element_areas(double))) == pytest.approx(
         4.0, rel=1e-12)
     with pytest.raises(ParameterError):
-        geometry.scaled(mesh, 0.0)
+        oracles.scaled(mesh, 0.0)
 
-
-def test_mesh_export_format():
-    mesh = pipelines.mesh(pipelines.SQUARE, 0)
-    text = geometry.mesh_to_text(mesh)
-    lines = text.splitlines()
-    assert lines[0] == f"N {mesh.node_count}"
-    coords = lines[1].split()
-    assert len(coords) == 2
-    # 17 significant digits round-trip doubles exactly
-    assert float(coords[0]) == mesh.nodes[0, 0]
-    e_at = 1 + mesh.node_count
-    assert lines[e_at] == f"E {mesh.element_count}"
-    b_at = e_at + 1 + mesh.element_count
-    assert lines[b_at] == f"B {len(mesh.boundary_edges)}"
-    # nodal column variant appends one value per node line
-    with_values = geometry.mesh_to_text(mesh, np.arange(mesh.node_count) * 1.0)
-    assert len(with_values.splitlines()[1].split()) == 3

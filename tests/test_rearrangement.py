@@ -438,8 +438,7 @@ def test_input_validation():
     with pytest.raises(ParameterError):
         rr.rearrange(mesh, bad)
     empty = geometry.Mesh(nodes=np.zeros((0, 2)),
-                          elements=np.zeros((0, 3), dtype=int),
-                          boundary_edges=[])
+                          elements=np.zeros((0, 3), dtype=int))
     with pytest.raises(ParameterError):
         rr.rearrange(empty, np.zeros(0))
     v = np.ones(mesh.node_count)
