@@ -59,7 +59,6 @@ from .rearrangement import (
 from .special import (
     bessel_first_zero,
     f_power_mean,
-    lambda1_ball,
     lambda1_sharp,
     omega_n,
     psi_profile,
@@ -68,7 +67,6 @@ from .special import (
 from .sturm1d import (
     SturmProblem,
     check_L_bound,
-    comparison_ball_measure,
     sigma1,
     sturm_consistency,
 )
@@ -89,9 +87,8 @@ __all__ = [
     "chiti_check", "cumulative_power", "dirichlet_ball_profile",
     "lq_norm_positive", "rearrange", "rearrange_oriented",
     "reverse_holder_check",
-    "bessel_first_zero", "f_power_mean", "lambda1_ball", "lambda1_sharp",
-    "omega_n", "psi_profile", "sup_ratio",
-    "SturmProblem", "check_L_bound", "comparison_ball_measure", "sigma1",
-    "sturm_consistency",
+    "bessel_first_zero", "f_power_mean", "lambda1_sharp", "omega_n",
+    "psi_profile", "sup_ratio",
+    "SturmProblem", "check_L_bound", "sigma1", "sturm_consistency",
     "__version__",
 ]

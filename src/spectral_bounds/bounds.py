@@ -34,11 +34,6 @@ _SUP_GRID = 200
 _REPORT_TOL = 1e-2
 
 
-def classical_constant(n: int) -> float:
-    """Isoperimetric constant of full space, n * omega_n^(1/n)."""
-    return n * special.omega_n(n) ** (1.0 / n)
-
-
 @dataclass(frozen=True)
 class KnEntry:
     """Relative isoperimetric constant of one domain, with the rule used."""
@@ -47,7 +42,7 @@ class KnEntry:
     rule: str
 
     def __post_init__(self) -> None:
-        ceiling = classical_constant(2)
+        ceiling = special.classical_constant(2)
         if not 0.0 < self.value <= ceiling * (1.0 + 1e-12):
             raise NumericError(
                 f"isoperimetric constant {self.value} outside (0, {ceiling}]")
@@ -80,7 +75,7 @@ def main_bound(p: float, n: int, K: float, area: float) -> float:
     """
     if K <= 0.0 or area <= 0.0:
         raise ParameterError(f"need K, area > 0, got K={K}, area={area}")
-    ratio = K / classical_constant(n)
+    ratio = K / special.classical_constant(n)
     # the ball eigenvalue checks p before 2^(p/n) can overflow
     ball = special.lambda1_sharp(p, n, area)
     return 2.0 ** (p / n) * ratio ** p * ball
@@ -138,7 +133,7 @@ def bct_corollary(n: int, K: float, area: float) -> float:
                                       method="bounded",
                                       options={"xatol": 1e-10})
     best = max(float(vals[k]), -float(result.fun))
-    alpha = (K / classical_constant(n)) ** 2
+    alpha = (K / special.classical_constant(n)) ** 2
     j = special.bessel_first_zero(n / 2.0 - 1.0)
     scale = 2.0 ** (2.0 / n) * alpha * j * j
     return scale * math.exp(best) / (area / special.omega_n(n)) ** (2.0 / n)
@@ -375,8 +370,8 @@ def rhombus_sharpness(m: int, level: int = 5) -> SharpnessSample:
     """
     spec = geometry.make_rhombus(m)
     mu1 = _extrapolated_mu1(spec, level)
-    alpha = (kn_lookup(spec).value / classical_constant(2)) ** 2
-    denominator = alpha * special.lambda1_sharp(2.0, 2, spec.area)
+    # main_bound without its factor 2^(p/n) = 2
+    denominator = main_bound(2.0, 2, kn_lookup(spec).value, spec.area) / 2.0
     return SharpnessSample(m, mu1, denominator, mu1 / denominator)
 
 

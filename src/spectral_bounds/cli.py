@@ -41,6 +41,7 @@ _FEM_P_RULE = "FEM mu1 unavailable for p != 2 (discrete solver is linear only)"
 _LEVEL_HELP = (f"refinement level; a mesh past {geometry.MAX_ELEMENTS} "
                "elements is refused")
 _Q_HELP = f"exponent in (0, {special.Q_MAX:g}]"
+_LENGTH_RANGE = f"in [{geometry.MIN_LENGTH:g}, {geometry.MAX_LENGTH:g}]"
 
 
 def _fmt(value) -> str:
@@ -130,13 +131,14 @@ def _add_domain_flags(sub) -> None:
     sub.add_argument("--domain", required=True,
                      choices=["square", "rectangle", "rhombus", "polygon"])
     sub.add_argument("--m", type=int, help="rhombus angle parameter")
-    sub.add_argument("--a", type=_finite_float, help="rectangle long side")
-    sub.add_argument("--b", type=_finite_float, help="rectangle short side, "
-                     f"at least {geometry.MIN_LENGTH:g}")
+    sub.add_argument("--a", type=_finite_float,
+                     help=f"rectangle long side, {_LENGTH_RANGE}")
+    sub.add_argument("--b", type=_finite_float,
+                     help=f"rectangle short side, {_LENGTH_RANGE}")
     sub.add_argument("--k", type=int, help="polygon vertex count, at most "
                      f"{geometry.MAX_ELEMENTS}")
-    sub.add_argument("--radius", type=_finite_float, default=1.0, help="polygon "
-                     f"circumradius, at least {geometry.MIN_LENGTH:g}")
+    sub.add_argument("--radius", type=_finite_float, default=1.0,
+                     help=f"polygon circumradius, {_LENGTH_RANGE}")
 
 
 def _add_output_flags(sub, default_format: str) -> None:
@@ -145,9 +147,16 @@ def _add_output_flags(sub, default_format: str) -> None:
                      help="write the table to this file instead of stdout")
 
 
-def _eigen_pipeline(spec: geometry.DomainSpec, level: int):
+def _ball_comparison(args):
+    """(spec, oriented profile, comparison ball) of the p = 2 Neumann
+    eigenfunction of the domain at args.level."""
+    spec = _spec_from_args(args)
     with bounds.shared_solves() as solves:
-        return solves.neumann(spec, level), solves.profile(spec, level)
+        mu1 = solves.neumann(spec, args.level).value
+        profile = solves.profile(spec, args.level)
+    ball = rearrangement.dirichlet_ball_profile(
+        2.0, 2, bounds.kn_lookup(spec).value, mu1)
+    return spec, profile, ball
 
 
 def _require_p2(p: float) -> None:
@@ -208,13 +217,10 @@ def _cmd_verify_rhombus(args):
 
 def _cmd_chiti(args):
     _require_p2(args.p)
-    spec = _spec_from_args(args)
-    pair, profile = _eigen_pipeline(spec, args.level)
-    K = bounds.kn_lookup(spec).value
-    ball = rearrangement.dirichlet_ball_profile(2.0, 2, K, pair.value)
+    spec, profile, ball = _ball_comparison(args)
     report = rearrangement.chiti_check(profile, ball, args.q)
     return {
-        "domain": spec.label, "p": args.p, "q": args.q, "r": None,
+        "domain": spec.label, "p": args.p, "q": args.q,
         "lhs": report.lhs, "rhs": report.rhs,
         "max_violation": report.max_violation, "mesh_level": args.level,
         "s_at_max": report.s_at_max, "comparison_measure": report.L,
@@ -227,11 +233,9 @@ def _cmd_rholder(args):
     _require_p2(args.p)
     if not (0.0 < args.r < args.q):
         raise ParameterError(f"need 0 < r < q, got r={args.r}, q={args.q}")
-    spec = _spec_from_args(args)
-    pair, profile = _eigen_pipeline(spec, args.level)
-    K = bounds.kn_lookup(spec).value
-    report = rearrangement.reverse_holder_check(profile, 2.0, 2, K, pair.value,
-                                                q=args.q, r=args.r)
+    spec, profile, ball = _ball_comparison(args)
+    report = rearrangement.reverse_holder_check(profile, ball, q=args.q,
+                                                r=args.r)
     return {
         "domain": spec.label, "p": args.p, "q": args.q, "r": args.r,
         "lhs": report.lhs, "rhs": report.rhs,
@@ -327,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--gamma", type=_finite_float, required=True)
     sub.add_argument("--beta", type=_finite_float, required=True)
     sub.add_argument("--A", type=_finite_float, required=True,
-                     help=f"interval length, at least {geometry.MIN_LENGTH:g}")
+                     help=f"interval length, {_LENGTH_RANGE}")
     sub.add_argument("--N", type=int, default=4096,
                      help=f"cell count, 4 to {sturm1d.MAX_CELLS} "
                      f"(at most {sturm1d.MAX_LINEAR_CELLS} at gamma 2)")

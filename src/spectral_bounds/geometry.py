@@ -30,6 +30,9 @@ from .errors import ParameterError
 
 # smallest length the solvers are validated at; far below it 1/h overflows
 MIN_LENGTH = 1e-6
+# largest length, the mirror of MIN_LENGTH; far above it areas and powers
+# of the length overflow
+MAX_LENGTH = 1e6
 # most elements refine may build (square and rhombus level 8, 64-gon level
 # 6); far past it a mesh needs gigabytes, so refine refuses before allocating
 MAX_ELEMENTS = 2 ** 18
@@ -97,18 +100,19 @@ def make_rhombus(m: int) -> DomainSpec:
 
 
 def make_rectangle(a: float, b: float) -> DomainSpec:
-    if not (a >= b >= MIN_LENGTH):
-        raise ParameterError(f"rectangle requires a >= b >= {MIN_LENGTH:g}, "
-                             f"got a={a}, b={b}")
+    if not (MAX_LENGTH >= a >= b >= MIN_LENGTH):
+        raise ParameterError(f"rectangle requires {MAX_LENGTH:g} >= a >= b "
+                             f">= {MIN_LENGTH:g}, got a={a}, b={b}")
     return DomainSpec(kind="rectangle", a=float(a), b=float(b))
 
 
 def make_regular_polygon(k: int, radius: float = 1.0) -> DomainSpec:
     if k < 3:
         raise ParameterError(f"polygon requires k >= 3, got {k}")
-    if not radius >= MIN_LENGTH:
+    if not MIN_LENGTH <= radius <= MAX_LENGTH:
         raise ParameterError(
-            f"polygon radius must be at least {MIN_LENGTH:g}, got {radius}")
+            f"polygon radius must lie in [{MIN_LENGTH:g}, {MAX_LENGTH:g}], "
+            f"got {radius}")
     return DomainSpec(kind="regular_polygon", k=int(k), radius=float(radius))
 
 

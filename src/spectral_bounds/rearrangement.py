@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 from .geometry import Mesh, element_areas
-from .special import Q_MAX, omega_n, psi_profile
+from .special import Q_MAX, classical_constant, omega_n, psi_profile
 
 CHECK_TOL = 1e-3
 _CHITI_GRID = 2048
@@ -399,12 +399,14 @@ class BallComparisonProfile:
 
 def dirichlet_ball_profile(p: float, n: int, K: float,
                            mu1: float) -> BallComparisonProfile:
-    """Comparison ball whose measure is (K/n)^n (lambda1(B1)/mu1)^{n/p}."""
+    """The comparison ball of the proof: its first Dirichlet eigenvalue is
+    (n omega_n^{1/n}/K)^p mu1, so its measure is
+    (K/n)^n (lambda1(B1)/mu1)^{n/p}. Every check reads this one object."""
     if K <= 0 or mu1 <= 0:
         raise ParameterError("K and mu1 must be positive")
     prof = psi_profile(p, n)
     wn = omega_n(n)
-    alpha = (K / (n * wn ** (1.0 / n))) ** p
+    alpha = (K / classical_constant(n)) ** p
     scale = (mu1 / alpha) ** (1.0 / p)
     radius = prof.first_zero / scale
     return BallComparisonProfile(p=p, n=n, radius=radius,
@@ -458,20 +460,20 @@ class ReverseHolderReport:
     ok: bool
 
 
-def reverse_holder_check(u_profile: RearrangedProfile, p: float, n: int,
-                         K: float, mu1: float, q: float,
+def reverse_holder_check(u_profile: RearrangedProfile,
+                         ball: BallComparisonProfile, q: float,
                          r: float) -> ReverseHolderReport:
     """Check that the L^q norm of u⁺ is below C times its L^r norm.
 
-    C = L^{1/q - 1/r} f(q)/f(r) with f the normalized radial power mean
-    and L the measure of the comparison ball.
+    C = L^{1/q - 1/r} f(q)/f(r) with f the normalized radial power mean of
+    the ball's radial profile and L = ball.measure, the comparison ball
+    that dirichlet_ball_profile builds.
     """
     if r >= q:
         raise ParameterError("need r < q")
     if r <= 0:
         raise ParameterError("need r > 0")
-    ball = dirichlet_ball_profile(p, n, K, mu1)
-    prof = psi_profile(p, n)
+    prof = psi_profile(ball.p, ball.n)
 
     def finite(name, compute):
         # float powers raise OverflowError, products silently give inf

@@ -56,6 +56,11 @@ def omega_n(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
+def classical_constant(n: int) -> float:
+    """Isoperimetric constant of full space, n * omega_n^(1/n)."""
+    return n * omega_n(n) ** (1.0 / n)
+
+
 def bessel_j(nu: float, x):
     """Bessel function of the first kind J_nu, vectorized over x."""
     if nu < 0:
@@ -250,13 +255,6 @@ def psi_profile(p: float, n: int) -> RadialProfile:
     slope = -math.copysign(abs(q_at_zero) ** (1.0 / (p - 1.0)), q_at_zero)
     return RadialProfile(p=p, n=n, first_zero=first_zero, _dense=sol.sol,
                          _series_r0=r0, _slope_at_zero=slope)
-
-
-def lambda1_ball(p: float, n: int, radius: float = 1.0) -> float:
-    """First Dirichlet p-Laplacian eigenvalue of a ball: psi^p / radius^p."""
-    if radius <= 0.0:
-        raise ParameterError(f"radius must be positive, got {radius}")
-    return psi_profile(p, n).first_zero ** p * radius ** (-p)
 
 
 def lambda1_sharp(p: float, n: int, area: float) -> float:

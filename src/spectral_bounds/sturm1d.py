@@ -27,9 +27,10 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, NumericError, ParameterError
 from .fem import _inverse_iteration
-from .geometry import MIN_LENGTH
-from .rearrangement import CHECK_TOL
-from .special import GL_NODES, GL_WEIGHTS, lambda1_ball
+from .geometry import MAX_LENGTH, MIN_LENGTH
+from .rearrangement import (CHECK_TOL, BallComparisonProfile,
+                            dirichlet_ball_profile)
+from .special import GL_NODES, GL_WEIGHTS
 
 _QUOTIENT_TOL = 1e-10
 _MAX_STEPS = 50_000
@@ -54,9 +55,10 @@ class SturmProblem:
             raise ParameterError("gamma must exceed 1")
         if not 0.0 < self.beta < self.gamma:
             raise ParameterError("beta must lie in (0, gamma)")
-        if not self.length >= MIN_LENGTH:
+        if not MIN_LENGTH <= self.length <= MAX_LENGTH:
             raise ParameterError(
-                f"length must be at least {MIN_LENGTH:g}, got {self.length}")
+                f"length must lie in [{MIN_LENGTH:g}, {MAX_LENGTH:g}], "
+                f"got {self.length}")
         if not 4 <= self.n_cells <= MAX_CELLS:
             raise ParameterError(
                 f"cell count must lie in [4, {MAX_CELLS}], got {self.n_cells}")
@@ -279,21 +281,13 @@ class ConsistencyReport:
     rel_err: float
 
 
-def comparison_ball_measure(p: float, n: int, K: float, mu1: float) -> float:
-    """Measure of the ball whose first Dirichlet eigenvalue matches
-    (n omega_n^{1/n}/K)^p mu1."""
-    if K <= 0 or mu1 <= 0:
-        raise ParameterError("K and mu1 must be positive")
-    return (K / n) ** n * (lambda1_ball(p, n) / mu1) ** (n / p)
-
-
 def sturm_consistency(p: float, n: int, K: float, mu1: float,
                       n_cells: int = 4096) -> ConsistencyReport:
     """Round trip: the interval eigenvalue on (0, L) must reproduce
     mu1/K^p once raised back to the p-1 power."""
     if p < 2:
         raise ParameterError("p must be at least 2")
-    L = comparison_ball_measure(p, n, K, mu1)
+    L = dirichlet_ball_profile(p, n, K, mu1).measure
     gamma = p / (p - 1.0)
     beta = gamma * (1.0 - 1.0 / n)
     sigma = sigma1(SturmProblem(gamma=gamma, beta=beta, length=L,
@@ -314,13 +308,14 @@ class LBoundReport:
     ok: bool
 
 
-def check_L_bound(p: float, n: int, K: float, mu1: float,
-                  s_tilde: float, area: float) -> LBoundReport:
-    """Check L <= min(s_tilde, area - s_tilde, area/2), margins in units
-    of the domain measure, up to CHECK_TOL."""
+def check_L_bound(ball: BallComparisonProfile, s_tilde: float,
+                  area: float) -> LBoundReport:
+    """Check L <= min(s_tilde, area - s_tilde, area/2) for L = ball.measure,
+    the measure of the comparison ball from dirichlet_ball_profile; margins
+    in units of the domain measure, up to CHECK_TOL."""
     if not 0.0 < s_tilde < area:
         raise ParameterError("s_tilde must lie strictly inside (0, area)")
-    L = comparison_ball_measure(p, n, K, mu1)
+    L = ball.measure
     margins = ((s_tilde - L) / area, (area - s_tilde - L) / area,
                (0.5 * area - L) / area)
     min_margin = min(margins)

@@ -163,7 +163,8 @@ def test_criterion_8_reverse_holder(capsys):
         K = bounds.kn_lookup(spec).value
         for q, r in ((2.0, 1.0), (4.0, 2.0), (3.0, 1.0)):
             report = rearrangement.reverse_holder_check(
-                profile, 2.0, 2, K, pair.value, q, r)
+                profile, rearrangement.dirichlet_ball_profile(
+                    2.0, 2, K, pair.value), q, r)
             excess = report.lhs - report.rhs
             worst = max(worst, excess)
             cases.append(((spec.label, q, r), excess))
@@ -195,8 +196,8 @@ def test_criterion_9_sturm_consistency(capsys):
         mu1 = pipelines.mu1_extrapolated(spec, 5)
         profile = pipelines.oriented_profile(spec, 5)
         K = bounds.kn_lookup(spec).value
-        report = sturm1d.check_L_bound(2.0, 2, K, mu1,
-                                       profile.positive_measure,
+        ball = rearrangement.dirichlet_ball_profile(2.0, 2, K, mu1)
+        report = sturm1d.check_L_bound(ball, profile.positive_measure,
                                        profile.domain_measure)
         min_margin = min(min_margin, report.min_margin)
     ok = consistency_ok and hardy_ok and min_margin >= -1e-3

@@ -18,13 +18,6 @@ from spectral_bounds.errors import NumericError, ParameterError
 J01 = special.bessel_first_zero(0.0)
 
 
-def test_classical_constant():
-    assert bounds.classical_constant(2) == pytest.approx(
-        2.0 * math.sqrt(math.pi), rel=1e-12)
-    assert bounds.classical_constant(3) == pytest.approx(
-        3.0 * (4.0 * math.pi / 3.0) ** (1.0 / 3.0), rel=1e-12)
-
-
 def test_kn_registry():
     square = bounds.kn_lookup(geometry.make_rectangle(1.0, 1.0))
     assert square.value == pytest.approx(math.sqrt(2.0), rel=1e-12)
@@ -49,7 +42,7 @@ def test_kn_registry():
 
 
 def test_kn_entry_invariant():
-    too_big = bounds.classical_constant(2) * 1.01
+    too_big = special.classical_constant(2) * 1.01
     with pytest.raises(NumericError):
         bounds.KnEntry(value=too_big, rule=bounds.RULE_SYMMETRIC_WIDTH)
     with pytest.raises(NumericError):

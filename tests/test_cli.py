@@ -125,6 +125,17 @@ def test_verify_rhombus_golden_rows():
         "5.78318596295,6.01200424997,true\n")
 
 
+def test_rhombus_mu1_is_the_half_rhombus_mixed_value():
+    """The first Neumann mode of the rhombus is odd across the short
+    diagonal, so mu1 equals the mixed eigenvalue of the half rhombus; the
+    two come from independent meshes and solves."""
+    code, out, err = run_cli(["verify-rhombus", "--m", "5,8,16,33,64",
+                              "--level", "3"])
+    assert (code, err) == (0, "")
+    for row in json.loads(out):
+        assert abs(row["mu1"] - row["dn_value"]) <= 1e-10 * row["mu1"], row
+
+
 def test_verify_rhombus_row():
     code, out, _ = run_cli(["verify-rhombus", "--m", "8", "--level", "4"])
     assert code == 0
@@ -143,11 +154,10 @@ def test_chiti_row():
                             "--level", "3"])
     assert code == 0
     row = json.loads(out)
-    assert list(row.keys()) == ["domain", "p", "q", "r", "lhs", "rhs",
+    assert list(row.keys()) == ["domain", "p", "q", "lhs", "rhs",
                                 "max_violation", "mesh_level", "s_at_max",
                                 "comparison_measure", "positive_measure",
                                 "lemma_violated"]
-    assert row["r"] is None
     assert row["max_violation"] <= 1e-3
     assert row["lemma_violated"] is False
 
@@ -232,20 +242,37 @@ def test_usage_errors(capsys):
         code, out, err = run_cli(argv)
         assert (code, out) == (2, "")
         assert "Traceback" not in err + capsys.readouterr().err
-    # lengths and radii below the validated floor are usage errors
+    # lengths and radii outside the validated range [1e-6, 1e6] are usage
+    # errors; past the ceiling they used to overflow and exit 1
     for argv in (["sturm", "--gamma", "2", "--beta", "1", "--A", "1e-300"],
                  ["bound", "--domain", "polygon", "--k", "4",
                   "--radius", "1e-320"],
                  ["bound", "--domain", "rectangle", "--a", "1",
-                  "--b", "1e-7"]):
+                  "--b", "1e-7"],
+                 ["sturm", "--gamma", "2", "--beta", "1", "--A", "1e300",
+                  "--N", "64"],
+                 ["bound", "--domain", "polygon", "--k", "8",
+                  "--radius", "1e200"],
+                 ["bound", "--domain", "rectangle", "--a", "1e160",
+                  "--b", "1e160"],
+                 ["bound", "--domain", "rectangle", "--a", "1.0000001e6",
+                  "--b", "1"]):
         code, out, err = run_cli(argv)
         assert (code, out) == (2, "")
-        assert len(err.splitlines()) == 1 and "1e-06" in err
+        assert len(err.splitlines()) == 1
+        assert "1e-06" in err and "1e+06" in err
         assert "Traceback" not in err
+    for argv in (["sturm", "--gamma", "2", "--beta", "1", "--A", "1e6",
+                  "--N", "64"],
+                 ["bound", "--domain", "polygon", "--k", "8",
+                  "--radius", "1e6"],
+                 ["bound", "--domain", "rectangle", "--a", "1e6",
+                  "--b", "1e6"]):
+        assert run_cli(argv)[::2] == (0, "")
     capsys.readouterr()
     for sub in ("sturm", "bound"):
         assert run_cli([sub, "--help"])[0] == 0
-        assert "at least 1e-06" in capsys.readouterr().out
+        assert "in [1e-06, 1e+06]" in capsys.readouterr().out
     for sub in ("chiti", "rholder"):
         assert run_cli([sub, "--help"])[0] == 0
         assert "exponent in (0, 50]" in capsys.readouterr().out

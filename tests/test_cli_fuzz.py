@@ -1,7 +1,7 @@
 """Property test of the CLI error contract on generated invocations.
 
 Every argv is built inside the documented ranges and the size budget:
-levels 0-3, lengths and radii down to 1e-6, exponents up to special.Q_MAX,
+levels 0-3, lengths and radii in [1e-6, 1e6], exponents up to special.Q_MAX,
 sturm with at most 1024 cells and gamma >= 1.25. Whatever the numerics make
 of it, an invocation must end in exit 0, 1 or 2; exit 0 leaves the error
 stream empty, raises no warning and prints no NaN or infinity; any other
@@ -32,8 +32,10 @@ def _num(x: float) -> str:
 # numerics are stressed most where a tiny domain meets a large exponent
 LENGTH = st.one_of(
     st.just(geometry.MIN_LENGTH),
-    st.floats(min_value=-6.0, max_value=3.0).map(
-        lambda e: max(geometry.MIN_LENGTH, 10.0 ** e))).map(_num)
+    st.just(geometry.MAX_LENGTH),
+    st.floats(min_value=-6.0, max_value=6.0).map(
+        lambda e: min(geometry.MAX_LENGTH,
+                      max(geometry.MIN_LENGTH, 10.0 ** e)))).map(_num)
 LEVEL = st.integers(0, 3).map(lambda lv: ["--level", str(lv)])
 FORMAT = st.sampled_from(["json", "csv"]).map(lambda f: ["--format", f])
 P = st.floats(min_value=2.0, max_value=special.P_MAX)

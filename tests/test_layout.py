@@ -1,0 +1,69 @@
+"""Package layout: no module leans on another module's private names, and
+every exported name exists.
+
+The sources are parsed with ast, not imported, so a private name reached
+through `from .x import _y`, `from spectral_bounds.x import _y` or an
+attribute `x._y` of a sibling module bound by `from . import x` is found
+wherever it sits in the file.
+"""
+
+import ast
+from pathlib import Path
+
+import spectral_bounds
+
+PACKAGE = Path(spectral_bounds.__file__).parent
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py")
+                 if path.stem != "__init__")
+# (importer, owner, name). sturm1d shares the FEM eigensolver until the
+# gamma = 2 path that calls it is deleted
+ALLOWED = {("sturm1d", "fem", "_inverse_iteration")}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _owner(node: ast.ImportFrom) -> str | None:
+    """The sibling module an import reads from, or None for `from . import`
+    and for imports from outside the package."""
+    if node.level == 1:
+        return node.module
+    if node.level == 0 and node.module:
+        head, _, rest = node.module.partition(".")
+        if head == "spectral_bounds" and rest:
+            return rest
+    return None
+
+
+def _private_uses(stem: str) -> set:
+    tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+    found, siblings = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            owner = _owner(node)
+            for alias in node.names:
+                if owner is not None and _private(alias.name):
+                    found.add((stem, owner, alias.name))
+                elif owner is None and node.level == 1 \
+                        and alias.name in MODULES:
+                    siblings.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in siblings:
+            found.add((stem, node.value.id, node.attr))
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = set().union(*(_private_uses(stem) for stem in MODULES))
+    assert found - ALLOWED == set(), "private cross-module use"
+    assert ALLOWED - found == set(), "stale allowed exception"
+
+
+def test_every_export_resolves():
+    missing = [name for name in spectral_bounds.__all__
+               if not hasattr(spectral_bounds, name)]
+    assert missing == []
+    assert len(set(spectral_bounds.__all__)) == len(spectral_bounds.__all__)

@@ -382,7 +382,8 @@ def test_reverse_holder_eigenfunctions():
     pair = pipelines.neumann(pipelines.SQUARE, 4)
     prof = pipelines.oriented_profile(pipelines.SQUARE, 4)
     K = bounds.kn_lookup(pipelines.SQUARE).value
-    report = rr.reverse_holder_check(prof, 2.0, 2, K, pair.value, 2.0, 1.0)
+    ball = rr.dirichlet_ball_profile(2.0, 2, K, pair.value)
+    report = rr.reverse_holder_check(prof, ball, 2.0, 1.0)
     assert report.ok
     # unit mass norm splits evenly between the two nodal domains
     assert report.lhs == pytest.approx(math.sqrt(0.5), abs=1e-3)
@@ -390,16 +391,16 @@ def test_reverse_holder_eigenfunctions():
     pair = pipelines.neumann(spec, 4)
     prof = pipelines.oriented_profile(spec, 4)
     K = bounds.kn_lookup(spec).value
-    assert rr.reverse_holder_check(prof, 2.0, 2, K, pair.value, 4.0, 2.0).ok
+    ball = rr.dirichlet_ball_profile(2.0, 2, K, pair.value)
+    assert rr.reverse_holder_check(prof, ball, 4.0, 2.0).ok
     # q -> r: the constant collapses to 1 and the check is trivial
-    near = rr.reverse_holder_check(prof, 2.0, 2, K, pair.value,
-                                   2.0 * (1.0 + 1e-9), 2.0)
+    near = rr.reverse_holder_check(prof, ball, 2.0 * (1.0 + 1e-9), 2.0)
     assert near.ok
     assert near.constant == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ParameterError):
-        rr.reverse_holder_check(prof, 2.0, 2, K, pair.value, 1.0, 2.0)
+        rr.reverse_holder_check(prof, ball, 1.0, 2.0)
     with pytest.raises(ParameterError):
-        rr.reverse_holder_check(prof, 2.0, 2, K, pair.value, 2.0, 0.0)
+        rr.reverse_holder_check(prof, ball, 2.0, 0.0)
 
 
 def test_reverse_holder_rhs_overflow_is_named(monkeypatch):
@@ -407,6 +408,7 @@ def test_reverse_holder_rhs_overflow_is_named(monkeypatch):
     pair = pipelines.neumann(pipelines.SQUARE, 2)
     prof = pipelines.oriented_profile(pipelines.SQUARE, 2)
     K = bounds.kn_lookup(pipelines.SQUARE).value
+    ball = rr.dirichlet_ball_profile(2.0, 2, K, pair.value)
     real = rr.lq_norm_positive
 
     def huge_lr(profile, q):
@@ -414,7 +416,7 @@ def test_reverse_holder_rhs_overflow_is_named(monkeypatch):
 
     monkeypatch.setattr(rr, "lq_norm_positive", huge_lr)
     with pytest.raises(NumericError, match="reverse Holder rhs"):
-        rr.reverse_holder_check(prof, 2.0, 2, K, pair.value, 2.0, 1.0)
+        rr.reverse_holder_check(prof, ball, 2.0, 1.0)
 
 
 def test_reverse_holder_disk_sharpness():
@@ -422,9 +424,10 @@ def test_reverse_holder_disk_sharpness():
     # case of the inequality, up to interpolation error
     mesh, v = _radial_bessel(4)
     prof = rr.rearrange(mesh, v)
-    K = 2.0 * math.sqrt(math.pi)
+    ball = rr.dirichlet_ball_profile(2.0, 2, 2.0 * math.sqrt(math.pi),
+                                     J01 ** 2)
     for q, r in ((2.0, 1.0), (4.0, 2.0)):
-        report = rr.reverse_holder_check(prof, 2.0, 2, K, J01 ** 2, q, r)
+        report = rr.reverse_holder_check(prof, ball, q, r)
         assert report.ok
         assert 0.0 <= 1.0 - report.lhs / report.rhs <= 1e-3
 

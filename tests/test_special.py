@@ -110,15 +110,27 @@ def test_power_integral_ends(p, n):
         prof.power_integral(0.0, 1.0)
 
 
+def test_classical_constant():
+    assert special.classical_constant(2) == pytest.approx(
+        2.0 * math.sqrt(math.pi), rel=1e-12)
+    assert special.classical_constant(3) == pytest.approx(
+        3.0 * (4.0 * math.pi / 3.0) ** (1.0 / 3.0), rel=1e-12)
+
+
+def _ball(p, n, radius=1.0):
+    """lambda1 of the radius-r ball, the ball of measure omega_n r^n."""
+    return special.lambda1_sharp(p, n, special.omega_n(n) * radius ** n)
+
+
 def test_lambda1_ball():
-    assert special.lambda1_ball(2.0, 2) == pytest.approx(J01 ** 2, rel=1e-9)
-    assert special.lambda1_ball(2.0, 3) == pytest.approx(math.pi ** 2, rel=1e-9)
+    assert _ball(2.0, 2) == pytest.approx(J01 ** 2, rel=1e-9)
+    assert _ball(2.0, 3) == pytest.approx(math.pi ** 2, rel=1e-9)
     p = 2.7
-    one = special.lambda1_ball(p, 2, radius=1.0)
-    two = special.lambda1_ball(p, 2, radius=2.0)
+    one = _ball(p, 2, radius=1.0)
+    two = _ball(p, 2, radius=2.0)
     assert two == pytest.approx(one / 2.0 ** p, rel=1e-12)
     with pytest.raises(ParameterError):
-        special.lambda1_ball(2.0, 2, radius=0.0)
+        _ball(2.0, 2, radius=0.0)
 
 
 def test_lambda1_sharp():

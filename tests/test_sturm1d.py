@@ -15,9 +15,9 @@ import scipy.sparse as sparse
 
 from spectral_bounds import fem, special, sturm1d
 from spectral_bounds.errors import ConvergenceError, ParameterError
+from spectral_bounds.rearrangement import dirichlet_ball_profile
 from spectral_bounds.sturm1d import (MAX_CELLS, MAX_LINEAR_CELLS,
-                                     SturmProblem, check_L_bound,
-                                     comparison_ball_measure, sigma1,
+                                     SturmProblem, check_L_bound, sigma1,
                                      solve, sturm_consistency)
 
 J01 = special.bessel_first_zero(0.0)
@@ -238,7 +238,7 @@ def test_consistency_p3():
     # choosing mu1 = lambda1(B1) K^3 / 8 makes the interval length 1 and
     # the target the nonlinear ball eigenvalue over 8
     K = 1.3
-    mu1 = special.lambda1_ball(3.0, 2) * K ** 3 / 8.0
+    mu1 = special.psi_profile(3.0, 2).first_zero ** 3 * K ** 3 / 8.0
     report = sturm_consistency(3.0, 2, K, mu1, n_cells=2048)
     assert report.L == pytest.approx(1.0, rel=1e-12)
     assert report.sigma_target == pytest.approx(1.2289373005746385, rel=1e-7)
@@ -254,28 +254,28 @@ def test_consistency_converged(p, n):
 
 def test_comparison_ball_measure():
     # square data: L = (j01/pi)^2 / 2
-    L = comparison_ball_measure(2.0, 2, math.sqrt(2.0), math.pi ** 2)
+    L = dirichlet_ball_profile(2.0, 2, math.sqrt(2.0), math.pi ** 2).measure
     # the ball eigenvalue comes from the shot profile, good to ~1e-10
     assert L == pytest.approx(0.5 * J01 ** 2 / math.pi ** 2, rel=1e-9)
     with pytest.raises(ParameterError):
-        comparison_ball_measure(2.0, 2, 0.0, 1.0)
+        dirichlet_ball_profile(2.0, 2, 0.0, 1.0)
     with pytest.raises(ParameterError):
-        comparison_ball_measure(2.0, 2, 1.0, -1.0)
+        dirichlet_ball_profile(2.0, 2, 1.0, -1.0)
 
 
 def test_L_bound_square():
-    report = check_L_bound(2.0, 2, math.sqrt(2.0), math.pi ** 2,
-                           s_tilde=0.5, area=1.0)
+    ball = dirichlet_ball_profile(2.0, 2, math.sqrt(2.0), math.pi ** 2)
+    report = check_L_bound(ball, s_tilde=0.5, area=1.0)
     assert report.ok
     assert report.min_margin == pytest.approx(0.20702037650077665, abs=1e-10)
     assert len(report.margins) == 3
-    bad = check_L_bound(2.0, 2, math.sqrt(2.0), math.pi ** 2,
-                        s_tilde=1e-9, area=1.0)
+    bad = check_L_bound(ball, s_tilde=1e-9, area=1.0)
     assert not bad.ok
+    unit = dirichlet_ball_profile(2.0, 2, 1.0, 1.0)
     with pytest.raises(ParameterError):
-        check_L_bound(2.0, 2, 1.0, 1.0, s_tilde=1.5, area=1.0)
+        check_L_bound(unit, s_tilde=1.5, area=1.0)
     with pytest.raises(ParameterError):
-        check_L_bound(2.0, 2, 1.0, 1.0, s_tilde=0.0, area=1.0)
+        check_L_bound(unit, s_tilde=0.0, area=1.0)
 
 
 def test_parameter_validation():
