@@ -14,11 +14,4 @@ class NumericError(RuntimeError):
 
 
 class ConvergenceError(NumericError):
-    """An eigen solve failed to converge or to certify its residual.
-
-    Carries the last residual so callers can report how far off the solve was.
-    """
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """An eigen solve failed to converge or to certify its residual."""

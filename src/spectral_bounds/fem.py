@@ -144,8 +144,7 @@ def _inverse_iteration(K, M, free: np.ndarray, bc: str,
     if info != 0 or not (value > 0.0 and residual <= _RES_TOL):
         raise ConvergenceError(
             f"eigen solve not certified: residual {residual:.3g} "
-            f"(tolerance {_RES_TOL:g})",
-            residual=residual)
+            f"(tolerance {_RES_TOL:g})")
     full = np.zeros(K.shape[0])
     full[free] = v
     return EigenPair(value=value, vector=full, bc=bc, residual=residual,

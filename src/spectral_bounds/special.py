@@ -47,6 +47,9 @@ _TAIL_PANELS = 60
 #: Distance from the zero (relative to psi) below which the local Taylor
 #: model replaces the ODE interpolant when evaluating log Psi.
 _TAIL_MODEL_CUT = 1e-6
+#: Radius where the shooting starts from the series expansion, and below
+#: which ``RadialProfile.value`` evaluates that expansion.
+_SERIES_R0 = 1e-4
 
 
 def omega_n(n: int) -> float:
@@ -110,21 +113,22 @@ class RadialProfile:
     n: int
     first_zero: float
     _dense: object = field(repr=False)
-    _series_r0: float = field(repr=False)
     _slope_at_zero: float = field(repr=False)
     _log_means: dict = field(default_factory=dict, repr=False)
 
     def value(self, r):
-        """Evaluate Psi at radii in [0, first_zero] (0 beyond the zero)."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
+        """Evaluate Psi at radii in [0, first_zero] (0 beyond the zero); a
+        float for a 0-d input, else an array of the input's shape."""
+        arr = np.asarray(r, dtype=float)
+        r = np.atleast_1d(arr)
         out = np.zeros_like(r)
         kappa, c, c2 = _series_coefficients(self.p, self.n)
-        near = r < self._series_r0
+        near = r < _SERIES_R0
         out[near] = 1.0 - c * r[near] ** kappa + c2 * r[near] ** (2.0 * kappa)
         mid = (~near) & (r <= self.first_zero)
         if np.any(mid):
             out[mid] = self._dense(r[mid])[0]
-        return out if out.shape != (1,) else float(out[0])
+        return float(out[0]) if arr.ndim == 0 else out
 
     # -- radial power integrals ----------------------------------------------
 
@@ -226,7 +230,7 @@ def _profile_rhs(p: float, n: int):
 def psi_profile(p: float, n: int) -> RadialProfile:
     """Shoot the radial profile from a series start to its first zero.
 
-    Series start at r0 = 1e-4 (second-order expansion), DOP853 with
+    Series start at _SERIES_R0 (second-order expansion), DOP853 with
     rtol 1e-11, first zero located by a terminal event on the dense output.
     """
     p = float(p)
@@ -236,7 +240,7 @@ def psi_profile(p: float, n: int) -> RadialProfile:
         raise ParameterError(f"dimension n must lie in [2, {N_MAX}], got {n}")
     kappa, c, c2 = _series_coefficients(p, n)
     q1 = (p - 1.0) * c / (n + kappa)
-    r0 = 1e-4
+    r0 = _SERIES_R0
     y0 = (1.0 - c * r0 ** kappa + c2 * r0 ** (2.0 * kappa),
           -r0 / n + q1 * r0 ** (1.0 + kappa))
 
@@ -254,7 +258,7 @@ def psi_profile(p: float, n: int) -> RadialProfile:
     q_at_zero = float(sol.y_events[0][0][1])
     slope = -math.copysign(abs(q_at_zero) ** (1.0 / (p - 1.0)), q_at_zero)
     return RadialProfile(p=p, n=n, first_zero=first_zero, _dense=sol.sol,
-                         _series_r0=r0, _slope_at_zero=slope)
+                         _slope_at_zero=slope)
 
 
 def lambda1_sharp(p: float, n: int, area: float) -> float:

@@ -281,8 +281,8 @@ class ConsistencyReport:
     rel_err: float
 
 
-def sturm_consistency(p: float, n: int, K: float, mu1: float,
-                      n_cells: int = 4096) -> ConsistencyReport:
+def sturm_consistency(p: float, n: int, K: float,
+                      mu1: float) -> ConsistencyReport:
     """Round trip: the interval eigenvalue on (0, L) must reproduce
     mu1/K^p once raised back to the p-1 power."""
     if p < 2:
@@ -290,8 +290,7 @@ def sturm_consistency(p: float, n: int, K: float, mu1: float,
     L = dirichlet_ball_profile(p, n, K, mu1).measure
     gamma = p / (p - 1.0)
     beta = gamma * (1.0 - 1.0 / n)
-    sigma = sigma1(SturmProblem(gamma=gamma, beta=beta, length=L,
-                                n_cells=n_cells))
+    sigma = sigma1(SturmProblem(gamma=gamma, beta=beta, length=L))
     computed = sigma ** (p - 1.0)
     target = mu1 / K ** p
     return ConsistencyReport(L=L, sigma_target=target,

@@ -123,10 +123,10 @@ def mesh_positive_power_integral(mesh: geometry.Mesh, nodal, q: int) -> float:
 def profile_samples(profile) -> np.ndarray:
     """u* sampled on [0, |domain|]: a uniform 4096-point grid plus both
     one-sided values of the distribution function at every break."""
-    right = np.concatenate([profile.pieces.values, [0.0]])
+    p = profile.pieces
     grid = np.unique(np.concatenate(
-        [np.linspace(0.0, profile.domain_measure, 4096), right,
-         profile._left_limits()]))
+        [np.linspace(0.0, profile.domain_measure, 4096), p.values,
+         p.values + p.atoms]))
     grid = grid[(grid >= 0.0) & (grid <= profile.domain_measure)]
     return profile.value(grid)
 
@@ -135,16 +135,13 @@ def profile_integral(profile) -> float:
     """Exact integral of u over the domain, by Cavalieri from the pieces of
     its rearrangement."""
     p = profile.pieces
-    total = float(np.sum(p.atoms * p.breaks))
-    if len(p.values) == 0:
-        return total
     lo, hi = p.breaks[:-1], p.breaks[1:]
     width = hi - lo
     d1 = width * (hi + lo) / 2.0
-    # exact grouping of int t(t - lo) dt over the piece
+    # exact grouping of int t(t - lo) dt over the piece; the top piece is 0
     d2_anchor = width ** 2 * (2.0 * hi + lo) / 6.0
-    total += float(np.sum(-(p.slopes * d1 + 2.0 * p.curvatures * d2_anchor)))
-    return total
+    return float(np.sum(p.atoms * p.breaks)) + float(np.sum(
+        -(p.slopes[:-1] * d1 + 2.0 * p.curvatures[:-1] * d2_anchor)))
 
 
 def profile_abs_power_integral(profile, q: float) -> float:
@@ -154,15 +151,14 @@ def profile_abs_power_integral(profile, q: float) -> float:
         raise ParameterError("exponent must be positive")
     total = cumulative_power(profile, q).total
     p = profile.pieces
-    if len(p.values) > 0:
-        # mirror the negative side: w = -t runs over [-hi, -lo]
-        w_lo = np.maximum(-p.breaks[1:], 0.0)
-        w_hi = np.maximum(-p.breaks[:-1], 0.0)
-        d1 = _power_diff(w_lo, w_hi, q + 1.0) / (q + 1.0)
-        d2 = _power_diff(w_lo, w_hi, q + 2.0) / (q + 2.0)
-        anchor = p.breaks[:-1]
-        total += float(np.sum(
-            2.0 * p.curvatures * (anchor * d1 + d2) - p.slopes * d1))
+    # mirror the negative side: w = -t runs over [-hi, -lo]
+    w_lo = np.maximum(-p.breaks[1:], 0.0)
+    w_hi = np.maximum(-p.breaks[:-1], 0.0)
+    d1 = _power_diff(w_lo, w_hi, q + 1.0) / (q + 1.0)
+    d2 = _power_diff(w_lo, w_hi, q + 2.0) / (q + 2.0)
+    anchor = p.breaks[:-1]
+    total += float(np.sum(2.0 * p.curvatures[:-1] * (anchor * d1 + d2)
+                          - p.slopes[:-1] * d1))
     neg = p.breaks < 0
     total += float(np.sum(p.atoms[neg] * (-p.breaks[neg]) ** q))
     return total

@@ -38,25 +38,46 @@ def _radial_bessel(level):
 
 
 def test_constant_function():
+    # one break and no real piece: the general code with the zero top piece
     spec = geometry.make_rhombus(8)
     mesh = pipelines.mesh(spec, 2)
     area = spec.area
-    prof = rr.rearrange(mesh, np.full(mesh.node_count, 0.7))
-    assert prof.domain_measure == pytest.approx(area, rel=1e-12)
-    assert prof.positive_measure == pytest.approx(area, rel=1e-12)
-    assert prof.distribution(0.3) == pytest.approx(area, rel=1e-12)
-    assert prof.distribution(0.7) == 0.0
-    assert prof.value(0.5 * area) == 0.7
-    assert oracles.profile_integral(prof) == pytest.approx(0.7 * area,
-                                                           rel=1e-12)
-    assert rr.cumulative_power(prof, 3.0).total == pytest.approx(
-        0.7 ** 3 * area, rel=1e-12)
-    cum = rr.cumulative_power(prof, 2.0)
-    assert cum.total == pytest.approx(0.49 * area, rel=1e-12)
-    assert cum.value(0.25 * area) == pytest.approx(0.49 * 0.25 * area,
-                                                   rel=1e-12)
-    # saturates at the positive measure
-    assert cum.value(2.0 * area) == pytest.approx(cum.total, rel=1e-12)
+    for level in (-0.3, 0.0, 0.7):
+        prof = rr.rearrange(mesh, np.full(mesh.node_count, level))
+        s_tilde = area if level > 0.0 else 0.0
+        assert prof.domain_measure == pytest.approx(area, rel=1e-12)
+        assert prof.positive_measure == pytest.approx(s_tilde, rel=1e-12)
+        assert prof.distribution(level - 0.4) == prof.domain_measure
+        assert prof.distribution(level) == 0.0
+        assert prof.distribution(level + 0.4) == 0.0
+        assert np.all(prof.value(np.array([0.0, 0.5 * area])) == level)
+        assert oracles.profile_integral(prof) == pytest.approx(
+            level * area, rel=1e-12)
+        s = np.array([0.0, 0.25 * area, 2.0 * area])
+        for q in (2.0, 3.0):
+            height = max(level, 0.0) ** q
+            cum = rr.cumulative_power(prof, q)
+            assert cum.total == pytest.approx(height * area, rel=1e-12)
+            # saturates at the positive measure
+            assert cum.value(s) == pytest.approx(
+                height * np.minimum(s, s_tilde), rel=1e-12, abs=0.0)
+
+
+def test_distribution_at_extreme_levels():
+    # no piece is evaluated outside its range, so no level overflows
+    mesh = _square_mesh(3)
+    prof = rr.rearrange(mesh, np.hypot(mesh.nodes[:, 0] - 0.3,
+                                       mesh.nodes[:, 1] - 0.4))
+    big = np.finfo(float).max
+    with np.errstate(all="raise"):
+        for t in (-1e200, -big):
+            assert prof.distribution(t) == prof.domain_measure == 1.0
+        for t in (1e200, big):
+            assert prof.distribution(t) == 0.0
+        levels = np.array([-big, -1e200, 0.2, 1e200, big])
+        out = prof.distribution(levels)
+    assert out[[0, 1, 3, 4]].tolist() == [1.0, 1.0, 0.0, 0.0]
+    assert 0.0 < out[2] < 1.0
 
 
 def test_linear_ramp_exact():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from spectral_bounds import special
+from spectral_bounds import rearrangement, special
 from spectral_bounds.errors import ParameterError
 
 import oracles
@@ -90,6 +90,22 @@ def test_profile_shape_invariants():
         assert abs(values[-1]) <= 1e-10
         assert np.all(np.diff(values) < 0.0)
         assert prof.value(0.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_value_keeps_the_input_shape():
+    # a float only for a 0-d input; power_integral does the same
+    prof = special.psi_profile(2.0, 2)
+    one = np.array([0.5])
+    assert isinstance(prof.value(0.5), float)
+    for radii in (one, np.array([0.5, 1.0]), np.array([5e-5])):
+        values = prof.value(radii)
+        assert isinstance(values, np.ndarray) and values.shape == radii.shape
+    assert prof.value(one)[0] == prof.value(0.5)
+    assert prof.power_integral(2.0, one).shape == (1,)
+    ball = rearrangement.dirichlet_ball_profile(2.0, 2, 2.0 * math.sqrt(
+        math.pi), J01 ** 2)
+    assert isinstance(ball.value(1.0), float)
+    assert ball.value(np.array([1.0])).shape == (1,)
 
 
 @pytest.mark.parametrize("p, n", [(2.0, 2), (2.0, 3), (3.0, 2), (7.0, 4)])

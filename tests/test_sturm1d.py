@@ -239,7 +239,7 @@ def test_consistency_p3():
     # the target the nonlinear ball eigenvalue over 8
     K = 1.3
     mu1 = special.psi_profile(3.0, 2).first_zero ** 3 * K ** 3 / 8.0
-    report = sturm_consistency(3.0, 2, K, mu1, n_cells=2048)
+    report = sturm_consistency(3.0, 2, K, mu1)
     assert report.L == pytest.approx(1.0, rel=1e-12)
     assert report.sigma_target == pytest.approx(1.2289373005746385, rel=1e-7)
     assert report.rel_err <= 1e-4
