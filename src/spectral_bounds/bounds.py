@@ -19,9 +19,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import optimize
-
 from . import fem, geometry, rearrangement, special
 from .errors import NumericError, ParameterError
 from .geometry import DomainSpec
@@ -29,7 +26,6 @@ from .geometry import DomainSpec
 RULE_RHOMBUS = "rhombus-short-diagonal"
 RULE_SYMMETRIC_WIDTH = "symmetric-convex-width"
 
-_SUP_GRID = 200
 # relative slack of the FEM reference values for leftover discretization error
 _REPORT_TOL = 1e-2
 
@@ -111,28 +107,17 @@ def dominance_ratio(p: float, n: int) -> float:
 def bct_corollary(n: int, K: float, area: float) -> float:
     """Older p = 2 bound built from a one-parameter power-mean supremum.
 
-    The supremum of (f(1)/f(q))^(2q/(n(q-1))) over q > 1 is located on a
-    logarithmic grid and polished with a bounded scalar minimizer, f being
-    the power mean of the radial ball profile. The q -> 1 end is entered at
-    1 + 1e-6: the exponent blows up there but the ratio tends to 1, and the
-    product stays finite.
+    With k(q) = log int_0^psi t^(n-1) Psi^q dt and f the power mean of the
+    radial ball profile, the log of (f(1)/f(q))^(2q/(n(q-1))) is
+    (2/n) (log f(1) - (k(q) - k(1))/(q - 1)). k is convex (Holder), so the
+    secant slope grows with q and the term falls: the supremum over q > 1
+    is the q -> 1 limit, with k'(1) from RadialProfile.log_integral_slope.
     """
     if K <= 0.0 or area <= 0.0:
         raise ParameterError(f"need K, area > 0, got K={K}, area={area}")
     profile = special.psi_profile(2.0, n)
-    log_f1 = profile.log_power_mean(1.0)
-
-    def log_term(q: float) -> float:
-        return 2.0 * q / (n * (q - 1.0)) * (log_f1 - profile.log_power_mean(q))
-
-    qs = 1.0 + np.logspace(-6.0, math.log10(special.Q_MAX - 1.0), _SUP_GRID)
-    vals = np.array([log_term(q) for q in qs])
-    k = int(np.argmax(vals))
-    lo, hi = qs[max(k - 1, 0)], qs[min(k + 1, len(qs) - 1)]
-    result = optimize.minimize_scalar(lambda q: -log_term(q), bounds=(lo, hi),
-                                      method="bounded",
-                                      options={"xatol": 1e-10})
-    best = max(float(vals[k]), -float(result.fun))
+    best = 2.0 / n * (profile.log_power_mean(1.0)
+                      - profile.log_integral_slope())
     alpha = (K / special.classical_constant(n)) ** 2
     j = special.bessel_first_zero(n / 2.0 - 1.0)
     scale = 2.0 ** (2.0 / n) * alpha * j * j

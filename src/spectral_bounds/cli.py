@@ -407,7 +407,7 @@ def run_suite(path: str, out=None, err=None) -> int:
     errstream = err if err is not None else sys.stderr
     try:
         content = Path(path).read_text(encoding="utf-8")
-    except OSError as ex:
+    except (OSError, UnicodeDecodeError) as ex:
         print(f"cannot read suite file: {ex}", file=errstream)
         return 2
     runs = []

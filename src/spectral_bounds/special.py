@@ -114,7 +114,6 @@ class RadialProfile:
     first_zero: float
     _dense: object = field(repr=False)
     _slope_at_zero: float = field(repr=False)
-    _log_means: dict = field(default_factory=dict, repr=False)
 
     def value(self, r):
         """Evaluate Psi at radii in [0, first_zero] (0 beyond the zero); a
@@ -192,14 +191,22 @@ class RadialProfile:
         if not 0.0 < s <= Q_MAX:
             raise ParameterError(
                 f"exponent must lie in (0, {Q_MAX:g}], got {s}")
-        if s in self._log_means:
-            return self._log_means[s]
         _, base, logpsi = self._panels
         integral = float(base.ravel() @ np.exp(s * logpsi.ravel()))
-        out = (math.log(self.n) - self.n * math.log(self.first_zero)
-               + math.log(integral)) / s
-        self._log_means[s] = out
-        return out
+        return (math.log(self.n) - self.n * math.log(self.first_zero)
+                + math.log(integral)) / s
+
+    def log_integral_slope(self) -> float:
+        """k'(1) for k(q) = log int_0^psi t^(n-1) Psi^q dt: the mean of
+        log Psi under the weight t^(n-1) Psi.
+
+        Nodes where Psi rounds to 0 (log Psi = -inf, at and past the zero)
+        carry Psi log Psi = 0 and are left out of the sums.
+        """
+        _, base, logpsi = self._panels
+        live = np.isfinite(logpsi)
+        weight = base[live] * np.exp(logpsi[live])
+        return float(weight @ logpsi[live] / weight.sum())
 
     def power_mean(self, s: float) -> float:
         return math.exp(self.log_power_mean(s))

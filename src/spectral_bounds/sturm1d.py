@@ -8,10 +8,12 @@ eigenproblem solved by the same shift-invert eigensolver as the FEM
 module; for other gamma the Rayleigh quotient is minimized by projected
 gradient descent with an Armijo line search, preconditioned at every step
 by the Hessian of the energy at the current iterate (the gamma-Laplacian
-linearized there, a weighted tridiagonal stiffness factored afresh). One
-builder fills the CSC arrays of both stiffness matrices directly. The
-Hessian is factored in natural order, where a tridiagonal matrix has no
-fill (nnz(L+U) = 4N - 2), so each factorization costs O(N) and runs no
+linearized there, a weighted tridiagonal stiffness factored afresh). Both
+paths read one Gauss-Legendre table of the weight, so the gamma = 2 mass
+matrix is the descent's denominator at gamma = 2. One builder fills the
+CSC arrays of both stiffness matrices directly. The Hessian is factored
+in natural order, where a tridiagonal matrix has no fill
+(nnz(L+U) = 4N - 2), so each factorization costs O(N) and runs no
 ordering pass. The gamma = 2 grid is capped at MAX_LINEAR_CELLS, past
 which its residual no longer certifies.
 """
@@ -86,11 +88,31 @@ def _graded_grid(length: float, n_cells: int) -> np.ndarray:
     return length * (np.arange(n_cells + 1) / n_cells) ** 3
 
 
-def _moment(lo: np.ndarray, hi: np.ndarray, e: float) -> np.ndarray:
-    """int s^(e-1) ds over [lo, hi] for positive lo, stable as e -> 0."""
-    if abs(e) < 1e-12:
-        return np.log(hi / lo)
-    return lo ** e * np.expm1(e * np.log1p((hi - lo) / lo)) / e
+def _weight_quadrature(s: np.ndarray, beta: float):
+    """Gauss-Legendre table of the weight s^(-beta) on cells 2..N.
+
+    Returns (wq, xi): per cell and node the weight times the quadrature
+    weight, and the node's position in the cell as a fraction of its
+    width, the argument of the linear shape functions 1 - xi and xi.
+    The first cell, where the weight is singular, has a closed form.
+    """
+    mid = 0.5 * (s[1:-1] + s[2:])
+    half = 0.5 * np.diff(s[1:])
+    sg = mid[:, None] + half[:, None] * GL_NODES[None, :]
+    wq = (half[:, None] * GL_WEIGHTS[None, :]) * sg ** (-beta)
+    xi = (sg - s[1:-1, None]) / np.diff(s[1:])[:, None]
+    return wq, xi
+
+
+def _solution(problem: SturmProblem, s: np.ndarray, phi: np.ndarray,
+              sigma: float, iterations: int) -> SturmSolution:
+    """Package the nodal values phi at nodes 1..N, signed nonnegative."""
+    full = np.concatenate([[0.0], phi])
+    if full[np.argmax(np.abs(full))] < 0:
+        full = -full
+    return SturmSolution(sigma=sigma, grid=s, minimizer=full,
+                         hardy_lower_bound=problem.hardy_lower_bound,
+                         iterations=iterations)
 
 
 def _stiffness(w: np.ndarray) -> sparse.csc_matrix:
@@ -136,31 +158,19 @@ def _solve_linear(problem: SturmProblem) -> SturmSolution:
     s = _graded_grid(problem.length, problem.n_cells)
     beta = problem.beta
     n = problem.n_cells
-    h = np.diff(s)
-    K = _stiffness(1.0 / h)
+    K = _stiffness(1.0 / np.diff(s))
 
-    # weighted mass entries from exact cell moments of s^(-beta)
-    lo, hi = s[1:-1], s[2:]
-    m0 = _moment(lo, hi, 1.0 - beta)
-    m1 = _moment(lo, hi, 2.0 - beta)
-    m2 = _moment(lo, hi, 3.0 - beta)
-    hh = h[1:] ** 2
-    d_left = (hi * hi * m0 - 2.0 * hi * m1 + m2) / hh
-    d_right = (m2 - 2.0 * lo * m1 + lo * lo * m0) / hh
-    off = (-hi * lo * m0 + (hi + lo) * m1 - m2) / hh
+    # the descent's weighted mass at gamma = 2, from the same quadrature
+    wq, xi = _weight_quadrature(s, beta)
     diag = np.zeros(n)
     diag[0] = s[1] ** (1.0 - beta) / (3.0 - beta)
-    diag[:-1] += d_left
-    diag[1:] += d_right
+    diag[:-1] += np.sum(wq * (1.0 - xi) ** 2, axis=1)
+    diag[1:] += np.sum(wq * xi ** 2, axis=1)
+    off = np.sum(wq * xi * (1.0 - xi), axis=1)
     M = sparse.diags([diag, off, off], [0, 1, -1], format="csr")
 
     pair = _inverse_iteration(K, M, np.arange(n), "dirichlet", 0.0)
-    phi = np.concatenate([[0.0], pair.vector])
-    if phi[np.argmax(np.abs(phi))] < 0:
-        phi = -phi
-    return SturmSolution(sigma=pair.value, grid=s, minimizer=phi,
-                         hardy_lower_bound=problem.hardy_lower_bound,
-                         iterations=pair.iterations)
+    return _solution(problem, s, pair.vector, pair.value, pair.iterations)
 
 
 def _solve_gradient(problem: SturmProblem) -> SturmSolution:
@@ -169,13 +179,8 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
     h = np.diff(s)
     h_pow = h ** (1.0 - gamma)
 
-    # per-cell quadrature of the weight against linear shape functions;
     # the first cell has the closed form |phi_1|^gamma s_1^(1-beta)/(gamma-beta+1)
-    mid = 0.5 * (s[1:-1] + s[2:])
-    half = 0.5 * np.diff(s[1:])
-    sg = mid[:, None] + half[:, None] * GL_NODES[None, :]
-    wq = (half[:, None] * GL_WEIGHTS[None, :]) * sg ** (-beta)
-    xi = (sg - s[1:-1, None]) / np.diff(s[1:])[:, None]
+    wq, xi = _weight_quadrature(s, beta)
     first_w = s[1] ** (1.0 - beta) / (gamma - beta + 1.0)
 
     def odd_power(x, e):
@@ -199,14 +204,6 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
         g_f[0] += gamma * first_w * odd_power(phi0, gamma - 1.0)
         return g_e, g_f
 
-    def finish(phi, quotient, iteration):
-        full = np.concatenate([[0.0], phi])
-        if full[np.argmax(np.abs(full))] < 0:
-            full = -full
-        return SturmSolution(sigma=quotient, grid=s, minimizer=full,
-                             hardy_lower_bound=problem.hardy_lower_bound,
-                             iterations=iteration)
-
     phi = s[1:].copy()
     e_val, f_val, d, vals = energy_parts(phi)
     phi /= f_val ** (1.0 / gamma)
@@ -216,7 +213,7 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
     change = math.inf
     for iteration in range(1, _MAX_STEPS + 1):
         if change <= _QUOTIENT_TOL * quotient:
-            return finish(phi, quotient, iteration)
+            return _solution(problem, s, phi, quotient, iteration)
         g_e, g_f = gradients(d, vals, phi[0])
         grad = (g_e - quotient * g_f) / f_val
         # precondition with the energy Hessian at phi; slopes are floored so
@@ -239,7 +236,7 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
             # descent exhausted at floating point resolution; only accept
             # if the quotient had already stabilized
             if change <= 1e-6 * quotient:
-                return finish(phi, quotient, iteration)
+                return _solution(problem, s, phi, quotient, iteration)
             raise NumericError(
                 "quotient minimization stalled at "
                 f"{quotient!r} after {iteration} steps")
@@ -247,7 +244,7 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
         change = abs(quotient - new_quotient)
         norm = f_c ** (1.0 / gamma)
         phi = cand / norm
-        e_val, f_val = new_quotient, 1.0
+        f_val = 1.0
         d, vals = d_c / norm, vals_c / norm
         quotient = new_quotient
         step *= 1.3

@@ -93,6 +93,30 @@ def test_bct_corollary():
     assert main / value == pytest.approx(1.281753, rel=1e-4)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 32])
+def test_bct_corollary_is_the_q_to_1_limit(n):
+    # K = n omega_n^(1/n) and area = omega_n reduce the bound to 2^(2/n) j^2
+    # times the supremum of the term (f(1)/f(q))^(2q/(n(q-1))) over q > 1
+    prof = special.psi_profile(2.0, n)
+    log_f1 = prof.log_power_mean(1.0)
+
+    def log_term(q):
+        return 2.0 * q / (n * (q - 1.0)) * (log_f1 - prof.log_power_mean(q))
+
+    j = special.bessel_first_zero(n / 2.0 - 1.0)
+    value = bounds.bct_corollary(n, special.classical_constant(n),
+                                 special.omega_n(n))
+    log_sup = math.log(value / (2.0 ** (2.0 / n) * j * j))
+    # Richardson extrapolation to q -> 1, exact through (q - 1)^2: a single
+    # halving from q - 1 = 1e-4 leaves a (q - 1)^2 error of 1e-9 relative
+    t1, t2, t4 = (log_term(1.0 + h) for h in (1e-3, 5e-4, 2.5e-4))
+    limit = (4.0 * (2.0 * t4 - t2) - (2.0 * t2 - t1)) / 3.0
+    assert log_sup == pytest.approx(limit, rel=1e-9)
+    # the term falls with q, so no q on a grid over (1, 50] exceeds the limit
+    qs = 1.0 + np.logspace(-6.0, math.log10(49.0), 400)
+    assert log_sup >= max(log_term(q) for q in qs)
+
+
 def test_symmetric_planar_bound():
     square = geometry.make_rectangle(1.0, 1.0)
     assert bounds.symmetric_planar_bound(1.0, 1.0) == pytest.approx(

@@ -459,6 +459,17 @@ def test_suite_empty_and_missing(tmp_path):
     assert run_cli(["suite", str(tmp_path / "missing.txt")])[0] == 2
 
 
+def test_suite_file_not_utf8(tmp_path):
+    # undecodable bytes are a file that cannot be read: one line, exit 2
+    path = tmp_path / "runs.txt"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(["suite", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot read suite file: 'utf-8' codec can't "
+                          "decode byte 0xff")
+    assert len(err.splitlines()) == 1
+
+
 def test_suite_deterministic(tmp_path):
     path = tmp_path / "runs.txt"
     path.write_text(

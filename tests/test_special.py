@@ -187,6 +187,32 @@ def test_f_power_mean_qaws_oracle(s):
         _f_qaws_oracle(s), rel=1e-9)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_log_integral_slope_quadpack_oracle(p, n):
+    """k'(1) = int t^(n-1) Psi log Psi / int t^(n-1) Psi by QUADPACK on
+    prof.value. With g = Psi/(psi - t), Psi log Psi splits into the smooth
+    Psi log g and g (psi - t) log(psi - t), whose endpoint factor QAWS
+    takes as its weight."""
+    prof = special.psi_profile(p, n)
+    psi = prof.first_zero
+
+    def g(t):
+        gap = psi - t
+        return prof._slope_at_zero if gap < 1e-9 else prof.value(t) / gap
+
+    opts = dict(limit=200, epsabs=1e-14, epsrel=1e-13)
+    smooth, _ = integrate.quad(
+        lambda t: t ** (n - 1) * prof.value(t) * math.log(g(t)), 0.0, psi,
+        **opts)
+    endpoint, _ = integrate.quad(lambda t: t ** (n - 1) * g(t), 0.0, psi,
+                                 weight="alg-logb", wvar=(0.0, 1.0), **opts)
+    mass, _ = integrate.quad(lambda t: t ** (n - 1) * prof.value(t), 0.0,
+                             psi, **opts)
+    assert prof.log_integral_slope() == pytest.approx(
+        (smooth + endpoint) / mass, rel=1e-9)
+
+
 def test_f_power_mean_shape():
     # stable geometric-mean limit: f is smooth at s = 0+ with slope about
     # 0.165 for p = n = 2, so successive decades shrink the gap tenfold

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from scipy import integrate
 
 from spectral_bounds import fem, special, sturm1d
 from spectral_bounds.errors import ConvergenceError, ParameterError
@@ -45,6 +46,43 @@ def test_linear_residual_certified(monkeypatch, length):
     assert len(pairs) == 1 and pairs[0].residual <= fem._RES_TOL
     assert sol.sigma == pairs[0].value
     assert sol.sigma == pytest.approx(J01 ** 2 / (4.0 * length), rel=1e-4)
+
+
+def _cell_mass(s, beta, i):
+    """int of s^(-beta) (1 - x)^2, x^2 and x (1 - x) over the cell
+    [s_i, s_(i+1)], x its relative coordinate, by per-cell QUADPACK."""
+    lo, hi = s[i], s[i + 1]
+    return [integrate.quad(lambda t: t ** (-beta) * shape((t - lo) / (hi - lo)),
+                           lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for shape in (lambda x: (1.0 - x) ** 2, lambda x: x * x,
+                          lambda x: x * (1.0 - x))]
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.0, 1.7])
+def test_linear_mass_matches_quadpack(monkeypatch, beta):
+    """The gamma = 2 mass is the descent's Gauss-Legendre denominator. Row
+    r holds node r + 1; rows 0 and 1 touch the first two cells, where the
+    weight is most singular, and are left out."""
+    masses = []
+
+    def recording(K, M, *args):
+        masses.append(M.tocsr())
+        return fem._inverse_iteration(K, M, *args)
+
+    monkeypatch.setattr(sturm1d, "_inverse_iteration", recording)
+    n = 4096
+    problem = SturmProblem(gamma=2.0, beta=beta, length=1.3, n_cells=n)
+    solve(problem)
+    M = masses[0]
+    s = sturm1d._graded_grid(problem.length, n)
+    for r in [*range(2, 9), *range(64, n - 1, 128), n - 1]:
+        # node r + 1 closes cell r and, except at the last node, opens r + 1
+        diag = _cell_mass(s, beta, r)[1]
+        if r < n - 1:
+            left, _, off = _cell_mass(s, beta, r + 1)
+            diag += left
+            assert M[r, r + 1] == M[r + 1, r] == pytest.approx(off, rel=1e-11)
+        assert M[r, r] == pytest.approx(diag, rel=1e-11)
 
 
 def test_solution_contract():
@@ -152,10 +190,11 @@ def test_descent_singular_factor_is_a_convergence_error(monkeypatch):
 
 # sigma1 at the CLI's 12 significant digits and the step count; a change
 # to the matrix build or the factorization must leave both as they are.
-# p = 2 gives gamma = 2, the linear eigensolve.
+# p = 2 gives gamma = 2, the linear eigensolve; its row is also the value
+# with the mass built from per-cell QUADPACK entries.
 GOLDEN = [
     # p, A, N, sigma1, iterations (gamma = p/(p-1), beta = gamma/2)
-    (2.0, 1.0, 1024, "1.4457976906", 22),
+    (2.0, 1.0, 1024, "1.44579769059", 22),
     (2.2, 0.5, 1024, "2.53073620802", 11),
     (2.2, 1.3, 4096, "1.05403333568", 12),
     (3.0, 1.0, 4096, "1.10857448358", 15),
