@@ -45,7 +45,6 @@ from .geometry import (
     make_regular_polygon,
     make_rhombus,
     triangulate,
-    triangulate_half_rhombus,
 )
 from .rearrangement import (
     chiti_check,
@@ -83,7 +82,7 @@ __all__ = [
     "assemble_mass", "assemble_stiffness", "richardson",
     "solve_dirichlet_lambda1", "solve_mixed_dn", "solve_neumann_mu1",
     "DomainSpec", "Mesh", "make_rectangle", "make_regular_polygon",
-    "make_rhombus", "triangulate", "triangulate_half_rhombus",
+    "make_rhombus", "triangulate",
     "chiti_check", "cumulative_power", "dirichlet_ball_profile",
     "lq_norm_positive", "rearrange", "rearrange_oriented",
     "reverse_holder_check",

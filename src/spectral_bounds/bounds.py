@@ -247,18 +247,15 @@ class SharedSolves:
                 raise
         return self._values[key]
 
-    def _refined(self, chain: tuple, level: int, base) -> geometry.Mesh:
-        """Level ``level`` of the chain of base(0); base refuses level < 0."""
+    def mesh(self, spec: DomainSpec, level: int) -> geometry.Mesh:
+        """Level ``level`` of the chain of spec's base mesh; triangulate
+        refuses level < 0."""
         def build():
             if level <= 0:
-                return base(level)
-            return geometry.refine(self._refined(chain, level - 1, base))
+                return geometry.triangulate(spec, level)
+            return geometry.refine(self.mesh(spec, level - 1))
 
-        return self._once((*chain, level), build)
-
-    def mesh(self, spec: DomainSpec, level: int) -> geometry.Mesh:
-        return self._refined(("mesh", spec), level,
-                             lambda lv: geometry.triangulate(spec, lv))
+        return self._once(("mesh", spec, level), build)
 
     def neumann(self, spec: DomainSpec, level: int) -> fem.EigenPair:
         return self._once(("neumann", spec, level), lambda: (
@@ -271,10 +268,11 @@ class SharedSolves:
                                              self.neumann(spec, level).vector)))
 
     def mixed(self, m: int, level: int) -> fem.EigenPair:
-        """Mixed pair of the half rhombus, zero on the short diagonal."""
+        """Mixed pair of the half rhombus, zero on the short diagonal: the
+        half is cut from the memoized rhombus mesh of the same level."""
         return self._once(("mixed", m, level), lambda: fem.solve_mixed_dn(
-            self._refined(("half-rhombus", m), level,
-                          lambda lv: geometry.triangulate_half_rhombus(m, lv))))
+            *geometry.half_rhombus(self.mesh(geometry.make_rhombus(m),
+                                             level))))
 
 
 _SCOPE: ContextVar[SharedSolves | None] = ContextVar("shared_solves",

@@ -42,6 +42,7 @@ _LEVEL_HELP = (f"refinement level; a mesh past {geometry.MAX_ELEMENTS} "
                "elements is refused")
 _Q_HELP = f"exponent in (0, {special.Q_MAX:g}]"
 _LENGTH_RANGE = f"in [{geometry.MIN_LENGTH:g}, {geometry.MAX_LENGTH:g}]"
+_M_RANGE = f"in [5, {geometry.MAX_RHOMBUS_M}]"
 
 
 def _fmt(value) -> str:
@@ -130,7 +131,8 @@ def _spec_from_args(args) -> geometry.DomainSpec:
 def _add_domain_flags(sub) -> None:
     sub.add_argument("--domain", required=True,
                      choices=["square", "rectangle", "rhombus", "polygon"])
-    sub.add_argument("--m", type=int, help="rhombus angle parameter")
+    sub.add_argument("--m", type=int,
+                     help=f"rhombus angle parameter, {_M_RANGE}")
     sub.add_argument("--a", type=_finite_float,
                      help=f"rectangle long side, {_LENGTH_RANGE}")
     sub.add_argument("--b", type=_finite_float,
@@ -307,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify-rhombus",
                           help="sharpness ratio table for degenerating rhombi")
     sub.add_argument("--m", default="8,16,32,64", type=_list_of(int),
-                     help="comma-separated angle parameters")
+                     help=f"comma-separated angle parameters, each {_M_RANGE}")
     sub.add_argument("--level", type=int, default=5, help=_LEVEL_HELP)
     _add_output_flags(sub, "json")
 

@@ -5,8 +5,10 @@ per-element gradient formula and the consistent mass matrix
 (area/12) [[2,1,1],[1,2,1],[1,1,2]]. Every eigen solve factors the shifted
 stiffness matrix once and runs ARPACK shift-invert Lanczos on that factor,
 then polishes the pair with one inverse-iteration step on the same factor;
-the Neumann solve deflates the constant mode in that step. Everything is
-deterministic: the start vector is drawn from a fixed-seed generator.
+the Neumann solve deflates the constant mode in that step. The Dirichlet and
+mixed solves are one constrained solve: zero data on the nodes they are
+given, the natural condition elsewhere. Everything is deterministic: the
+start vector is drawn from a fixed-seed generator.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ _DENSE_SIZE = 20
 
 @dataclass
 class EigenPair:
-    """Converged eigenvalue/eigenvector with its boundary condition tag.
+    """Converged eigenvalue/eigenvector.
 
     The vector spans all mesh nodes (zeros on constrained ones), has unit
     mass norm, and satisfies the residual bound checked at convergence.
@@ -41,7 +43,6 @@ class EigenPair:
 
     value: float
     vector: np.ndarray
-    bc: str
     residual: float
     iterations: int
 
@@ -87,8 +88,8 @@ def _true_boundary_nodes(mesh: Mesh) -> np.ndarray:
     return np.unique(table.edges[table.counts == 1])
 
 
-def _inverse_iteration(K, M, free: np.ndarray, bc: str,
-                       shift: float) -> EigenPair:
+def _inverse_iteration(K, M, free: np.ndarray, shift: float,
+                       neumann: bool = False) -> EigenPair:
     """Lowest eigenpair (above the constant mode for Neumann) on one factor.
 
     ARPACK runs Lanczos on (K + shift M)^-1 M with the single sparse LU of
@@ -117,7 +118,6 @@ def _inverse_iteration(K, M, free: np.ndarray, bc: str,
         solves += 1
         return lu.solve(x)
 
-    neumann = bc == "neumann"
     k = 3 if neumann else 2
     n = free.size
     if n <= _DENSE_SIZE:
@@ -147,7 +147,7 @@ def _inverse_iteration(K, M, free: np.ndarray, bc: str,
             f"(tolerance {_RES_TOL:g})")
     full = np.zeros(K.shape[0])
     full[free] = v
-    return EigenPair(value=value, vector=full, bc=bc, residual=residual,
+    return EigenPair(value=value, vector=full, residual=residual,
                      iterations=solves)
 
 
@@ -158,32 +158,28 @@ def solve_neumann_mu1(mesh: Mesh) -> EigenPair:
     span = mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)
     shift = math.pi ** 2 / float(span @ span)
     free = np.arange(mesh.node_count)
-    return _inverse_iteration(K, M, free, "neumann", shift)
+    return _inverse_iteration(K, M, free, shift, neumann=True)
 
 
 def solve_dirichlet_lambda1(mesh: Mesh) -> EigenPair:
     """First Dirichlet eigenvalue; constrains the true topological boundary."""
-    K = assemble_stiffness(mesh)
-    M = assemble_mass(mesh)
-    constrained = _true_boundary_nodes(mesh)
-    free = np.setdiff1d(np.arange(mesh.node_count), constrained)
+    return solve_mixed_dn(mesh, _true_boundary_nodes(mesh))
+
+
+def solve_mixed_dn(mesh: Mesh, zero) -> EigenPair:
+    """First eigenvalue with u = 0 on the nodes ``zero``.
+
+    The rest of the boundary carries the natural (Neumann) condition. An
+    empty ``zero`` is refused: that is the Neumann problem.
+    """
+    if not len(zero):
+        raise ParameterError("mixed problem needs at least one zero node")
+    free = np.setdiff1d(np.arange(mesh.node_count), zero)
     if free.size == 0:
         raise ParameterError("no interior nodes; refine the mesh")
-    return _inverse_iteration(K, M, free, "dirichlet", 0.0)
-
-
-def solve_mixed_dn(mesh: Mesh) -> EigenPair:
-    """First eigenvalue with u = 0 on the mesh's diagonal chain only.
-
-    The rest of the boundary carries the natural (Neumann) condition. A mesh
-    with an empty diagonal is refused.
-    """
-    if not len(mesh.diagonal):
-        raise ParameterError("mesh has no diagonal chain to constrain")
     K = assemble_stiffness(mesh)
     M = assemble_mass(mesh)
-    free = np.setdiff1d(np.arange(mesh.node_count), mesh.diagonal)
-    return _inverse_iteration(K, M, free, "mixed", 0.0)
+    return _inverse_iteration(K, M, free, 0.0)
 
 
 def richardson(coarse: float, fine: float) -> float:

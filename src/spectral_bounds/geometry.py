@@ -4,11 +4,10 @@ Domains come in three families: rhombi with unit side and acute angle 2*pi/m,
 axis-aligned rectangles, and regular polygons inscribed in a circle. Meshes
 are produced by uniform midpoint (red) refinement of a small hand-built base
 triangulation, so every refinement is nested in the previous one. A mesh is
-its nodes, its elements and, on rhombi, the short-diagonal edge chain, which
-refinement splits in chain order; the half-rhombus triangle used for the
-mixed eigenvalue problem is literally a sub-complex of the rhombus mesh, cut
-off along that chain. The outer boundary is not stored: it is the set of
-edges that one element has.
+its nodes and its elements; the outer boundary is not stored: it is the set
+of edges that one element has. The half-rhombus triangle used for the mixed
+eigenvalue problem is cut from the rhombus mesh (``half_rhombus``) along the
+short diagonal, which lies on the line x = cos(pi/m) at every level.
 
 A mesh's topology lives in one edge table (``edge_table``), built in a
 single ``np.unique`` pass over the element edges. Edges are numbered in
@@ -21,7 +20,7 @@ bytes of everything computed downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +35,9 @@ MAX_LENGTH = 1e6
 # most elements refine may build (square and rhombus level 8, 64-gon level
 # 6); far past it a mesh needs gigabytes, so refine refuses before allocating
 MAX_ELEMENTS = 2 ** 18
+# largest rhombus m: compare-bounds at level 1 still certifies its eigen
+# solve at m = 4096, but not at m = 5289 nor at any larger m tried up to 1e8
+MAX_RHOMBUS_M = 4096
 
 
 @dataclass(frozen=True)
@@ -93,9 +95,12 @@ class DomainSpec:
 
 
 def make_rhombus(m: int) -> DomainSpec:
-    """Unit-side rhombus with acute angle 2*pi/m (m >= 5)."""
+    """Unit-side rhombus with acute angle 2*pi/m (5 <= m <= MAX_RHOMBUS_M)."""
     if m < 5:
         raise ParameterError(f"rhombus requires m >= 5, got {m}")
+    if m > MAX_RHOMBUS_M:
+        raise ParameterError(
+            f"rhombus requires m <= {MAX_RHOMBUS_M}, got {m}")
     return DomainSpec(kind="rhombus", m=int(m))
 
 
@@ -118,17 +123,10 @@ def make_regular_polygon(k: int, radius: float = 1.0) -> DomainSpec:
 
 @dataclass
 class Mesh:
-    """Conforming triangle mesh with counterclockwise elements.
-
-    diagonal holds the node pairs of the rhombus short-diagonal chain, shape
-    (D, 2), in chain order. The chain is interior to the rhombus and becomes
-    true boundary on the half-rhombus sub-mesh; it is empty on other meshes.
-    """
+    """Conforming triangle mesh with counterclockwise elements."""
 
     nodes: np.ndarray
     elements: np.ndarray
-    diagonal: np.ndarray = field(
-        default_factory=lambda: np.empty((0, 2), dtype=int))
 
     @property
     def node_count(self) -> int:
@@ -164,16 +162,6 @@ def _edge_keys(pairs, node_count: int) -> np.ndarray:
     """One int64 key per undirected vertex pair, lo * node_count + hi."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     return pairs.min(axis=1) * node_count + pairs.max(axis=1)
-
-
-def _diagonal_edge_ids(mesh: Mesh, table: EdgeTable) -> np.ndarray:
-    """Table id of each diagonal pair, -1 where it is no mesh edge."""
-    keys = _edge_keys(table.edges, mesh.node_count)
-    order = np.argsort(keys)
-    wanted = _edge_keys(mesh.diagonal, mesh.node_count)
-    pos = np.searchsorted(keys, wanted, sorter=order)
-    ids = order[np.minimum(pos, len(keys) - 1)]
-    return np.where(keys[ids] == wanted, ids, -1)
 
 
 def edge_table(mesh: Mesh) -> EdgeTable:
@@ -220,17 +208,7 @@ def _base_mesh(spec: DomainSpec) -> Mesh:
                       [c, -s],      # D
                       [c, 0.0]])    # O
     elements = np.array([[0, 4, 1], [4, 2, 1], [0, 3, 4], [4, 3, 2]])
-    return Mesh(nodes=nodes, elements=elements,
-                diagonal=np.array([[1, 4], [4, 3]]))
-
-
-def _half_rhombus_base(m: int) -> Mesh:
-    """Triangle A B D of the rhombus: base elements 0 and 2, left of the
-    diagonal, on the rhombus nodes A, B, D, O renumbered in that order."""
-    full = _base_mesh(make_rhombus(m))
-    kept, elements = np.unique(full.elements[[0, 2]], return_inverse=True)
-    return Mesh(nodes=full.nodes[kept], elements=elements.reshape(-1, 3),
-                diagonal=np.searchsorted(kept, full.diagonal))
+    return Mesh(nodes=nodes, elements=elements)
 
 
 # children of a red-refined element, as columns of [i0, i1, i2, m01, m12, m20]
@@ -248,18 +226,12 @@ def refine(mesh: Mesh) -> Mesh:
     ends = mesh.nodes[table.edges]
     nodes = np.vstack([mesh.nodes, 0.5 * (ends[:, 0] + ends[:, 1])])
     corners = np.hstack([mesh.elements, n + table.element_edges])
-    elements = corners[:, _CHILDREN].reshape(-1, 3)
-    mids = n + _diagonal_edge_ids(mesh, table)
-    if np.any(mids < n):
-        raise ParameterError("diagonal pair is not a mesh edge")
-    # pair (i, j) with midpoint k becomes (i, k), (k, j), in chain order
-    i, j = mesh.diagonal.T
-    diagonal = np.column_stack([i, mids, mids, j]).reshape(-1, 2)
-    return Mesh(nodes=nodes, elements=elements, diagonal=diagonal)
+    return Mesh(nodes=nodes, elements=corners[:, _CHILDREN].reshape(-1, 3))
 
 
-def _refined(mesh: Mesh, level: int) -> Mesh:
-    """``mesh`` refined ``level`` times."""
+def triangulate(spec: DomainSpec, level: int = 0) -> Mesh:
+    """Base triangulation refined ``level`` times."""
+    mesh = _base_mesh(spec)
     if level < 0:
         raise ParameterError(f"refinement level must be >= 0, got {level}")
     for _ in range(level):
@@ -267,15 +239,19 @@ def _refined(mesh: Mesh, level: int) -> Mesh:
     return mesh
 
 
-def triangulate(spec: DomainSpec, level: int = 0) -> Mesh:
-    """Base triangulation refined ``level`` times."""
-    return _refined(_base_mesh(spec), level)
+def half_rhombus(mesh: Mesh) -> tuple[Mesh, np.ndarray]:
+    """Triangle A B D of a rhombus mesh, and its nodes on the short diagonal.
 
-
-def triangulate_half_rhombus(m: int, level: int = 0) -> Mesh:
-    """Mesh of the half-rhombus triangle; its diagonal is the Dirichlet side.
-
-    At every level this is the sub-complex of triangulate(make_rhombus(m))
-    lying left of the short diagonal.
+    Keeps the elements whose nodes all have x <= c, with c = 0.5 * max x
+    the abscissa of the short diagonal, on their nodes renumbered in index
+    order. The cut is exact: C is (2c, 0), so O and every refinement
+    midpoint on the diagonal have x == c bit for bit. The second value
+    holds the half's nodes with x == c, where the mixed problem is zero.
     """
-    return _refined(_half_rhombus_base(m), level)
+    x = mesh.nodes[:, 0]
+    c = 0.5 * x.max()
+    left = np.all(x[mesh.elements] <= c, axis=1)
+    kept, elements = np.unique(mesh.elements[left], return_inverse=True)
+    nodes = mesh.nodes[kept]
+    return (Mesh(nodes=nodes, elements=elements.reshape(-1, 3)),
+            np.flatnonzero(nodes[:, 0] == c))

@@ -169,7 +169,7 @@ def _solve_linear(problem: SturmProblem) -> SturmSolution:
     off = np.sum(wq * xi * (1.0 - xi), axis=1)
     M = sparse.diags([diag, off, off], [0, 1, -1], format="csr")
 
-    pair = _inverse_iteration(K, M, np.arange(n), "dirichlet", 0.0)
+    pair = _inverse_iteration(K, M, np.arange(n), 0.0)
     return _solution(problem, s, pair.vector, pair.value, pair.iterations)
 
 

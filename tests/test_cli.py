@@ -224,7 +224,14 @@ def test_usage_errors(capsys):
                         "invalid float value: 'x'"),
                        (["verify-rhombus", "--level", "0"], "got 0"),
                        (["chiti", "--domain", "square", "--level", "1",
-                         "--q", "1100"], "(0, 50], got 1100.0")):
+                         "--q", "1100"], "(0, 50], got 1100.0"),
+                       # far past the cap the eigen solve cannot be
+                       # certified; the cap refuses m before any mesh
+                       (["compare-bounds", "--domain", "rhombus", "--m",
+                         "100000000", "--level", "2"],
+                        "m <= 4096, got 100000000"),
+                       (["verify-rhombus", "--m", "8,4097", "--level", "1"],
+                        "m <= 4096, got 4097")):
         code, out, err = run_cli(argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and text in err
@@ -276,8 +283,13 @@ def test_usage_errors(capsys):
     for sub in ("chiti", "rholder"):
         assert run_cli([sub, "--help"])[0] == 0
         assert "exponent in (0, 50]" in capsys.readouterr().out
-    # near-degenerate rhombi fail the residual gate at once, on one line
-    for argv in (["compare-bounds", "--domain", "rhombus", "--m", "100000",
+    for sub in ("bound", "compare-bounds", "verify-rhombus", "chiti",
+                "rholder"):
+        assert run_cli([sub, "--help"])[0] == 0
+        assert "in [5, 4096]" in capsys.readouterr().out
+    # near-degenerate rhombi below the m cap fail the residual gate at
+    # once, on one line
+    for argv in (["compare-bounds", "--domain", "rhombus", "--m", "4096",
                   "--level", "2"],
                  ["compare-bounds", "--domain", "rhombus", "--m", "1000",
                   "--level", "4"],

@@ -1,7 +1,8 @@
 """Property test of the CLI error contract on generated invocations.
 
 Every argv is built inside the documented ranges and the size budget:
-levels 0-3, lengths and radii in [1e-6, 1e6], exponents up to special.Q_MAX,
+levels 0-3, lengths and radii in [1e-6, 1e6], rhombus m up to
+geometry.MAX_RHOMBUS_M, exponents up to special.Q_MAX,
 sturm with at most 1024 cells and gamma >= 1.25. Whatever the numerics make
 of it, an invocation must end in exit 0, 1 or 2; exit 0 leaves the error
 stream empty, raises no warning and prints no NaN or infinity; any other
@@ -44,7 +45,8 @@ Q = st.one_of(
     st.floats(min_value=-3.0, max_value=math.log10(special.Q_MAX)).map(
         lambda e: min(special.Q_MAX, 10.0 ** e)))
 FRACTION = st.floats(min_value=0.01, max_value=0.99)
-RHOMBUS_M = st.integers(5, 200)
+RHOMBUS_M = st.one_of(st.just(geometry.MAX_RHOMBUS_M),
+                      st.integers(5, geometry.MAX_RHOMBUS_M))
 
 DOMAIN = st.one_of(
     st.just(["--domain", "square"]),

@@ -131,7 +131,6 @@ def test_eigenpair_contract():
     mesh = pipelines.mesh(pipelines.SQUARE, 3)
     M = fem.assemble_mass(mesh)
     pair = pipelines.neumann(pipelines.SQUARE, 3)
-    assert pair.bc == "neumann"
     # unit mass norm and mass-orthogonality to constants
     assert pair.vector @ (M @ pair.vector) == pytest.approx(1.0, rel=1e-12)
     assert abs(np.ones(mesh.node_count) @ (M @ pair.vector)) <= 1e-10
@@ -174,7 +173,8 @@ def test_one_factorization_per_solve(monkeypatch):
     assert shapes == [(mesh.node_count, mesh.node_count)]
     assert pair.iterations >= 2          # Lanczos solves plus the polish
     fem.solve_dirichlet_lambda1(mesh)
-    fem.solve_mixed_dn(geometry.triangulate_half_rhombus(8, 3))
+    fem.solve_mixed_dn(*geometry.half_rhombus(
+        pipelines.mesh(geometry.make_rhombus(8), 3)))
     assert len(shapes) == 3
 
 
@@ -207,8 +207,9 @@ def test_mixed_equals_rhombus_neumann():
         mu = pipelines.neumann(geometry.make_rhombus(m), 4)
         assert dn.value == pytest.approx(mu.value, rel=1e-8)
         # constrained nodes are hard zeros
-        half = geometry.triangulate_half_rhombus(m, 4)
-        assert np.abs(dn.vector[half.diagonal]).max() == 0.0
+        _, zero = geometry.half_rhombus(
+            pipelines.mesh(geometry.make_rhombus(m), 4))
+        assert np.abs(dn.vector[zero]).max() == 0.0
 
 
 def test_mixed_sector_sandwich_and_limit():
@@ -227,7 +228,31 @@ def test_mixed_sector_sandwich_and_limit():
 
 def test_mixed_requires_tag():
     with pytest.raises(ParameterError):
-        fem.solve_mixed_dn(pipelines.mesh(pipelines.SQUARE, 2))
+        fem.solve_mixed_dn(pipelines.mesh(pipelines.SQUARE, 2), [])
+
+
+# (spec, level, value hex, iterations) of the Dirichlet solve, recorded
+# from its own constrained path: running it through the mixed solve must not
+# move a bit
+DIRICHLET_BITS = [
+    (pipelines.SQUARE, 4, "0x1.3ee06b50478c7p+4", 39),
+    (geometry.make_rhombus(8), 3, "0x1.1a7249d9d73f5p+5", 22),
+    (pipelines.GON64, 2, "0x1.74955d34de40fp+2", 39),
+]
+
+
+def test_dirichlet_is_the_mixed_solve_on_the_boundary():
+    """The Dirichlet solve is the mixed solve with every true boundary node
+    zero, bit for bit as the separate solve it replaced; a mesh with no
+    free node is refused."""
+    for spec, level, bits, iterations in DIRICHLET_BITS:
+        mesh = pipelines.mesh(spec, level)
+        pair = fem.solve_dirichlet_lambda1(mesh)
+        mixed = fem.solve_mixed_dn(mesh, fem._true_boundary_nodes(mesh))
+        assert (pair.value.hex(), pair.iterations) == (bits, iterations)
+        assert pair.vector.tobytes() == mixed.vector.tobytes()
+    with pytest.raises(ParameterError, match="no interior nodes"):
+        fem.solve_dirichlet_lambda1(_single_triangle())
 
 
 def test_richardson():

@@ -1,4 +1,4 @@
-"""Domain specs, mesh construction, refinement and the diagonal chain."""
+"""Domain specs, mesh construction, refinement and the half-rhombus cut."""
 
 import math
 
@@ -53,6 +53,9 @@ def test_regular_polygon_spec_geometry():
 def test_spec_validation():
     with pytest.raises(ParameterError):
         geometry.make_rhombus(4)
+    assert geometry.make_rhombus(geometry.MAX_RHOMBUS_M).m == 4096
+    with pytest.raises(ParameterError, match="m <= 4096"):
+        geometry.make_rhombus(geometry.MAX_RHOMBUS_M + 1)
     with pytest.raises(ParameterError):
         geometry.make_rectangle(1.0, 2.0)
     with pytest.raises(ParameterError):
@@ -99,7 +102,6 @@ def test_refine_budget(monkeypatch):
     # a polygon's base mesh has one element per vertex: refused before the
     # vertex arrays are allocated
     for build in (lambda: geometry.triangulate(spec, 2),
-                  lambda: geometry.triangulate_half_rhombus(8, 5),
                   lambda: geometry.triangulate(
                       geometry.make_regular_polygon(4 * 64 + 1), 0)):
         with pytest.raises(ParameterError, match="budget"):
@@ -108,9 +110,9 @@ def test_refine_budget(monkeypatch):
 
 def _loop_refine(mesh, outer):
     """Reference red refinement: a dict walk that names each midpoint the
-    first time an element side (0,1), (1,2), (2,0) meets it. The diagonal
-    chain and the outer boundary pairs ``outer`` are split at those
-    midpoints; returns the refined mesh and outer pairs."""
+    first time an element side (0,1), (1,2), (2,0) meets it. The outer
+    boundary pairs ``outer`` are split at those midpoints; returns the
+    refined mesh and outer pairs."""
     nodes = [tuple(xy) for xy in mesh.nodes]
     midpoint = {}
 
@@ -136,17 +138,14 @@ def _loop_refine(mesh, outer):
             halves.extend([(i, k), (k, j)])
         return halves
 
-    diagonal = np.array(split(mesh.diagonal.tolist()), dtype=int)
     return geometry.Mesh(nodes=np.array(nodes),
-                         elements=np.array(elements, dtype=int),
-                         diagonal=diagonal.reshape(-1, 2)), split(outer)
+                         elements=np.array(elements, dtype=int)), split(outer)
 
 
 def _outer_edges(mesh):
-    """Edges of one element, less the diagonal chain, as sorted pairs."""
+    """Edges of one element, as sorted pairs."""
     table = geometry.edge_table(mesh)
-    single = {tuple(edge) for edge in table.edges[table.counts == 1].tolist()}
-    return single - {tuple(sorted(pair)) for pair in mesh.diagonal.tolist()}
+    return {tuple(edge) for edge in table.edges[table.counts == 1].tolist()}
 
 
 @pytest.mark.parametrize("build", [
@@ -156,8 +155,7 @@ def _outer_edges(mesh):
                                        level),
     lambda level: geometry.triangulate(geometry.make_regular_polygon(16),
                                        level),
-    lambda level: geometry.triangulate_half_rhombus(8, level),
-], ids=["rectangle", "rhombus8", "polygon3", "polygon16", "half_rhombus8"])
+], ids=["rectangle", "rhombus8", "polygon3", "polygon16"])
 def test_refine_matches_loop_reference(build):
     """The edge-table refinement numbers nodes exactly as the dict walk, and
     the outer boundary stays the split base boundary."""
@@ -168,8 +166,6 @@ def test_refine_matches_loop_reference(build):
         assert mesh.nodes.tobytes() == reference.nodes.tobytes()
         assert mesh.elements.dtype == reference.elements.dtype
         assert np.array_equal(mesh.elements, reference.elements)
-        assert mesh.diagonal.dtype == reference.diagonal.dtype
-        assert np.array_equal(mesh.diagonal, reference.diagonal)
         assert _outer_edges(mesh) == {tuple(sorted(pair)) for pair in outer}
         reference, outer = _loop_refine(reference, outer)
 
@@ -184,58 +180,61 @@ def test_edge_table():
     assert table.counts.tolist() == [1, 1, 2, 1, 1]
     assert oracles.undirected_edges(mesh) == {
         (0, 1): 1, (1, 2): 1, (0, 2): 2, (2, 3): 1, (0, 3): 1}
-    bad = geometry.Mesh(nodes=mesh.nodes, elements=mesh.elements,
-                        diagonal=np.array([[1, 3]]))
-    with pytest.raises(ParameterError, match="not a mesh edge"):
-        geometry.refine(bad)
+
+
+HALF_RHOMBUS_M = (5, 8, 16, 33, 64)
 
 
 def test_rhombus_diagonal_chain_every_level():
-    """The short diagonal must be an edge chain at every level."""
-    for level in range(4):
-        mesh = pipelines.mesh(geometry.make_rhombus(8), level)
-        diag = mesh.diagonal.tolist()
-        assert len(diag) == 2 ** (level + 1)
-        # consecutive pairs share their end node: one chain from B to D
-        assert all(a[1] == b[0] for a, b in zip(diag, diag[1:]))
-        edges = oracles.undirected_edges(mesh)
-        for i, j in diag:
-            key = (min(i, j), max(i, j))
-            assert edges.get(key) == 2, "diagonal pair is not an interior edge"
-        # The chain covers the full short diagonal: its summed length is the
-        # diagonal length 2 sin(pi / 8), and every node on it has x = const.
-        nodes = mesh.nodes
-        total = sum(np.linalg.norm(nodes[i] - nodes[j]) for i, j in diag)
-        assert total == pytest.approx(2.0 * math.sin(math.pi / 8.0), rel=1e-12)
-        xs = {round(float(nodes[i][0]), 12) for i, j in diag for i in (i, j)}
-        assert len(xs) == 1
+    """The short diagonal is the cut's zero nodes at every level: its
+    2^(level+1) + 1 nodes have x == c exactly and span B to D."""
+    for m in HALF_RHOMBUS_M:
+        spec = geometry.make_rhombus(m)
+        c = math.cos(math.pi / m)
+        for level in range(5):
+            half, zero = geometry.half_rhombus(pipelines.mesh(spec, level))
+            assert len(zero) == 2 ** (level + 1) + 1
+            assert np.all(half.nodes[zero, 0] == c)
+            assert np.ptp(half.nodes[zero, 1]) == pytest.approx(
+                2.0 * math.sin(math.pi / m), rel=1e-12)
 
 
 def test_half_rhombus_is_submesh():
-    full = pipelines.mesh(geometry.make_rhombus(8), 2)
-    half = geometry.triangulate_half_rhombus(8, 2)
-    oracles.validate_mesh(half, area=geometry.make_rhombus(8).area / 2.0)
-    # every half-rhombus element appears in the full mesh with matching
-    # coordinates (the sub-complex property used by the mixed eigenproblem)
-    full_tris = {tuple(sorted(map(tuple, full.nodes[el]))) for el in full.elements}
-    half_tris = {tuple(sorted(map(tuple, half.nodes[el]))) for el in half.elements}
-    assert half_tris <= full_tris
-    assert len(half_tris) * 2 == len(full_tris)
-    # the diagonal chain is true boundary of the half: one element per edge
-    edges = oracles.undirected_edges(half)
-    assert {edges[tuple(sorted(pair))] for pair in half.diagonal.tolist()} \
-        == {1}
+    """The half rhombus is the rhombus mesh's elements left of x = c: half
+    of its triangles, with matching coordinates, and the diagonal is true
+    boundary of the half."""
+    for m in HALF_RHOMBUS_M:
+        spec = geometry.make_rhombus(m)
+        for level in range(5):
+            full = pipelines.mesh(spec, level)
+            half, zero = geometry.half_rhombus(full)
+            oracles.validate_mesh(half, area=spec.area / 2.0)
+            # the sub-complex property used by the mixed eigenproblem
+            full_tris = {tuple(sorted(map(tuple, full.nodes[el])))
+                         for el in full.elements}
+            half_tris = {tuple(sorted(map(tuple, half.nodes[el])))
+                         for el in half.elements}
+            assert half_tris <= full_tris
+            assert 2 * len(half_tris) == len(full_tris)
+            # one element per diagonal edge
+            on_diagonal = set(zero.tolist())
+            counts = [count for (i, j), count
+                      in oracles.undirected_edges(half).items()
+                      if i in on_diagonal and j in on_diagonal]
+            assert counts == [1] * 2 ** (level + 1)
 
 
-@pytest.mark.parametrize("m", [5, 8, 16, 33, 64])
+@pytest.mark.parametrize("m", HALF_RHOMBUS_M)
 def test_half_rhombus_base_numbering(m):
-    """Nodes A, B, D, O of the rhombus base, in that order."""
+    """At level 0 the cut is A, B, D, O of the rhombus base, in that order,
+    zero on B, D and O."""
     c, s = math.cos(math.pi / m), math.sin(math.pi / m)
-    half = geometry.triangulate_half_rhombus(m, 0)
+    half, zero = geometry.half_rhombus(
+        pipelines.mesh(geometry.make_rhombus(m), 0))
     assert half.nodes.tobytes() == np.array(
         [[0.0, 0.0], [c, s], [c, -s], [c, 0.0]]).tobytes()
     assert half.elements.tolist() == [[0, 3, 1], [0, 2, 3]]
-    assert half.diagonal.tolist() == [[1, 3], [3, 2]]
+    assert zero.tolist() == [1, 2, 3]
 
 
 def test_scaled_mesh():
