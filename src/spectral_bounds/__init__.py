@@ -18,12 +18,10 @@ from .bounds import (
     ashbaugh_mercado,
     bct_corollary,
     compare_report,
-    dominance_ratio,
     kn_lookup,
     lower_bounds,
     main_bound,
     payne_weinberger,
-    pw_improvement_check,
     rhombus_sharpness,
     sector_sandwich,
     shared_solves,
@@ -50,44 +48,33 @@ from .rearrangement import (
     chiti_check,
     cumulative_power,
     dirichlet_ball_profile,
-    lq_norm_positive,
     rearrange,
     rearrange_oriented,
     reverse_holder_check,
 )
 from .special import (
     bessel_first_zero,
-    f_power_mean,
     lambda1_sharp,
     omega_n,
     psi_profile,
-    sup_ratio,
 )
-from .sturm1d import (
-    SturmProblem,
-    check_L_bound,
-    sigma1,
-    sturm_consistency,
-)
+from .sturm1d import SturmProblem
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "KnEntry", "SharedSolves", "ashbaugh_mercado",
-    "bct_corollary", "compare_report", "dominance_ratio", "kn_lookup",
-    "lower_bounds", "main_bound", "payne_weinberger", "pw_improvement_check",
-    "rhombus_sharpness", "sector_sandwich", "shared_solves",
-    "symmetric_planar_bound",
+    "bct_corollary", "compare_report", "kn_lookup", "lower_bounds",
+    "main_bound", "payne_weinberger", "rhombus_sharpness", "sector_sandwich",
+    "shared_solves", "symmetric_planar_bound",
     "ConvergenceError", "NumericError", "ParameterError",
     "assemble_mass", "assemble_stiffness", "richardson",
     "solve_dirichlet_lambda1", "solve_mixed_dn", "solve_neumann_mu1",
     "DomainSpec", "Mesh", "make_rectangle", "make_regular_polygon",
     "make_rhombus", "triangulate",
     "chiti_check", "cumulative_power", "dirichlet_ball_profile",
-    "lq_norm_positive", "rearrange", "rearrange_oriented",
-    "reverse_holder_check",
-    "bessel_first_zero", "f_power_mean", "lambda1_sharp", "omega_n",
-    "psi_profile", "sup_ratio",
-    "SturmProblem", "check_L_bound", "sigma1", "sturm_consistency",
+    "rearrange", "rearrange_oriented", "reverse_holder_check",
+    "bessel_first_zero", "lambda1_sharp", "omega_n", "psi_profile",
+    "SturmProblem",
     "__version__",
 ]

@@ -1,9 +1,9 @@
 """Closed-form spectral lower bounds and comparison reports.
 
 The registry half of this module knows the relative isoperimetric constant
-in closed form for two families of planar domains: rhombi, where the optimal
-cut is the short diagonal, and centrally symmetric convex domains, where the
-constant is determined by the width. The bound half evaluates the
+in closed form for centrally symmetric convex planar domains, where it is
+determined by the width; rhombi, rectangles and regular polygons with an
+even number of sides all take that one rule. The bound half evaluates the
 rearrangement-based lower bound for the first nontrivial Neumann eigenvalue
 together with the older bounds it competes against, and aggregates everything
 into one report per domain, with a finite element reference value when p = 2.
@@ -23,7 +23,6 @@ from . import fem, geometry, rearrangement, special
 from .errors import NumericError, ParameterError
 from .geometry import DomainSpec
 
-RULE_RHOMBUS = "rhombus-short-diagonal"
 RULE_SYMMETRIC_WIDTH = "symmetric-convex-width"
 
 # relative slack of the FEM reference values for leftover discretization error
@@ -45,18 +44,16 @@ class KnEntry:
 
 
 def kn_lookup(spec: DomainSpec) -> KnEntry:
-    """Closed-form relative isoperimetric constant for the known families.
+    """Closed-form relative isoperimetric constant of a centrally symmetric
+    convex planar domain: the width rule, sqrt(2 w^2 / area).
 
-    Rhombi use the short-diagonal cut, sqrt(2 sin(2 pi / m)). Centrally
-    symmetric convex planar domains use the width rule, sqrt(2 w^2 / area).
-    A rhombus satisfies both (its width and area both equal sin(2 pi / m),
-    so the width rule reproduces the diagonal value); the dedicated rule is
-    the one reported. Anything else has no known constant here: computing it
-    would mean solving a shape optimization problem, which is out of scope.
+    On the unit-side rhombus with acute angle 2 pi / m the width and the
+    area both equal sin(2 pi / m), so the rule gives sqrt(2 sin(2 pi / m)),
+    the value of the cut along a chord of length w across a side pair, not
+    of the short diagonal. Anything else has no known constant here:
+    computing it would mean solving a shape optimization problem, which is
+    out of scope.
     """
-    if spec.kind == "rhombus":
-        value = math.sqrt(2.0 * math.sin(2.0 * math.pi / spec.m))
-        return KnEntry(value, RULE_RHOMBUS)
     if spec.centrally_symmetric:
         value = math.sqrt(2.0 * spec.width ** 2 / spec.area)
         return KnEntry(value, RULE_SYMMETRIC_WIDTH)
@@ -94,16 +91,6 @@ def ashbaugh_mercado(p: float, n: int, K: float, area: float) -> float:
     return 2.0 ** (p / n) * factor ** p * K ** p / area ** (p / n)
 
 
-def dominance_ratio(p: float, n: int) -> float:
-    """main_bound / ashbaugh_mercado, which is (psi_p p (n-1) / n^2)^p.
-
-    The domain data cancels in the quotient, so this closed form lets the
-    dominance of the rearrangement bound be checked without picking a domain.
-    """
-    psi = special.psi_profile(p, n).first_zero
-    return (psi * p * (n - 1.0) / n ** 2) ** p
-
-
 def bct_corollary(n: int, K: float, area: float) -> float:
     """Older p = 2 bound built from a one-parameter power-mean supremum.
 
@@ -131,53 +118,6 @@ def symmetric_planar_bound(width: float, area: float) -> float:
         raise ParameterError(f"need width, area > 0, got w={width}, area={area}")
     j0 = special.bessel_first_zero(0.0)
     return j0 * j0 * width ** 2 / area ** 2
-
-
-@dataclass(frozen=True)
-class PwImprovementReport:
-    """Outcome of the thin-domain test against the diameter bound."""
-
-    domain: str
-    c: float
-    area: float
-    width: float
-    diameter: float
-    threshold_product: float
-    hypothesis_holds: bool
-    bound_times_d2: float
-    improvement_threshold: float
-    pw_times_d2: float
-    improves: bool
-
-
-def pw_improvement_check(spec: DomainSpec, c: float) -> PwImprovementReport:
-    """Check whether the width bound beats the diameter bound on one domain.
-
-    The hypothesis is area < c * width * diameter with 0 < c < j_{0,1}/pi.
-    When it holds, the width bound times diameter^2 clears j_{0,1}^2 / c^2,
-    which in turn exceeds pi^2, so the diameter bound is strictly improved.
-    The final inequality is re-verified numerically rather than trusted.
-    """
-    j0 = special.bessel_first_zero(0.0)
-    if not 0.0 < c < j0 / math.pi:
-        raise ParameterError(
-            f"c must lie in (0, {j0 / math.pi:.6f}), got {c}")
-    if not spec.centrally_symmetric:
-        raise ParameterError(
-            f"width rule needs a centrally symmetric domain, got {spec.label}")
-    area, width, diameter = spec.area, spec.width, spec.diameter
-    product = c * width * diameter
-    holds = area < product
-    bound_d2 = symmetric_planar_bound(width, area) * diameter ** 2
-    threshold = j0 * j0 / (c * c)
-    pw_d2 = math.pi ** 2
-    improves = bool(holds and bound_d2 >= threshold * (1.0 - 1e-12)
-                    and threshold > pw_d2)
-    if holds and not improves:
-        raise NumericError(
-            f"width bound {bound_d2} fell below threshold {threshold}")
-    return PwImprovementReport(spec.label, c, area, width, diameter, product,
-                               holds, bound_d2, threshold, pw_d2, improves)
 
 
 def lower_bounds(spec: DomainSpec, p: float) -> dict[str, float]:

@@ -297,11 +297,6 @@ def rearrange_oriented(mesh: Mesh, nodal) -> RearrangedProfile:
     return profile
 
 
-def lq_norm_positive(profile: RearrangedProfile, q: float) -> float:
-    """L^q norm of the positive part, from the exact pieces."""
-    return cumulative_power(profile, q).total ** (1.0 / q)
-
-
 def cumulative_power(profile: RearrangedProfile, q: float) -> CumulativePower:
     """Exact s -> integral of (u*)^q over (0, s), saturating past s̃."""
     if q <= 0:
@@ -461,8 +456,9 @@ def reverse_holder_check(u_profile: RearrangedProfile,
     constant = finite("constant", lambda: (
         ball.measure ** (1.0 / q - 1.0 / r)
         * math.exp(prof.log_power_mean(q) - prof.log_power_mean(r))))
-    lhs = lq_norm_positive(u_profile, q)
-    rhs = finite("rhs", lambda: constant * lq_norm_positive(u_profile, r))
+    lhs = cumulative_power(u_profile, q).total ** (1.0 / q)
+    rhs = finite("rhs", lambda: (
+        constant * cumulative_power(u_profile, r).total ** (1.0 / r)))
     return ReverseHolderReport(lhs=float(lhs), rhs=float(rhs),
                                constant=float(constant),
                                ok=bool(lhs <= rhs * (1.0 + CHECK_TOL)))

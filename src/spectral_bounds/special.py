@@ -273,22 +273,3 @@ def lambda1_sharp(p: float, n: int, area: float) -> float:
     if area <= 0.0:
         raise ParameterError(f"measure must be positive, got {area}")
     return psi_profile(p, n).first_zero ** p * (omega_n(n) / area) ** (p / n)
-
-
-def f_power_mean(p: float, n: int, s: float) -> float:
-    """Weighted power mean f(s) of the radial profile; nondecreasing in s."""
-    return psi_profile(p, n).power_mean(s)
-
-
-def sup_ratio(p: float, n: int, r: float, q: float) -> float:
-    """(f(r)/f(q))^(p q r / (n (q - r))), evaluated in log space.
-
-    Each value is <= 1 up to quadrature noise, and the supremum over
-    0 < r < q equals 1 (approached as r, q -> 0 together).
-    """
-    if not 0.0 < r < q:
-        raise ParameterError(f"need 0 < r < q, got r={r}, q={q}")
-    profile = psi_profile(p, n)
-    exponent = p * q * r / (n * (q - r))
-    return math.exp(exponent * (profile.log_power_mean(r)
-                                - profile.log_power_mean(q)))

@@ -30,8 +30,6 @@ from scipy.sparse.linalg import splu
 from .errors import ConvergenceError, NumericError, ParameterError
 from .fem import _inverse_iteration
 from .geometry import MAX_LENGTH, MIN_LENGTH
-from .rearrangement import (CHECK_TOL, BallComparisonProfile,
-                            dirichlet_ball_profile)
 from .special import GL_NODES, GL_WEIGHTS
 
 _QUOTIENT_TOL = 1e-10
@@ -264,57 +262,3 @@ def solve(problem: SturmProblem) -> SturmSolution:
             "computed eigenvalue fell below the scale-invariant lower bound: "
             f"{solution.sigma!r} < {problem.hardy_lower_bound!r}")
     return solution
-
-
-def sigma1(problem: SturmProblem) -> float:
-    return solve(problem).sigma
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    L: float
-    sigma_target: float
-    sigma_computed: float
-    rel_err: float
-
-
-def sturm_consistency(p: float, n: int, K: float,
-                      mu1: float) -> ConsistencyReport:
-    """Round trip: the interval eigenvalue on (0, L) must reproduce
-    mu1/K^p once raised back to the p-1 power."""
-    if p < 2:
-        raise ParameterError("p must be at least 2")
-    L = dirichlet_ball_profile(p, n, K, mu1).measure
-    gamma = p / (p - 1.0)
-    beta = gamma * (1.0 - 1.0 / n)
-    sigma = sigma1(SturmProblem(gamma=gamma, beta=beta, length=L))
-    computed = sigma ** (p - 1.0)
-    target = mu1 / K ** p
-    return ConsistencyReport(L=L, sigma_target=target,
-                             sigma_computed=computed,
-                             rel_err=abs(computed - target) / target)
-
-
-@dataclass(frozen=True)
-class LBoundReport:
-    L: float
-    s_tilde: float
-    margins: tuple
-    min_margin: float
-    ok: bool
-
-
-def check_L_bound(ball: BallComparisonProfile, s_tilde: float,
-                  area: float) -> LBoundReport:
-    """Check L <= min(s_tilde, area - s_tilde, area/2) for L = ball.measure,
-    the measure of the comparison ball from dirichlet_ball_profile; margins
-    in units of the domain measure, up to CHECK_TOL."""
-    if not 0.0 < s_tilde < area:
-        raise ParameterError("s_tilde must lie strictly inside (0, area)")
-    L = ball.measure
-    margins = ((s_tilde - L) / area, (area - s_tilde - L) / area,
-               (0.5 * area - L) / area)
-    min_margin = min(margins)
-    return LBoundReport(L=L, s_tilde=s_tilde, margins=margins,
-                        min_margin=min_margin,
-                        ok=bool(min_margin >= -CHECK_TOL))

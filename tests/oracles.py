@@ -1,8 +1,10 @@
-"""Reference routes and mesh helpers that only the tests use.
+"""Reference routes, checks and mesh helpers that only the tests use.
 
 Each reference route computes a quantity the library also computes, by an
-independent route: the tests compare the two. ``validate_mesh`` checks a
-mesh's topology and area; ``scaled`` rescales a mesh for covariance tests.
+independent route: the tests compare the two. Each check returns the
+numbers of one inequality of the paper, which the tests hold to their own
+tolerances. ``validate_mesh`` checks a mesh's topology and area;
+``scaled`` rescales a mesh for covariance tests.
 """
 
 import dataclasses
@@ -10,9 +12,10 @@ import math
 
 import numpy as np
 
-from spectral_bounds import geometry, special
+from spectral_bounds import bounds, geometry, special, sturm1d
 from spectral_bounds.errors import ParameterError
-from spectral_bounds.rearrangement import _power_diff, cumulative_power
+from spectral_bounds.rearrangement import (_power_diff, cumulative_power,
+                                           dirichlet_ball_profile)
 
 
 def max_edge_length(mesh: geometry.Mesh) -> float:
@@ -162,3 +165,56 @@ def profile_abs_power_integral(profile, q: float) -> float:
     neg = p.breaks < 0
     total += float(np.sum(p.atoms[neg] * (-p.breaks[neg]) ** q))
     return total
+
+
+def dominance_ratio(p: float, n: int) -> float:
+    """main_bound / ashbaugh_mercado in closed form, (psi_p p (n-1) / n^2)^p:
+    the domain data cancels in the quotient."""
+    psi = special.psi_profile(p, n).first_zero
+    return (psi * p * (n - 1.0) / n ** 2) ** p
+
+
+def sup_ratio(p: float, n: int, r: float, q: float) -> float:
+    """(f(r)/f(q))^(p q r / (n (q - r))) for 0 < r < q, in log space, with
+    f the power mean of the radial profile. Each value is <= 1 up to
+    quadrature noise, and the supremum equals 1 (as r, q -> 0 together)."""
+    profile = special.psi_profile(p, n)
+    exponent = p * q * r / (n * (q - r))
+    return math.exp(exponent * (profile.log_power_mean(r)
+                                - profile.log_power_mean(q)))
+
+
+def thin_domain_products(spec: geometry.DomainSpec,
+                         c: float) -> tuple[float, float]:
+    """(c w d, width bound times d^2) of a centrally symmetric domain.
+
+    The thin-domain hypothesis is area < c w d with 0 < c < j01/pi. Where
+    it holds, the width bound times d^2 clears j01^2/c^2 > pi^2, so the
+    width bound beats the diameter bound pi^2/d^2.
+    """
+    width, diameter = spec.width, spec.diameter
+    return (c * width * diameter,
+            bounds.symmetric_planar_bound(width, spec.area) * diameter ** 2)
+
+
+def sturm_round_trip(p: float, n: int, K: float,
+                     mu1: float) -> tuple[float, float, float]:
+    """(L, mu1/K^p, relative error) of the interval round trip: sigma1 on
+    (0, L), L the comparison ball's measure, raised to the power p - 1 must
+    reproduce mu1/K^p."""
+    L = dirichlet_ball_profile(p, n, K, mu1).measure
+    gamma = p / (p - 1.0)
+    beta = gamma * (1.0 - 1.0 / n)
+    sigma = sturm1d.solve(sturm1d.SturmProblem(gamma=gamma, beta=beta,
+                                               length=L)).sigma
+    target = mu1 / K ** p
+    return L, target, abs(sigma ** (p - 1.0) - target) / target
+
+
+def interval_margins(L: float, s_tilde: float,
+                     area: float) -> tuple[float, float, float]:
+    """Margins of L <= min(s_tilde, area - s_tilde, area/2), in units of
+    the domain measure: the interval is never longer than either nodal
+    region or half the domain."""
+    return ((s_tilde - L) / area, (area - s_tilde - L) / area,
+            (0.5 * area - L) / area)

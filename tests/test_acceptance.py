@@ -14,6 +14,7 @@ import pytest
 from spectral_bounds import bounds, fem, geometry, special, sturm1d
 from spectral_bounds import rearrangement
 
+import oracles
 import pipelines
 
 J01 = special.bessel_first_zero(0.0)
@@ -99,7 +100,7 @@ def test_criterion_4_sharpness(capsys):
 
 
 def test_criterion_5_dominance_and_chains(capsys):
-    ratios = [bounds.dominance_ratio(float(p), n)
+    ratios = [oracles.dominance_ratio(float(p), n)
               for p in range(2, 11) for n in range(2, 11)]
     dominance_ok = all(r > 1.0 for r in ratios)
     grid = [2.0, 2.5, 3.0, 4.0, 5.0, 7.0, 10.0]
@@ -122,7 +123,7 @@ def test_criterion_6_power_mean_ratio_sup(capsys):
     grid = np.geomspace(1e-3, 20.0, 50)
     results = {}
     for p, n in ((2.0, 2), (2.0, 3), (3.0, 2)):
-        values = [special.sup_ratio(p, n, r, q)
+        values = [oracles.sup_ratio(p, n, r, q)
                   for i, r in enumerate(grid)
                   for q in grid[i + 1:]]
         results[(p, n)] = max(values)
@@ -181,8 +182,7 @@ def test_criterion_9_sturm_consistency(capsys):
     for spec in (pipelines.SQUARE, pipelines.GON64):
         mu1 = pipelines.mu1_extrapolated(spec, 5)
         K = bounds.kn_lookup(spec).value
-        report = sturm1d.sturm_consistency(2.0, 2, K, mu1)
-        rels[spec.label] = report.rel_err
+        rels[spec.label] = oracles.sturm_round_trip(2.0, 2, K, mu1)[2]
     consistency_ok = all(rel <= 1e-3 for rel in rels.values())
     # Hardy bound on a spread of solved problems
     hardy_ok = True
@@ -197,9 +197,10 @@ def test_criterion_9_sturm_consistency(capsys):
         profile = pipelines.oriented_profile(spec, 5)
         K = bounds.kn_lookup(spec).value
         ball = rearrangement.dirichlet_ball_profile(2.0, 2, K, mu1)
-        report = sturm1d.check_L_bound(ball, profile.positive_measure,
-                                       profile.domain_measure)
-        min_margin = min(min_margin, report.min_margin)
+        margins = oracles.interval_margins(ball.measure,
+                                           profile.positive_measure,
+                                           profile.domain_measure)
+        min_margin = min(min_margin, *margins)
     ok = consistency_ok and hardy_ok and min_margin >= -1e-3
     _emit(capsys, 9, ok,
           f"interval round trip rel {max(rels.values()):.2e}, "
@@ -212,15 +213,17 @@ def test_criterion_9_sturm_consistency(capsys):
 
 def test_criterion_10_diameter_bound_improvement(capsys):
     spec = pipelines.SQUARE
-    report = bounds.pw_improvement_check(spec, 0.75)
+    product, bound_d2 = oracles.thin_domain_products(spec, 0.75)
+    hypothesis_holds = spec.area < product
     mu1 = pipelines.mu1_extrapolated(spec, 5)
     measured = mu1 * spec.diameter ** 2
     threshold = J01 ** 2 / 0.75 ** 2
+    improves = bound_d2 >= threshold > math.pi ** 2
     chain_ok = measured >= threshold > math.pi ** 2
-    ok = report.hypothesis_holds and report.improves and chain_ok
+    ok = hypothesis_holds and improves and chain_ok
     _emit(capsys, 10, ok,
           f"thin-domain hypothesis holds; mu1*d^2={measured:.4f} >= "
           f"{threshold:.4f} > pi^2={math.pi ** 2:.4f}")
-    assert report.hypothesis_holds
-    assert report.improves
+    assert hypothesis_holds
+    assert improves
     assert chain_ok

@@ -15,6 +15,8 @@ import pytest
 from spectral_bounds import bounds, geometry, special
 from spectral_bounds.errors import NumericError, ParameterError
 
+import oracles
+
 J01 = special.bessel_first_zero(0.0)
 
 
@@ -27,15 +29,14 @@ def test_kn_registry():
     assert rect.value == pytest.approx(1.0, rel=1e-12)
 
     rhomb = bounds.kn_lookup(geometry.make_rhombus(8))
-    assert rhomb.rule == bounds.RULE_RHOMBUS
     assert rhomb.value == pytest.approx(2.0 ** 0.25, rel=1e-12)
-    # the diagonal rule and the generic symmetric-width rule agree on
-    # every rhombus
-    for m in (8, 16, 32):
-        spec = geometry.make_rhombus(m)
-        width_rule = math.sqrt(2.0 * spec.width ** 2 / spec.area)
-        assert bounds.kn_lookup(spec).value == pytest.approx(width_rule,
-                                                             rel=1e-12)
+    # every rhombus takes the width rule, whose cut is the chord of length
+    # w = sin(2 pi / m) across a side pair, on area sin(2 pi / m)
+    for m in range(5, geometry.MAX_RHOMBUS_M + 1):
+        entry = bounds.kn_lookup(geometry.make_rhombus(m))
+        assert entry.rule == bounds.RULE_SYMMETRIC_WIDTH
+        assert entry.value == pytest.approx(
+            math.sqrt(2.0 * math.sin(2.0 * math.pi / m)), rel=1e-15)
 
     with pytest.raises(ParameterError):
         bounds.kn_lookup(geometry.make_regular_polygon(5, 1.0))
@@ -74,13 +75,13 @@ def test_main_bound_p3_square():
 def test_ashbaugh_mercado_and_dominance():
     assert bounds.ashbaugh_mercado(2.0, 2, math.sqrt(2.0), 1.0) \
         == pytest.approx(4.0, rel=1e-12)
-    assert bounds.dominance_ratio(2.0, 2) == pytest.approx(J01 ** 2 / 4.0,
-                                                           rel=1e-9)
+    assert oracles.dominance_ratio(2.0, 2) == pytest.approx(J01 ** 2 / 4.0,
+                                                            rel=1e-9)
     # the ratio of the two bounds is domain independent
     for p, n in ((2.0, 2), (3.0, 2), (2.0, 3), (5.0, 4)):
         ratio = (bounds.main_bound(p, n, 1.234, 0.77)
                  / bounds.ashbaugh_mercado(p, n, 1.234, 0.77))
-        assert ratio == pytest.approx(bounds.dominance_ratio(p, n),
+        assert ratio == pytest.approx(oracles.dominance_ratio(p, n),
                                       rel=1e-12)
         assert ratio > 1.0
 
@@ -118,10 +119,15 @@ def test_bct_corollary_is_the_q_to_1_limit(n):
 
 
 def test_symmetric_planar_bound():
-    square = geometry.make_rectangle(1.0, 1.0)
-    assert bounds.symmetric_planar_bound(1.0, 1.0) == pytest.approx(
-        bounds.main_bound(2.0, 2, bounds.kn_lookup(square).value, 1.0),
-        rel=1e-9)
+    # j01^2 w^2 / area^2 is the main bound at p = 2 with the width rule's
+    # K, reached through bessel_first_zero instead of the shot profile
+    for spec in (geometry.make_rectangle(1.0, 1.0),
+                 geometry.make_rectangle(2.0, 1.0), geometry.make_rhombus(8),
+                 geometry.make_rhombus(64),
+                 geometry.make_regular_polygon(6, 1.0)):
+        assert bounds.symmetric_planar_bound(spec.width, spec.area) \
+            == pytest.approx(bounds.main_bound(
+                2.0, 2, bounds.kn_lookup(spec).value, spec.area), rel=1e-9)
     assert bounds.symmetric_planar_bound(1.0, 2.0) == pytest.approx(
         J01 ** 2 / 4.0, rel=1e-9)
 
@@ -148,35 +154,24 @@ def test_validation_errors():
 
 def test_pw_improvement_square():
     square = geometry.make_rectangle(1.0, 1.0)
-    report = bounds.pw_improvement_check(square, 0.75)
-    assert report.hypothesis_holds
-    assert report.improves
-    assert report.threshold_product == pytest.approx(0.75 * math.sqrt(2.0),
-                                                     rel=1e-12)
-    assert report.bound_times_d2 == pytest.approx(2.0 * J01 ** 2, rel=1e-9)
-    assert report.improvement_threshold == pytest.approx(J01 ** 2 / 0.75 ** 2,
-                                                         rel=1e-12)
-    assert report.pw_times_d2 == pytest.approx(math.pi ** 2, rel=1e-12)
+    product, bound_d2 = oracles.thin_domain_products(square, 0.75)
+    threshold = J01 ** 2 / 0.75 ** 2
+    assert product == pytest.approx(0.75 * math.sqrt(2.0), rel=1e-12)
+    assert square.area < product
+    assert bound_d2 == pytest.approx(2.0 * J01 ** 2, rel=1e-9)
     # the full chain: width bound >= j01^2/c^2 > pi^2
-    assert (report.bound_times_d2 >= report.improvement_threshold
-            > report.pw_times_d2)
+    assert bound_d2 >= threshold > math.pi ** 2
     # c may approach j01/pi from below
-    assert bounds.pw_improvement_check(square, 0.76).improves
+    product, bound_d2 = oracles.thin_domain_products(square, 0.76)
+    assert square.area < product
+    assert bound_d2 >= J01 ** 2 / 0.76 ** 2 > math.pi ** 2
 
 
 def test_pw_improvement_rejects():
-    square = geometry.make_rectangle(1.0, 1.0)
-    for c in (0.77, J01 / math.pi, 0.0, -1.0):
-        with pytest.raises(ParameterError):
-            bounds.pw_improvement_check(square, c)
-    with pytest.raises(ParameterError):
-        bounds.pw_improvement_check(geometry.make_regular_polygon(5, 1.0),
-                                    0.75)
-    # wide rectangle: hypothesis fails, no improvement claimed, no error
-    report = bounds.pw_improvement_check(geometry.make_rectangle(2.0, 1.0),
-                                         0.75)
-    assert not report.hypothesis_holds
-    assert not report.improves
+    # wide rectangle: the hypothesis fails, so no improvement is claimed
+    rect = geometry.make_rectangle(2.0, 1.0)
+    product, _ = oracles.thin_domain_products(rect, 0.75)
+    assert rect.area >= product
 
 
 def test_compare_report_square():

@@ -79,6 +79,12 @@ def test_bound_square_p2_fields():
     assert row["payne_weinberger"] == pytest.approx(math.pi ** 2 / 2.0,
                                                     rel=1e-11)
     assert {"bct_corollary", "symmetric_planar"} <= row.keys()
+    # a rhombus takes the same width rule
+    code, out, _ = run_cli(["bound", "--domain", "rhombus", "--m", "8"])
+    assert code == 0
+    row = json.loads(out)
+    assert row["k_value"] == pytest.approx(2.0 ** 0.25, rel=1e-11)
+    assert row["rule"] == "symmetric-convex-width"
 
 
 def test_bound_p3_omits_linear_only_bounds():

@@ -16,10 +16,11 @@ from scipy import integrate
 
 from spectral_bounds import fem, special, sturm1d
 from spectral_bounds.errors import ConvergenceError, ParameterError
-from spectral_bounds.rearrangement import dirichlet_ball_profile
+from spectral_bounds.rearrangement import CHECK_TOL, dirichlet_ball_profile
 from spectral_bounds.sturm1d import (MAX_CELLS, MAX_LINEAR_CELLS,
-                                     SturmProblem, check_L_bound, sigma1,
-                                     solve, sturm_consistency)
+                                     SturmProblem, solve)
+
+import oracles
 
 J01 = special.bessel_first_zero(0.0)
 
@@ -27,8 +28,8 @@ J01 = special.bessel_first_zero(0.0)
 @pytest.mark.parametrize("length", [1.0, math.pi])
 def test_linear_closed_form(length):
     problem = SturmProblem(gamma=2.0, beta=1.0, length=length)
-    assert sigma1(problem) == pytest.approx(J01 ** 2 / (4.0 * length),
-                                            rel=1e-4)
+    assert solve(problem).sigma == pytest.approx(J01 ** 2 / (4.0 * length),
+                                                 rel=1e-4)
 
 
 @pytest.mark.parametrize("length", [0.5, 1.0, 2.0])
@@ -103,10 +104,10 @@ def test_scale_covariance(gamma, beta, rel):
     # phi(s/c) maps the quotient on (0, A) to the one on (0, cA) times
     # c^(beta - gamma)
     n = 2048
-    base = sigma1(SturmProblem(gamma=gamma, beta=beta, length=1.0,
-                               n_cells=n))
-    scaled = sigma1(SturmProblem(gamma=gamma, beta=beta, length=2.0,
-                                 n_cells=n))
+    base = solve(SturmProblem(gamma=gamma, beta=beta, length=1.0,
+                              n_cells=n)).sigma
+    scaled = solve(SturmProblem(gamma=gamma, beta=beta, length=2.0,
+                                n_cells=n)).sigma
     assert scaled == pytest.approx(base * 2.0 ** (beta - gamma), rel=rel)
 
 
@@ -134,9 +135,9 @@ def test_descent_reaches_minimum(monkeypatch):
     gamma = 3.4 / 2.4
     problem = SturmProblem(gamma=gamma, beta=gamma / 2.0, length=1.0,
                            n_cells=1024)
-    default = sigma1(problem)
+    default = solve(problem).sigma
     monkeypatch.setattr(sturm1d, "_QUOTIENT_TOL", 1e-14)
-    assert default == pytest.approx(sigma1(problem), rel=1e-9)
+    assert default == pytest.approx(solve(problem).sigma, rel=1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 1024])
@@ -213,7 +214,8 @@ def test_golden_rows(p, length, n, sigma, iterations):
 
 
 def test_refinement_cauchy():
-    vals = [sigma1(SturmProblem(gamma=2.0, beta=1.0, length=1.0, n_cells=n))
+    vals = [solve(SturmProblem(gamma=2.0, beta=1.0, length=1.0,
+                               n_cells=n)).sigma
             for n in (512, 1024, 2048)]
     d1 = abs(vals[1] - vals[0])
     d2 = abs(vals[2] - vals[1])
@@ -264,13 +266,14 @@ def test_hardy_inequality_random_profiles(gamma):
 
 def test_consistency_round_trips():
     # p = 2: sigma on (0, L) equals mu1/K^2 identically, for any pair
-    square = sturm_consistency(2.0, 2, math.sqrt(2.0), math.pi ** 2)
-    assert square.rel_err <= 1e-3
-    assert square.sigma_target == pytest.approx(math.pi ** 2 / 2.0,
-                                                rel=1e-12)
+    _, target, rel_err = oracles.sturm_round_trip(2.0, 2, math.sqrt(2.0),
+                                                  math.pi ** 2)
+    assert rel_err <= 1e-3
+    assert target == pytest.approx(math.pi ** 2 / 2.0, rel=1e-12)
     jp11 = 1.8411837813406595
-    disk = sturm_consistency(2.0, 2, 2.0 * math.sqrt(math.pi), jp11 ** 2)
-    assert disk.rel_err <= 1e-3
+    _, _, rel_err = oracles.sturm_round_trip(2.0, 2, 2.0 * math.sqrt(math.pi),
+                                             jp11 ** 2)
+    assert rel_err <= 1e-3
 
 
 def test_consistency_p3():
@@ -278,17 +281,17 @@ def test_consistency_p3():
     # the target the nonlinear ball eigenvalue over 8
     K = 1.3
     mu1 = special.psi_profile(3.0, 2).first_zero ** 3 * K ** 3 / 8.0
-    report = sturm_consistency(3.0, 2, K, mu1)
-    assert report.L == pytest.approx(1.0, rel=1e-12)
-    assert report.sigma_target == pytest.approx(1.2289373005746385, rel=1e-7)
-    assert report.rel_err <= 1e-4
+    L, target, rel_err = oracles.sturm_round_trip(3.0, 2, K, mu1)
+    assert L == pytest.approx(1.0, rel=1e-12)
+    assert target == pytest.approx(1.2289373005746385, rel=1e-7)
+    assert rel_err <= 1e-4
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0])
 @pytest.mark.parametrize("n", [2, 3])
 def test_consistency_converged(p, n):
     # the round trip is exact up to discretisation and the descent's stop
-    assert sturm_consistency(p, n, 1.0, 10.0).rel_err <= 1e-6
+    assert oracles.sturm_round_trip(p, n, 1.0, 10.0)[2] <= 1e-6
 
 
 def test_comparison_ball_measure():
@@ -303,18 +306,12 @@ def test_comparison_ball_measure():
 
 
 def test_L_bound_square():
-    ball = dirichlet_ball_profile(2.0, 2, math.sqrt(2.0), math.pi ** 2)
-    report = check_L_bound(ball, s_tilde=0.5, area=1.0)
-    assert report.ok
-    assert report.min_margin == pytest.approx(0.20702037650077665, abs=1e-10)
-    assert len(report.margins) == 3
-    bad = check_L_bound(ball, s_tilde=1e-9, area=1.0)
-    assert not bad.ok
-    unit = dirichlet_ball_profile(2.0, 2, 1.0, 1.0)
-    with pytest.raises(ParameterError):
-        check_L_bound(unit, s_tilde=1.5, area=1.0)
-    with pytest.raises(ParameterError):
-        check_L_bound(unit, s_tilde=0.0, area=1.0)
+    L = dirichlet_ball_profile(2.0, 2, math.sqrt(2.0), math.pi ** 2).measure
+    margins = oracles.interval_margins(L, s_tilde=0.5, area=1.0)
+    assert min(margins) >= -CHECK_TOL
+    assert min(margins) == pytest.approx(0.20702037650077665, abs=1e-10)
+    assert min(oracles.interval_margins(L, s_tilde=1e-9, area=1.0)) \
+        < -CHECK_TOL
 
 
 def test_parameter_validation():
@@ -336,5 +333,3 @@ def test_parameter_validation():
     for cells in (MAX_LINEAR_CELLS + 1, MAX_CELLS):
         with pytest.raises(ParameterError, match="at gamma = 2"):
             SturmProblem(gamma=2.0, beta=1.0, length=1.0, n_cells=cells)
-    with pytest.raises(ParameterError):
-        sturm_consistency(1.5, 2, 1.0, 1.0)
