@@ -36,7 +36,12 @@ MAX_LENGTH = 1e6
 # 6); far past it a mesh needs gigabytes, so refine refuses before allocating
 MAX_ELEMENTS = 2 ** 18
 # largest rhombus m: compare-bounds at level 1 still certifies its eigen
-# solve at m = 4096, but not at m = 5289 nor at any larger m tried up to 1e8
+# solve at m = 4096, but not at m = 5289 nor at any larger m tried up to 1e8.
+# The cap does not make every input below it certify: at m = 4096 both
+# verify-rhombus at level 1 (residual 1.01e-09) and compare-bounds at level
+# 2 (1.44e-09) exit 1, since on thin rhombi the residual is roundoff-sized
+# and erratic in m around the fixed 1e-9 gate; ROADMAP item 3 replaces
+# the gate by a certificate, after which the cap is to be re-measured
 MAX_RHOMBUS_M = 4096
 
 

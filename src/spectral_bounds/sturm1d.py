@@ -11,8 +11,12 @@ by the Hessian of the energy at the current iterate (the gamma-Laplacian
 linearized there, a weighted tridiagonal stiffness factored afresh). Both
 paths read one Gauss-Legendre table of the weight, so the gamma = 2 mass
 matrix is the descent's denominator at gamma = 2. One builder fills the
-CSC arrays of both stiffness matrices directly. The Hessian is factored
-in natural order, where a tridiagonal matrix has no fill
+CSC arrays of both stiffness matrices directly. A descent builds the
+Hessian's CSC pattern and two N x 16 quadrature scratch arrays once per
+solve; each step rewrites the Hessian's values in place and writes the
+iterate's values at the quadrature nodes, and the terms of the
+denominator and its gradient, into the scratch arrays. The Hessian is
+factored in natural order, where a tridiagonal matrix has no fill
 (nnz(L+U) = 4N - 2), so each factorization costs O(N) and runs no
 ordering pass. The gamma = 2 grid is capped at MAX_LINEAR_CELLS, past
 which its residual no longer certifies.
@@ -122,34 +126,35 @@ def _stiffness(w: np.ndarray) -> sparse.csc_matrix:
     and last slot, is the canonical (sorted, duplicate-free) matrix.
     """
     n = w.size
-    cols = np.empty((n, 3))
-    cols[:, 0] = -w
-    cols[:, 1] = w
-    cols[:-1, 1] += w[1:]
-    cols[:-1, 2] = -w[1:]
     rows = np.arange(n, dtype=np.int32)[:, None] \
         + np.array([-1, 0, 1], dtype=np.int32)
     indptr = np.arange(-1, 3 * n, 3, dtype=np.int32)
     indptr[0], indptr[-1] = 0, 3 * n - 2
-    return sparse.csc_matrix((cols.ravel()[1:-1], rows.ravel()[1:-1], indptr),
-                             shape=(n, n))
+    matrix = sparse.csc_matrix((np.empty(3 * n - 2), rows.ravel()[1:-1],
+                                indptr), shape=(n, n))
+    _refill(matrix, w)
+    return matrix
 
 
-def _solve_hessian(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the Hessian, the stiffness with cell weights w, for rhs.
+def _refill(matrix: sparse.csc_matrix, w: np.ndarray) -> None:
+    """Write the cell weights w into a _stiffness matrix's data in place.
 
-    A tridiagonal matrix fills nothing in natural order, so an ordering
-    pass and supernode relaxation would be pure overhead. The factor is
-    freed on return: kept alive among the line search's large temporaries
-    it fragments the heap and raises the peak resident size.
+    In the three-slot layout data[3j] is column j's diagonal, data[3j+1]
+    its entry below and data[3j+2] the next column's entry above.
     """
-    try:
-        lu = splu(_stiffness(w), permc_spec="NATURAL", relax=1, panel_size=1)
-    except RuntimeError as ex:
-        # SuperLU reports an exactly singular pivot this way
-        raise ConvergenceError(
-            f"descent Hessian could not be factored: {ex}") from None
-    return lu.solve(rhs)
+    data = matrix.data
+    diag = data[0::3]
+    diag[:] = w
+    diag[:-1] += w[1:]
+    np.negative(w[1:], out=data[1::3])
+    np.negative(w[1:], out=data[2::3])
+
+
+def _abs_power(x: np.ndarray, e: float, out: np.ndarray) -> None:
+    """Write |x|^e into out, through the ufunc ``np.abs(x) ** e`` picks:
+    ``**=`` keeps the special cases of ``**`` (e = 0.5 is a square root)."""
+    np.abs(x, out=out)
+    out **= e
 
 
 def _solve_linear(problem: SturmProblem) -> SturmSolution:
@@ -180,6 +185,14 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
     # the first cell has the closed form |phi_1|^gamma s_1^(1-beta)/(gamma-beta+1)
     wq, xi = _weight_quadrature(s, beta)
     first_w = s[1] ** (1.0 - beta) / (gamma - beta + 1.0)
+    one_minus_xi = 1.0 - xi
+    # per-solve scratch: phi at the quadrature nodes, written by each
+    # energy_parts call, and the per-node terms of the denominator and of
+    # its gradient
+    node_vals = np.empty_like(wq)
+    terms = np.empty_like(wq)
+    # the Hessian's tridiagonal pattern; each step refills its data
+    hessian = _stiffness(h)
 
     def odd_power(x, e):
         return np.sign(x) * np.abs(x) ** e
@@ -187,18 +200,31 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
     def energy_parts(phi):
         d = np.diff(phi, prepend=0.0)
         e_val = float(np.sum(np.abs(d) ** gamma * h_pow))
-        vals = phi[:-1, None] * (1.0 - xi) + phi[1:, None] * xi
-        f_val = float(np.sum(wq * np.abs(vals) ** gamma)) \
-            + first_w * abs(phi[0]) ** gamma
+        vals = node_vals
+        np.multiply(phi[:-1, None], one_minus_xi, out=vals)
+        np.multiply(phi[1:, None], xi, out=terms)
+        np.add(vals, terms, out=vals)
+        _abs_power(vals, gamma, terms)
+        np.multiply(terms, wq, out=terms)
+        f_val = float(np.sum(terms)) + first_w * abs(phi[0]) ** gamma
+        # vals is the scratch node_vals, valid until the next energy_parts
+        # or gradients call
         return e_val, f_val, d, vals
 
     def gradients(d, vals, phi0):
         flux = odd_power(d, gamma - 1.0) * h_pow
         g_e = gamma * (flux - np.concatenate([flux[1:], [0.0]]))
-        pw = wq * odd_power(vals, gamma - 1.0)
+        # wq sign(vals) |vals|^(gamma - 1): a product with sign(vals) only
+        # negates, so negating where vals < 0 gives the same bits
+        _abs_power(vals, gamma - 1.0, terms)
+        np.multiply(terms, wq, out=terms)
+        np.negative(terms, out=terms, where=vals < 0.0)
         g_f = np.zeros(problem.n_cells)
-        g_f[:-1] = gamma * np.sum(pw * (1.0 - xi), axis=1)
-        g_f[1:] += gamma * np.sum(pw * xi, axis=1)
+        # vals is spent: reuse it for the first product
+        np.multiply(terms, one_minus_xi, out=vals)
+        g_f[:-1] = gamma * np.sum(vals, axis=1)
+        np.multiply(terms, xi, out=terms)
+        g_f[1:] += gamma * np.sum(terms, axis=1)
         g_f[0] += gamma * first_w * odd_power(phi0, gamma - 1.0)
         return g_e, g_f
 
@@ -218,8 +244,20 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
         # that flat cells near the zero-flux end keep a finite weight
         cell_slope = np.abs(d) / h
         cell_slope = np.maximum(cell_slope, 1e-6 * cell_slope.max())
-        direction = _solve_hessian(
-            gamma * (gamma - 1.0) * cell_slope ** (gamma - 2.0) / h, grad)
+        _refill(hessian,
+                gamma * (gamma - 1.0) * cell_slope ** (gamma - 2.0) / h)
+        # a tridiagonal matrix fills nothing in natural order, so an
+        # ordering pass and supernode relaxation would be pure overhead
+        try:
+            lu = splu(hessian, permc_spec="NATURAL", relax=1, panel_size=1)
+        except RuntimeError as ex:
+            # SuperLU reports an exactly singular pivot this way
+            raise ConvergenceError(
+                f"descent Hessian could not be factored: {ex}") from None
+        direction = lu.solve(grad)
+        # freed now, not when the next step rebinds lu: two live factors
+        # would raise the peak resident size
+        del lu
         slope = float(grad @ direction)
         accepted = False
         if slope > 0.0:
@@ -243,7 +281,10 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
         norm = f_c ** (1.0 / gamma)
         phi = cand / norm
         f_val = 1.0
-        d, vals = d_c / norm, vals_c / norm
+        d = d_c / norm
+        # vals_c is node_vals: the accepted candidate's energy_parts call
+        # was the last one that wrote it
+        vals = np.divide(vals_c, norm, out=vals_c)
         quotient = new_quotient
         step *= 1.3
     raise NumericError(

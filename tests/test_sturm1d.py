@@ -7,6 +7,7 @@ covariance, refinement stability, and the scale-invariant weighted
 Hardy bound.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -154,6 +155,10 @@ def test_stiffness_matches_diags_reference(n):
     assert np.array_equal(got.data, ref.data)
     # computed from the arrays: sorted indices, no duplicates
     assert got.has_canonical_format
+    # rewriting the values of another matrix in place gives the same data
+    refilled = sturm1d._stiffness(w[::-1] + 1.0)
+    sturm1d._refill(refilled, w)
+    assert refilled.data.tobytes() == ref.data.tobytes()
 
 
 def test_descent_factors_in_natural_order_without_fill(monkeypatch):
@@ -180,6 +185,63 @@ def test_descent_factors_in_natural_order_without_fill(monkeypatch):
         assert lu.L.nnz + lu.U.nnz == 4 * n - 2
 
 
+def test_descent_refills_one_hessian_pattern(monkeypatch):
+    # a solve builds the Hessian's CSC pattern once: every factor reads the
+    # same index arrays, and only the values change from step to step
+    handed = []
+    real_splu = sturm1d.splu
+
+    def recording(matrix, **options):
+        handed.append((matrix.indptr, matrix.indices, matrix.data.copy()))
+        return real_splu(matrix, **options)
+
+    monkeypatch.setattr(sturm1d, "splu", recording)
+    gamma = 2.6 / 1.6
+    solve(SturmProblem(gamma=gamma, beta=gamma / 2.0, length=1.0,
+                       n_cells=1024))
+    indptr, indices, first = handed[0]
+    assert len(handed) >= 2
+    for ptr, ind, _ in handed[1:]:
+        assert ptr is indptr and ind is indices
+    assert not np.array_equal(handed[-1][2], first)
+
+
+@pytest.mark.parametrize("e", [0.5, 0.6, 1.0, 1.5])
+def test_in_place_quadrature_terms_match_the_expressions(e):
+    # the descent writes wq sign(v) |v|^e into a scratch array by abs,
+    # power, product and a negation where v < 0: the same bits as the plain
+    # expression, zeros, signed zeros and e = 0.5 (a square root) included
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal((64, 16))
+    v[0, :4] = [0.0, -0.0, 1e-300, -1e-300]
+    wq = rng.random((64, 16))
+    out = np.empty_like(v)
+    sturm1d._abs_power(v, e, out)
+    np.multiply(out, wq, out=out)
+    np.negative(out, out=out, where=v < 0.0)
+    assert out.tobytes() == (wq * (np.sign(v) * np.abs(v) ** e)).tobytes()
+    sturm1d._abs_power(v, e + 1.0, out)
+    assert out.tobytes() == (np.abs(v) ** (e + 1.0)).tobytes()
+
+
+def _fingerprint(gamma, beta, length, n):
+    sol = solve(SturmProblem(gamma=gamma, beta=beta, length=length,
+                             n_cells=n))
+    return (sol.sigma.hex(), sol.iterations,
+            hashlib.sha256(sol.minimizer.tobytes()).hexdigest())
+
+
+def test_descent_keeps_no_state_between_solves():
+    # the pattern and the quadrature scratch belong to one solve: solving
+    # another problem first moves no bit of the next solve
+    first = (1.5, 0.75, 0.8, 1024)
+    second = (2.8 / 1.8, 1.4 / 1.8, 1.7, 512)
+    before = _fingerprint(*second)
+    _fingerprint(*first)
+    after = _fingerprint(*second)
+    assert before == after
+
+
 def test_descent_singular_factor_is_a_convergence_error(monkeypatch):
     def singular(matrix, **options):
         raise RuntimeError("Factor is exactly singular")
@@ -200,6 +262,9 @@ GOLDEN = [
     (2.2, 1.3, 4096, "1.05403333568", 12),
     (3.0, 1.0, 4096, "1.10857448358", 15),
     (4.0, 1.0, 1024, "0.971743707412", 21),
+    (2.5, 0.7, 4096, "1.65480624567", 13),
+    (2.9, 1.6, 4096, "0.788344929721", 17),
+    (3.4, 2.0, 4096, "0.638237051957", 17),
     (5.0, 2.0, 4096, "0.579020672026", 27),
     (6.0, 0.5, 1024, "1.27375033888", 40),
 ]
