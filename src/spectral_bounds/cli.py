@@ -227,7 +227,7 @@ def _cmd_chiti(args):
         "max_violation": report.max_violation, "mesh_level": args.level,
         "s_at_max": report.s_at_max, "comparison_measure": report.L,
         "positive_measure": report.s_tilde,
-        "lemma_violated": report.lemma_violated,
+        "lemma_violated": report.lemma_violated, "margin": report.margin,
     }
 
 

@@ -387,6 +387,7 @@ class ChitiReport:
     L: float
     s_tilde: float
     lemma_violated: bool
+    margin: float
 
 
 def chiti_check(u_profile: RearrangedProfile,
@@ -399,7 +400,8 @@ def chiti_check(u_profile: RearrangedProfile,
     normalized to unit total; a max_violation above CHECK_TOL means the
     domination fails at the reported measure. The grid holds s = 0, where
     both sides vanish, so max_violation >= 0: 0 means dominated on every
-    grid point, and no margin is reported.
+    grid point. The margin is the least relative gap (rhs - lhs)/rhs over
+    the grid points s > 0, positive when the domination holds with room.
     """
     if not 0.0 < q <= Q_MAX:
         raise ParameterError(f"exponent must lie in (0, {Q_MAX:g}], got {q}")
@@ -413,10 +415,12 @@ def chiti_check(u_profile: RearrangedProfile,
     ball_side = np.asarray(lower.value(s)) / lower.total
     gap = u_side - ball_side
     k = int(np.argmax(gap))
+    margin = np.min(-gap[1:] / ball_side[1:])
     return ChitiReport(max_violation=float(gap[k]), s_at_max=float(s[k]),
                        lhs=float(u_side[k]), rhs=float(ball_side[k]),
                        L=float(L), s_tilde=float(s_tilde),
-                       lemma_violated=bool(lemma_violated))
+                       lemma_violated=bool(lemma_violated),
+                       margin=float(margin))
 
 
 @dataclass(frozen=True)

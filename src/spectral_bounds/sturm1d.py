@@ -8,12 +8,18 @@ eigenproblem solved by the same shift-invert eigensolver as the FEM
 module; for other gamma the Rayleigh quotient is minimized by projected
 gradient descent with an Armijo line search, preconditioned at every step
 by the Hessian of the energy at the current iterate (the gamma-Laplacian
-linearized there, a weighted tridiagonal stiffness factored afresh). Both
-paths read one Gauss-Legendre table of the weight, so the gamma = 2 mass
-matrix is the descent's denominator at gamma = 2. One builder fills the
-CSC arrays of both stiffness matrices directly. A descent builds the
-Hessian's CSC pattern and two N x 16 quadrature scratch arrays once per
-solve; each step rewrites the Hessian's values in place and writes the
+linearized there, a weighted tridiagonal stiffness factored afresh). The
+descent is nested: while N // 4 is at least _COARSE_FLOOR it first solves
+the same problem on N // 4 cells and starts from that minimizer, which
+the graded grids hold exactly (s_4N[::4] == s_N). So N = 4096 runs a
+chain of 256, 1024 and 4096 cells, with the same step and stop rules on
+each grid, and the finest grid takes a few steps; a solution's step count
+is the sum over the chain. Both paths read one Gauss-Legendre table of
+the weight, so the gamma = 2 mass matrix is the descent's denominator at
+gamma = 2. One builder fills the CSC arrays of both stiffness matrices
+directly. A descent builds the Hessian's CSC pattern and two N x 16
+quadrature scratch arrays once per grid, after the coarser grid's arrays
+are freed; each step rewrites the Hessian's values in place and writes the
 iterate's values at the quadrature nodes, and the terms of the
 denominator and its gradient, into the scratch arrays. The Hessian is
 factored in natural order, where a tridiagonal matrix has no fill
@@ -25,7 +31,7 @@ which its residual no longer certifies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sparse
@@ -39,6 +45,9 @@ from .special import GL_NODES, GL_WEIGHTS
 _QUOTIENT_TOL = 1e-10
 _MAX_STEPS = 50_000
 _HARDY_SLACK = 1e-9
+# the descent on N cells starts from the one on N // 4 cells while N // 4
+# is at least this
+_COARSE_FLOOR = 256
 MAX_CELLS = 2 ** 16
 # the gamma = 2 eigensolve's residual grows like N^2 on the graded grid and
 # stays certifiable (below fem._RES_TOL) only up to this many cells
@@ -178,6 +187,17 @@ def _solve_linear(problem: SturmProblem) -> SturmSolution:
 
 def _solve_gradient(problem: SturmProblem) -> SturmSolution:
     s = _graded_grid(problem.length, problem.n_cells)
+    # nested iteration: start from the minimizer on a quarter of the cells,
+    # solved before this grid's scratch is built; the graded grids nest,
+    # s_4N[::4] == s_N, so the start is that minimizer's P1 interpolant
+    if problem.n_cells // 4 >= _COARSE_FLOOR:
+        coarse = _solve_gradient(
+            replace(problem, n_cells=problem.n_cells // 4))
+        phi = np.interp(s[1:], coarse.grid, coarse.minimizer)
+        coarse_steps = coarse.iterations
+    else:
+        phi = s[1:].copy()
+        coarse_steps = 0
     gamma, beta = problem.gamma, problem.beta
     h = np.diff(s)
     h_pow = h ** (1.0 - gamma)
@@ -228,7 +248,6 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
         g_f[0] += gamma * first_w * odd_power(phi0, gamma - 1.0)
         return g_e, g_f
 
-    phi = s[1:].copy()
     e_val, f_val, d, vals = energy_parts(phi)
     phi /= f_val ** (1.0 / gamma)
     e_val, f_val, d, vals = energy_parts(phi)
@@ -237,7 +256,8 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
     change = math.inf
     for iteration in range(1, _MAX_STEPS + 1):
         if change <= _QUOTIENT_TOL * quotient:
-            return _solution(problem, s, phi, quotient, iteration)
+            return _solution(problem, s, phi, quotient,
+                             coarse_steps + iteration)
         g_e, g_f = gradients(d, vals, phi[0])
         grad = (g_e - quotient * g_f) / f_val
         # precondition with the energy Hessian at phi; slopes are floored so
@@ -272,7 +292,8 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
             # descent exhausted at floating point resolution; only accept
             # if the quotient had already stabilized
             if change <= 1e-6 * quotient:
-                return _solution(problem, s, phi, quotient, iteration)
+                return _solution(problem, s, phi, quotient,
+                                 coarse_steps + iteration)
             raise NumericError(
                 "quotient minimization stalled at "
                 f"{quotient!r} after {iteration} steps")

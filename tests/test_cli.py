@@ -163,9 +163,20 @@ def test_chiti_row():
     assert list(row.keys()) == ["domain", "p", "q", "lhs", "rhs",
                                 "max_violation", "mesh_level", "s_at_max",
                                 "comparison_measure", "positive_measure",
-                                "lemma_violated"]
+                                "lemma_violated", "margin"]
     assert row["max_violation"] <= 1e-3
     assert row["lemma_violated"] is False
+
+
+def test_chiti_reports_a_margin():
+    # max_violation reads 0 at the s = 0 grid point however wide the
+    # domination is; the margin is taken over s > 0 and shows the room
+    code, out, _ = run_cli(["chiti", "--domain", "square", "--level", "4",
+                            "--q", "4"])
+    assert code == 0
+    row = json.loads(out)
+    assert row["max_violation"] == 0.0 and row["s_at_max"] == 0.0
+    assert row["margin"] > 0.0
 
 
 def test_rholder_row():

@@ -132,13 +132,15 @@ def test_descent_near_singular_weight():
 
 def test_descent_reaches_minimum(monkeypatch):
     # the per-step stopping rule must not stop short of the minimum: a far
-    # tighter tolerance moves the value by less than 1e-9
-    gamma = 3.4 / 2.4
-    problem = SturmProblem(gamma=gamma, beta=gamma / 2.0, length=1.0,
-                           n_cells=1024)
-    default = solve(problem).sigma
+    # tighter tolerance moves the value by less than 1e-9, at the corners
+    # of the p and N range the benchmark's descent workload draws from
+    problems = [SturmProblem(gamma=p / (p - 1.0), beta=p / (p - 1.0) / 2.0,
+                             length=1.0, n_cells=n)
+                for p in (2.2, 3.4) for n in (1024, 4096)]
+    default = [solve(problem).sigma for problem in problems]
     monkeypatch.setattr(sturm1d, "_QUOTIENT_TOL", 1e-14)
-    assert default == pytest.approx(solve(problem).sigma, rel=1e-9)
+    for problem, value in zip(problems, default):
+        assert value == pytest.approx(solve(problem).sigma, rel=1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 1024])
@@ -161,9 +163,30 @@ def test_stiffness_matches_diags_reference(n):
     assert refilled.data.tobytes() == ref.data.tobytes()
 
 
+def _grid_chain(n):
+    """Cell counts of the grids a descent on n cells solves, coarsest
+    first: each grid starts from the minimizer on a quarter of its cells."""
+    chain = [n]
+    while chain[0] // 4 >= sturm1d._COARSE_FLOOR:
+        chain.insert(0, chain[0] // 4)
+    return chain
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 1000, 1024, 4096])
+@pytest.mark.parametrize("length", [1e-6, 0.7, 1.0, 1e6])
+def test_graded_grids_nest(n, length):
+    # the nodes of a grid are every fourth node of the grid with four times
+    # the cells, bit for bit, so a coarse minimizer prolongs to itself
+    coarse = sturm1d._graded_grid(length, n)
+    fine = sturm1d._graded_grid(length, 4 * n)
+    assert fine[::4].tobytes() == coarse.tobytes()
+
+
 def test_descent_factors_in_natural_order_without_fill(monkeypatch):
-    # every descent factor keeps both permutations the identity and has
-    # the fill-free tridiagonal nnz(L + U) = 4N - 2
+    # every descent factor, on every grid of the chain, keeps both
+    # permutations the identity and has the fill-free tridiagonal
+    # nnz(L + U) = 4N - 2; the grids are solved coarsest first, and each
+    # has one step more than factors
     factors = []
     real_splu = sturm1d.splu
 
@@ -173,21 +196,25 @@ def test_descent_factors_in_natural_order_without_fill(monkeypatch):
         return lu
 
     monkeypatch.setattr(sturm1d, "splu", recording)
-    n = 1024
+    n = 4096
+    chain = _grid_chain(n)
+    assert chain == [256, 1024, 4096]
     gamma = 3.0 / 2.0
     sol = solve(SturmProblem(gamma=gamma, beta=gamma / 2.0, length=1.0,
                              n_cells=n))
-    assert len(factors) == sol.iterations - 1
+    assert len(factors) == sol.iterations - len(chain)
+    sizes = [size for size, _ in factors]
+    assert sizes == sorted(sizes) and sorted(set(sizes)) == chain
     for size, lu in factors:
-        assert size == n
-        assert np.array_equal(lu.perm_c, np.arange(n))
-        assert np.array_equal(lu.perm_r, np.arange(n))
-        assert lu.L.nnz + lu.U.nnz == 4 * n - 2
+        assert np.array_equal(lu.perm_c, np.arange(size))
+        assert np.array_equal(lu.perm_r, np.arange(size))
+        assert lu.L.nnz + lu.U.nnz == 4 * size - 2
 
 
 def test_descent_refills_one_hessian_pattern(monkeypatch):
-    # a solve builds the Hessian's CSC pattern once: every factor reads the
-    # same index arrays, and only the values change from step to step
+    # each grid builds the Hessian's CSC pattern once: every factor on a
+    # grid reads the same index arrays, and only the values change from
+    # step to step
     handed = []
     real_splu = sturm1d.splu
 
@@ -197,13 +224,16 @@ def test_descent_refills_one_hessian_pattern(monkeypatch):
 
     monkeypatch.setattr(sturm1d, "splu", recording)
     gamma = 2.6 / 1.6
+    n = 1024
     solve(SturmProblem(gamma=gamma, beta=gamma / 2.0, length=1.0,
-                       n_cells=1024))
-    indptr, indices, first = handed[0]
-    assert len(handed) >= 2
-    for ptr, ind, _ in handed[1:]:
-        assert ptr is indptr and ind is indices
-    assert not np.array_equal(handed[-1][2], first)
+                       n_cells=n))
+    for size in _grid_chain(n):
+        grid = [entry for entry in handed if entry[0].size == size + 1]
+        indptr, indices, first = grid[0]
+        assert len(grid) >= 2
+        for ptr, ind, _ in grid[1:]:
+            assert ptr is indptr and ind is indices
+        assert not np.array_equal(grid[-1][2], first)
 
 
 @pytest.mark.parametrize("e", [0.5, 0.6, 1.0, 1.5])
@@ -251,22 +281,23 @@ def test_descent_singular_factor_is_a_convergence_error(monkeypatch):
         solve(SturmProblem(gamma=1.5, beta=0.75, length=1.0, n_cells=64))
 
 
-# sigma1 at the CLI's 12 significant digits and the step count; a change
-# to the matrix build or the factorization must leave both as they are.
+# sigma1 at the CLI's 12 significant digits and the step count, summed
+# over the descent's grid chain; a change to the matrix build or the
+# factorization must leave both as they are.
 # p = 2 gives gamma = 2, the linear eigensolve; its row is also the value
 # with the mass built from per-cell QUADPACK entries.
 GOLDEN = [
     # p, A, N, sigma1, iterations (gamma = p/(p-1), beta = gamma/2)
     (2.0, 1.0, 1024, "1.44579769059", 22),
-    (2.2, 0.5, 1024, "2.53073620802", 11),
-    (2.2, 1.3, 4096, "1.05403333568", 12),
-    (3.0, 1.0, 4096, "1.10857448358", 15),
-    (4.0, 1.0, 1024, "0.971743707412", 21),
-    (2.5, 0.7, 4096, "1.65480624567", 13),
-    (2.9, 1.6, 4096, "0.788344929721", 17),
-    (3.4, 2.0, 4096, "0.638237051957", 17),
-    (5.0, 2.0, 4096, "0.579020672026", 27),
-    (6.0, 0.5, 1024, "1.27375033888", 40),
+    (2.2, 0.5, 1024, "2.53073620805", 15),
+    (2.2, 1.3, 4096, "1.05403333566", 18),
+    (3.0, 1.0, 4096, "1.10857448356", 21),
+    (4.0, 1.0, 1024, "0.971743707325", 27),
+    (2.5, 0.7, 4096, "1.65480624567", 19),
+    (2.9, 1.6, 4096, "0.788344929729", 23),
+    (3.4, 2.0, 4096, "0.638237051805", 25),
+    (5.0, 2.0, 4096, "0.5790206715", 52),
+    (6.0, 0.5, 1024, "1.27375033188", 53),
 ]
 
 
