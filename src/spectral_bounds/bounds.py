@@ -10,6 +10,9 @@ into one report per domain, with a finite element reference value when p = 2.
 
 The (domain, level) pipelines behind those reference values run through
 SharedSolves, a keyed memo that shared_solves() shares within one scope.
+The sector sandwich of the half rhombus reads the rhombus mu1: the first
+Neumann mode is odd across the short diagonal, so the mixed eigenvalue of
+the half is mu1, and the tests check that identity against a mixed solve.
 """
 
 from __future__ import annotations
@@ -207,13 +210,6 @@ class SharedSolves:
             rearrangement.rearrange_oriented(self.mesh(spec, level),
                                              self.neumann(spec, level).vector)))
 
-    def mixed(self, m: int, level: int) -> fem.EigenPair:
-        """Mixed pair of the half rhombus, zero on the short diagonal: the
-        half is cut from the memoized rhombus mesh of the same level."""
-        return self._once(("mixed", m, level), lambda: fem.solve_mixed_dn(
-            *geometry.half_rhombus(self.mesh(geometry.make_rhombus(m),
-                                             level))))
-
 
 _SCOPE: ContextVar[SharedSolves | None] = ContextVar("shared_solves",
                                                      default=None)
@@ -239,16 +235,13 @@ def shared_solves():
         _SCOPE.reset(token)
 
 
-def _extrapolated(pair_at, level: int) -> float:
-    """Richardson value of the eigenpairs pair_at(level - 1), pair_at(level)."""
+def _extrapolated_mu1(spec: DomainSpec, level: int) -> float:
+    """Richardson value of the Neumann pairs at level - 1 and level."""
     if level < 1:
         raise ParameterError(f"level must be >= 1, got {level}")
-    return fem.richardson(pair_at(level - 1).value, pair_at(level).value)
-
-
-def _extrapolated_mu1(spec: DomainSpec, level: int) -> float:
     with shared_solves() as solves:
-        return _extrapolated(lambda lv: solves.neumann(spec, lv), level)
+        return fem.richardson(solves.neumann(spec, level - 1).value,
+                              solves.neumann(spec, level).value)
 
 
 def compare_report(spec: DomainSpec, p: float, level: int = 5) -> BoundReport:
@@ -315,11 +308,13 @@ def sector_sandwich(m: int, level: int = 5) -> SectorSandwich:
     Zero data is imposed on the short diagonal and natural conditions on the
     two unit sides. Domain monotonicity pins the eigenvalue between the
     inscribed sector value j_{0,1}^2 and the circumscribed sector value
-    j_{0,1}^2 / cos^2(pi / m). The discrete value is Richardson-extrapolated
-    and compared with _REPORT_TOL relative slack on both ends.
+    j_{0,1}^2 / cos^2(pi / m). The first Neumann mode of the rhombus is odd
+    across the short diagonal, so that eigenvalue is the rhombus mu1: the
+    value is the Richardson-extrapolated mu1 that rhombus_sharpness reads,
+    and the tests check the identity against a mixed solve on the half. It
+    is compared with _REPORT_TOL relative slack on both ends.
     """
-    with shared_solves() as solves:
-        value = _extrapolated(lambda lv: solves.mixed(m, lv), level)
+    value = _extrapolated_mu1(geometry.make_rhombus(m), level)
     j0 = special.bessel_first_zero(0.0)
     lower = j0 * j0
     upper = lower / math.cos(math.pi / m) ** 2

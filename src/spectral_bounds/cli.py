@@ -8,10 +8,13 @@ invocations produce byte-identical output: field order is each handler's
 row order, solver seeds are fixed, and a suite runs its lines one after
 another in file order.
 
-Each invocation computes every (domain, level) mesh, Neumann or mixed
-eigenpair and rearranged profile at most once, in one shared-solve scope
+Each invocation computes every (domain, level) mesh, Neumann eigenpair and
+rearranged profile at most once, in one shared-solve scope
 (bounds.shared_solves) that all lines of a suite share and that is dropped
 when the invocation returns. The argument parser is built once per process.
+verify-rhombus prints the half-rhombus mixed eigenvalue as dn_value; it is
+the rhombus mu1 (the first Neumann mode is odd across the short diagonal),
+read from the same solves, and the tests check it against a mixed solve.
 
 Exit codes: 0 success, 1 numeric failure (a verified inequality broke, an
 iteration stalled, a factorization met an exactly singular pivot, numpy

@@ -5,9 +5,9 @@ axis-aligned rectangles, and regular polygons inscribed in a circle. Meshes
 are produced by uniform midpoint (red) refinement of a small hand-built base
 triangulation, so every refinement is nested in the previous one. A mesh is
 its nodes and its elements; the outer boundary is not stored: it is the set
-of edges that one element has. The half-rhombus triangle used for the mixed
-eigenvalue problem is cut from the rhombus mesh (``half_rhombus``) along the
-short diagonal, which lies on the line x = cos(pi/m) at every level.
+of edges that one element has. The short diagonal of a rhombus lies on the
+line x = cos(pi/m) and is made of mesh edges at every level, so the tests
+cut the half rhombus of the mixed eigenvalue problem from the rhombus mesh.
 
 A mesh's topology lives in one edge table (``edge_table``), built in a
 single ``np.unique`` pass over the element edges. Edges are numbered in
@@ -35,13 +35,13 @@ MAX_LENGTH = 1e6
 # most elements refine may build (square and rhombus level 8, 64-gon level
 # 6); far past it a mesh needs gigabytes, so refine refuses before allocating
 MAX_ELEMENTS = 2 ** 18
-# largest rhombus m: compare-bounds at level 1 still certifies its eigen
-# solve at m = 4096, but not at m = 5289 nor at any larger m tried up to 1e8.
-# The cap does not make every input below it certify: at m = 4096 both
-# verify-rhombus at level 1 (residual 1.01e-09) and compare-bounds at level
-# 2 (1.44e-09) exit 1, since on thin rhombi the residual is roundoff-sized
-# and erratic in m around the fixed 1e-9 gate; ROADMAP item 3 replaces
-# the gate by a certificate, after which the cap is to be re-measured
+# largest rhombus m: compare-bounds and verify-rhombus at level 1 still
+# certify their eigen solves at m = 4096, but not at m = 5289 nor at any
+# larger m tried up to 1e8. The cap does not make every input below it
+# certify: at m = 4096 both commands exit 1 at level 2 (residual 1.44e-09),
+# since on thin rhombi the residual is roundoff-sized and erratic in m
+# around the fixed 1e-9 gate; ROADMAP item 3 replaces the gate by a
+# certificate, after which the cap is to be re-measured
 MAX_RHOMBUS_M = 4096
 
 
@@ -242,21 +242,3 @@ def triangulate(spec: DomainSpec, level: int = 0) -> Mesh:
     for _ in range(level):
         mesh = refine(mesh)
     return mesh
-
-
-def half_rhombus(mesh: Mesh) -> tuple[Mesh, np.ndarray]:
-    """Triangle A B D of a rhombus mesh, and its nodes on the short diagonal.
-
-    Keeps the elements whose nodes all have x <= c, with c = 0.5 * max x
-    the abscissa of the short diagonal, on their nodes renumbered in index
-    order. The cut is exact: C is (2c, 0), so O and every refinement
-    midpoint on the diagonal have x == c bit for bit. The second value
-    holds the half's nodes with x == c, where the mixed problem is zero.
-    """
-    x = mesh.nodes[:, 0]
-    c = 0.5 * x.max()
-    left = np.all(x[mesh.elements] <= c, axis=1)
-    kept, elements = np.unique(mesh.elements[left], return_inverse=True)
-    nodes = mesh.nodes[kept]
-    return (Mesh(nodes=nodes, elements=elements.reshape(-1, 3)),
-            np.flatnonzero(nodes[:, 0] == c))

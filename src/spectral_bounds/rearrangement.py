@@ -338,14 +338,8 @@ class BallComparisonProfile:
 
     p: float
     n: int
-    radius: float
     measure: float
     _scale: float
-
-    def value(self, s):
-        s = np.asarray(s, dtype=float)
-        r = self._scale * (s / omega_n(self.n)) ** (1.0 / self.n)
-        return psi_profile(self.p, self.n).value(r)
 
     def cumulative_power(self, q: float) -> CumulativePower:
         prof = psi_profile(self.p, self.n)
@@ -374,8 +368,8 @@ def dirichlet_ball_profile(p: float, n: int, K: float,
     alpha = (K / classical_constant(n)) ** p
     scale = (mu1 / alpha) ** (1.0 / p)
     radius = prof.first_zero / scale
-    return BallComparisonProfile(p=p, n=n, radius=radius,
-                                 measure=wn * radius ** n, _scale=scale)
+    return BallComparisonProfile(p=p, n=n, measure=wn * radius ** n,
+                                 _scale=scale)
 
 
 @dataclass(frozen=True)

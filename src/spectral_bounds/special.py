@@ -208,9 +208,6 @@ class RadialProfile:
         weight = base[live] * np.exp(logpsi[live])
         return float(weight @ logpsi[live] / weight.sum())
 
-    def power_mean(self, s: float) -> float:
-        return math.exp(self.log_power_mean(s))
-
 
 def _series_coefficients(p: float, n: int) -> tuple[float, float, float]:
     """(kappa, c, c2) of the start expansion 1 - c r^kappa + c2 r^(2 kappa)."""

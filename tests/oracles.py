@@ -4,7 +4,8 @@ Each reference route computes a quantity the library also computes, by an
 independent route: the tests compare the two. Each check returns the
 numbers of one inequality of the paper, which the tests hold to their own
 tolerances. ``validate_mesh`` checks a mesh's topology and area;
-``scaled`` rescales a mesh for covariance tests.
+``scaled`` rescales a mesh for covariance tests; ``half_rhombus`` cuts the
+mesh of the mixed problem whose eigenvalue is the rhombus mu1.
 """
 
 import dataclasses
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from spectral_bounds import bounds, geometry, special, sturm1d
+from spectral_bounds import bounds, geometry, rearrangement, special, sturm1d
 from spectral_bounds.errors import ParameterError
 from spectral_bounds.rearrangement import (_power_diff, cumulative_power,
                                            dirichlet_ball_profile)
@@ -59,6 +60,24 @@ def scaled(mesh: geometry.Mesh, factor: float) -> geometry.Mesh:
     return dataclasses.replace(mesh, nodes=mesh.nodes * factor)
 
 
+def half_rhombus(mesh: geometry.Mesh) -> tuple[geometry.Mesh, np.ndarray]:
+    """Triangle A B D of a rhombus mesh, and its nodes on the short diagonal.
+
+    Keeps the elements whose nodes all have x <= c, with c = 0.5 * max x
+    the abscissa of the short diagonal, on their nodes renumbered in index
+    order. The cut is exact: C is (2c, 0), so O and every refinement
+    midpoint on the diagonal have x == c bit for bit. The second value
+    holds the half's nodes with x == c, where the mixed problem is zero.
+    """
+    x = mesh.nodes[:, 0]
+    c = 0.5 * x.max()
+    left = np.all(x[mesh.elements] <= c, axis=1)
+    kept, elements = np.unique(mesh.elements[left], return_inverse=True)
+    nodes = mesh.nodes[kept]
+    return (geometry.Mesh(nodes=nodes, elements=elements.reshape(-1, 3)),
+            np.flatnonzero(nodes[:, 0] == c))
+
+
 def normalized_bessel_profile(n: int, r):
     """The p = 2 radial profile in closed form, normalized to 1 at r = 0.
 
@@ -72,6 +91,16 @@ def normalized_bessel_profile(n: int, r):
     out[nz] = (math.gamma(n / 2.0) * (2.0 / r[nz]) ** nu
                * special.bessel_j(nu, r[nz]))
     return out if out.ndim else float(out)
+
+
+def ball_profile_value(ball: rearrangement.BallComparisonProfile,
+                       s) -> np.ndarray:
+    """The comparison ball's rearranged eigenfunction at measures s, from
+    its public fields: Psi at psi (s / measure)^(1/n)."""
+    prof = special.psi_profile(ball.p, ball.n)
+    r = prof.first_zero * (np.asarray(s, dtype=float)
+                           / ball.measure) ** (1.0 / ball.n)
+    return np.asarray(prof.value(r))
 
 
 def _homogeneous_sum(values: np.ndarray, q: int) -> np.ndarray:

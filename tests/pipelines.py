@@ -10,6 +10,8 @@ from functools import lru_cache
 
 from spectral_bounds import bounds, fem, geometry
 
+import oracles
+
 SQUARE = geometry.make_rectangle(1.0, 1.0)
 RECT21 = geometry.make_rectangle(2.0, 1.0)
 GON64 = geometry.make_regular_polygon(64, 1.0)
@@ -17,7 +19,6 @@ GON64 = geometry.make_regular_polygon(64, 1.0)
 _SOLVES = bounds.SharedSolves()
 mesh = _SOLVES.mesh
 neumann = _SOLVES.neumann
-mixed_half_rhombus = _SOLVES.mixed
 # rearranged first Neumann eigenfunction, positive part the smaller one
 oriented_profile = _SOLVES.profile
 
@@ -25,6 +26,14 @@ oriented_profile = _SOLVES.profile
 @lru_cache(maxsize=None)
 def dirichlet(spec: geometry.DomainSpec, level: int) -> fem.EigenPair:
     return fem.solve_dirichlet_lambda1(mesh(spec, level))
+
+
+@lru_cache(maxsize=None)
+def mixed_half_rhombus(m: int, level: int) -> fem.EigenPair:
+    """Mixed pair of the half rhombus, zero on the short diagonal, on the
+    cut of the memoized rhombus mesh of the same level."""
+    return fem.solve_mixed_dn(
+        *oracles.half_rhombus(mesh(geometry.make_rhombus(m), level)))
 
 
 def mu1_extrapolated(spec: geometry.DomainSpec, level: int) -> float:

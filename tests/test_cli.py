@@ -17,6 +17,8 @@ import pytest
 from spectral_bounds import cli, fem, geometry, special, sturm1d
 from spectral_bounds.errors import NumericError, ParameterError
 
+import pipelines
+
 J01 = special.bessel_first_zero(0.0)
 
 
@@ -119,7 +121,7 @@ def test_compare_bounds_square_csv():
 
 
 def test_verify_rhombus_golden_rows():
-    """Every column at 12 digits, the mixed solve's dn_value included."""
+    """Every column at 12 digits, dn_value (the rhombus mu1) included."""
     code, out, err = run_cli(["verify-rhombus", "--m", "8,16", "--level", "3",
                               "--format", "csv"])
     assert (code, err) == (0, "")
@@ -133,13 +135,29 @@ def test_verify_rhombus_golden_rows():
 
 def test_rhombus_mu1_is_the_half_rhombus_mixed_value():
     """The first Neumann mode of the rhombus is odd across the short
-    diagonal, so mu1 equals the mixed eigenvalue of the half rhombus; the
-    two come from independent meshes and solves."""
+    diagonal, so mu1 equals the mixed eigenvalue of the half rhombus. The
+    CLI prints mu1 as dn_value; the mixed solve on the cut half, an
+    independent mesh and solve, checks the identity."""
     code, out, err = run_cli(["verify-rhombus", "--m", "5,8,16,33,64",
                               "--level", "3"])
     assert (code, err) == (0, "")
     for row in json.loads(out):
-        assert abs(row["mu1"] - row["dn_value"]) <= 1e-10 * row["mu1"], row
+        assert row["dn_value"] == row["mu1"], row
+        m = row["m"]
+        mixed = fem.richardson(pipelines.mixed_half_rhombus(m, 2).value,
+                               pipelines.mixed_half_rhombus(m, 3).value)
+        assert abs(row["mu1"] - mixed) <= 1e-10 * row["mu1"], row
+
+
+def test_verify_rhombus_at_the_m_cap():
+    # the level-1 Neumann pair certifies at m = 4096; dn_value is that mu1,
+    # so no second solve can fail the residual gate
+    code, out, err = run_cli(["verify-rhombus", "--m", "4096", "--level",
+                              "1"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)
+    assert len(rows) == 1
+    assert rows[0]["dn_value"] == rows[0]["mu1"]
 
 
 def test_verify_rhombus_row():
@@ -509,9 +527,9 @@ def test_suite_deterministic(tmp_path):
     assert run_cli(["suite", str(path)]) == run_cli(["suite", str(path)])
 
 
-# lines that ask for the same (domain, level) keys: six distinct eigen
-# solves (square L3 and L4, rhombus 8 L2 and L3, half rhombus 8 L2 and L3)
-# where the lines run one by one need eleven
+# lines that ask for the same (domain, level) keys: four distinct eigen
+# solves (square L3 and L4, rhombus 8 L2 and L3) where the lines run one
+# by one need nine
 SHARED_LINES = ["compare-bounds --domain square --level 4",
                 "chiti --domain square --level 4",
                 "rholder --domain square --level 3 --q 3 --r 1",
@@ -544,7 +562,7 @@ def test_suite_shares_solves_across_lines(tmp_path, monkeypatch):
     calls = _counting_splu(monkeypatch)
     code, out, err = run_cli(["suite", str(path)])
     assert (code, out, err) == (0, expected, "")
-    assert len(calls) == 6
+    assert len(calls) == 4
 
 
 def test_failed_solve_fails_every_line_that_needs_it(tmp_path, monkeypatch):

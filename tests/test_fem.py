@@ -173,7 +173,7 @@ def test_one_factorization_per_solve(monkeypatch):
     assert shapes == [(mesh.node_count, mesh.node_count)]
     assert pair.iterations >= 2          # Lanczos solves plus the polish
     fem.solve_dirichlet_lambda1(mesh)
-    fem.solve_mixed_dn(*geometry.half_rhombus(
+    fem.solve_mixed_dn(*oracles.half_rhombus(
         pipelines.mesh(geometry.make_rhombus(8), 3)))
     assert len(shapes) == 3
 
@@ -207,7 +207,7 @@ def test_mixed_equals_rhombus_neumann():
         mu = pipelines.neumann(geometry.make_rhombus(m), 4)
         assert dn.value == pytest.approx(mu.value, rel=1e-8)
         # constrained nodes are hard zeros
-        _, zero = geometry.half_rhombus(
+        _, zero = oracles.half_rhombus(
             pipelines.mesh(geometry.make_rhombus(m), 4))
         assert np.abs(dn.vector[zero]).max() == 0.0
 

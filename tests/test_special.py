@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from spectral_bounds import rearrangement, special
+from spectral_bounds import special
 from spectral_bounds.errors import ParameterError
 
 import oracles
@@ -102,10 +102,6 @@ def test_value_keeps_the_input_shape():
         assert isinstance(values, np.ndarray) and values.shape == radii.shape
     assert prof.value(one)[0] == prof.value(0.5)
     assert prof.power_integral(2.0, one).shape == (1,)
-    ball = rearrangement.dirichlet_ball_profile(2.0, 2, 2.0 * math.sqrt(
-        math.pi), J01 ** 2)
-    assert isinstance(ball.value(1.0), float)
-    assert ball.value(np.array([1.0])).shape == (1,)
 
 
 @pytest.mark.parametrize("p, n", [(2.0, 2), (2.0, 3), (3.0, 2), (7.0, 4)])
@@ -183,7 +179,8 @@ def _f_qaws_oracle(s: float) -> float:
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.7, 10.0])
 def test_f_power_mean_qaws_oracle(s):
-    assert special.psi_profile(2.0, 2).power_mean(s) == pytest.approx(
+    prof = special.psi_profile(2.0, 2)
+    assert math.exp(prof.log_power_mean(s)) == pytest.approx(
         _f_qaws_oracle(s), rel=1e-9)
 
 
@@ -216,13 +213,18 @@ def test_log_integral_slope_quadpack_oracle(p, n):
 def test_f_power_mean_shape():
     # stable geometric-mean limit: f is smooth at s = 0+ with slope about
     # 0.165 for p = n = 2, so successive decades shrink the gap tenfold
-    f = special.psi_profile(2.0, 2).power_mean
+    prof = special.psi_profile(2.0, 2)
+
+    def f(s):
+        return math.exp(prof.log_power_mean(s))
+
     assert abs(f(0.01) - f(0.001)) <= 2e-3
     assert abs(f(1e-3) - f(1e-4)) <= 2e-4
     # nondecreasing in s (power-mean inequality), and capped by max Psi = 1
     grid = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0]
     for p, n in ((2.0, 2), (3.0, 2), (2.0, 3)):
-        vals = [special.psi_profile(p, n).power_mean(s) for s in grid]
+        vals = [math.exp(special.psi_profile(p, n).log_power_mean(s))
+                for s in grid]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
         assert all(v <= 1.0 for v in vals)
     with pytest.raises(ParameterError):
