@@ -23,7 +23,6 @@ from .bounds import (
     main_bound,
     payne_weinberger,
     rhombus_sharpness,
-    sector_sandwich,
     shared_solves,
     symmetric_planar_bound,
 )
@@ -65,8 +64,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "KnEntry", "SharedSolves", "ashbaugh_mercado",
     "bct_corollary", "compare_report", "kn_lookup", "lower_bounds",
-    "main_bound", "payne_weinberger", "rhombus_sharpness", "sector_sandwich",
-    "shared_solves", "symmetric_planar_bound",
+    "main_bound", "payne_weinberger", "rhombus_sharpness", "shared_solves",
+    "symmetric_planar_bound",
     "ConvergenceError", "NumericError", "ParameterError",
     "assemble_mass", "assemble_stiffness", "richardson",
     "solve_dirichlet_lambda1", "solve_mixed_dn", "solve_neumann_mu1",

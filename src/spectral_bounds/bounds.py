@@ -6,13 +6,10 @@ determined by the width; rhombi, rectangles and regular polygons with an
 even number of sides all take that one rule. The bound half evaluates the
 rearrangement-based lower bound for the first nontrivial Neumann eigenvalue
 together with the older bounds it competes against, and aggregates everything
-into one report per domain, with a finite element reference value when p = 2.
+into one p = 2 report per domain against a finite element reference value.
 
 The (domain, level) pipelines behind those reference values run through
 SharedSolves, a keyed memo that shared_solves() shares within one scope.
-The sector sandwich of the half rhombus reads the rhombus mu1: the first
-Neumann mode is odd across the short diagonal, so the mixed eigenvalue of
-the half is mu1, and the tests check that identity against a mixed solve.
 """
 
 from __future__ import annotations
@@ -144,23 +141,15 @@ def lower_bounds(spec: DomainSpec, p: float) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Every applicable lower bound on one domain, against a reference value.
-
-    mu1 is the Richardson-extrapolated finite element eigenvalue and is
-    present only for p = 2; for p > 2 no discrete reference exists and only
-    the closed-form bounds are listed.
-    """
+    """Every p = 2 lower bound on one domain, against mu1, the
+    Richardson-extrapolated finite element eigenvalue."""
 
     domain: str
-    p: float
-    n: int
-    mu1: float | None
+    mu1: float
     bounds: dict[str, float]
 
     @property
     def ratios(self) -> dict[str, float]:
-        if self.mu1 is None:
-            return {}
         return {name: value / self.mu1 for name, value in self.bounds.items()}
 
 
@@ -244,80 +233,60 @@ def _extrapolated_mu1(spec: DomainSpec, level: int) -> float:
                               solves.neumann(spec, level).value)
 
 
-def compare_report(spec: DomainSpec, p: float, level: int = 5) -> BoundReport:
-    """Evaluate every lower bound applicable to one domain (lower_bounds).
+def compare_report(spec: DomainSpec, level: int = 5) -> BoundReport:
+    """Evaluate every p = 2 lower bound of one domain (lower_bounds).
 
-    For p = 2 the report carries a finite element reference eigenvalue from
-    two consecutive refinements plus Richardson extrapolation, and every
-    listed bound is required to sit below it with _REPORT_TOL relative slack.
+    The reference eigenvalue comes from two consecutive refinements plus
+    Richardson extrapolation, and every listed bound is required to sit
+    below it with _REPORT_TOL relative slack.
     """
-    if p < 2.0:
-        raise ParameterError(f"bounds require p >= 2, got p={p}")
-    values = lower_bounds(spec, p)
-    mu1 = None
-    if p == 2.0:
-        mu1 = _extrapolated_mu1(spec, level)
-        for name, value in values.items():
-            if value > mu1 * (1.0 + _REPORT_TOL):
-                raise NumericError(
-                    f"lower bound {name} = {value:.6g} exceeds "
-                    f"reference mu1 = {mu1:.6g} on {spec.label}")
-    return BoundReport(spec.label, p, 2, mu1, values)
+    values = lower_bounds(spec, 2.0)
+    mu1 = _extrapolated_mu1(spec, level)
+    for name, value in values.items():
+        if value > mu1 * (1.0 + _REPORT_TOL):
+            raise NumericError(
+                f"lower bound {name} = {value:.6g} exceeds "
+                f"reference mu1 = {mu1:.6g} on {spec.label}")
+    return BoundReport(spec.label, mu1, values)
 
 
 @dataclass(frozen=True)
 class SharpnessSample:
-    """One point of the degenerating-rhombus sharpness study."""
+    """One row of the degenerating-rhombus study: mu1, its sharpness ratio
+    and its closed-form sandwich [lower, upper]."""
 
     m: int
     mu1: float
-    scaled_ball_value: float
     ratio: float
-
-
-def rhombus_sharpness(m: int, level: int = 5) -> SharpnessSample:
-    """Ratio of the Neumann eigenvalue to its rearrangement lower limit.
-
-    On the unit-side rhombus with acute angle 2 pi / m the limit object is
-    alpha * lambda_1 of the equal-measure disk, with alpha the squared ratio
-    of the domain constant to the full-plane constant; that product equals
-    j_{0,1}^2 / 2 for every m. The ratio decreases toward 2 as the rhombus
-    degenerates, which is exactly the factor the main bound cannot improve.
-    """
-    spec = geometry.make_rhombus(m)
-    mu1 = _extrapolated_mu1(spec, level)
-    # main_bound without its factor 2^(p/n) = 2
-    denominator = main_bound(2.0, 2, kn_lookup(spec).value, spec.area) / 2.0
-    return SharpnessSample(m, mu1, denominator, mu1 / denominator)
-
-
-@dataclass(frozen=True)
-class SectorSandwich:
-    """Mixed eigenvalue of the half rhombus between two circular sectors."""
-
-    m: int
-    value: float
     lower: float
     upper: float
     ok: bool
 
 
-def sector_sandwich(m: int, level: int = 5) -> SectorSandwich:
-    """Sandwich the first mixed eigenvalue of the half rhombus.
+def rhombus_sharpness(m: int, level: int = 5) -> SharpnessSample:
+    """Richardson mu1 of the unit-side rhombus with acute angle 2 pi / m,
+    its sharpness ratio and the sandwich j_{0,1}^2 <= mu1 <= j_{0,1}^2 /
+    cos^2(pi / m).
 
-    Zero data is imposed on the short diagonal and natural conditions on the
-    two unit sides. Domain monotonicity pins the eigenvalue between the
-    inscribed sector value j_{0,1}^2 and the circumscribed sector value
-    j_{0,1}^2 / cos^2(pi / m). The first Neumann mode of the rhombus is odd
-    across the short diagonal, so that eigenvalue is the rhombus mu1: the
-    value is the Richardson-extrapolated mu1 that rhombus_sharpness reads,
-    and the tests check the identity against a mixed solve on the half. It
-    is compared with _REPORT_TOL relative slack on both ends.
+    The ratio is 2 mu1 / main: mu1 over the main bound without its factor
+    2^(p/n) = 2. It decreases toward 2 as the rhombus degenerates, which is
+    exactly the factor the main bound cannot improve.
+
+    The lower end is the paper's bound: width and area of the rhombus both
+    equal sin(2 pi / m), so main is j_{0,1}^2 on every rhombus. The upper
+    end is the Rayleigh quotient of a test function: the disc profile
+    J_0(j_{0,1} r / c) on the sector of radius c = cos(pi / m) inscribed at
+    an acute vertex, zero on the rest of that half of the rhombus, and
+    extended oddly across the short diagonal, which gives it zero mean.
+    Neither end comes from domain monotonicity. ok compares mu1 with both
+    ends at _REPORT_TOL relative slack.
     """
-    value = _extrapolated_mu1(geometry.make_rhombus(m), level)
+    spec = geometry.make_rhombus(m)
+    mu1 = _extrapolated_mu1(spec, level)
+    main = main_bound(2.0, 2, kn_lookup(spec).value, spec.area)
     j0 = special.bessel_first_zero(0.0)
     lower = j0 * j0
     upper = lower / math.cos(math.pi / m) ** 2
-    ok = bool(lower * (1.0 - _REPORT_TOL) <= value
+    ok = bool(lower * (1.0 - _REPORT_TOL) <= mu1
               <= upper * (1.0 + _REPORT_TOL))
-    return SectorSandwich(m, value, lower, upper, ok)
+    return SharpnessSample(m, mu1, 2.0 * mu1 / main, lower, upper, ok)

@@ -12,9 +12,6 @@ Each invocation computes every (domain, level) mesh, Neumann eigenpair and
 rearranged profile at most once, in one shared-solve scope
 (bounds.shared_solves) that all lines of a suite share and that is dropped
 when the invocation returns. The argument parser is built once per process.
-verify-rhombus prints the half-rhombus mixed eigenvalue as dn_value; it is
-the rhombus mu1 (the first Neumann mode is odd across the short diagonal),
-read from the same solves, and the tests check it against a mixed solve.
 
 Exit codes: 0 success, 1 numeric failure (a verified inequality broke, an
 iteration stalled, a factorization met an exactly singular pivot, numpy
@@ -27,6 +24,7 @@ reported on one line of the error stream.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -195,9 +193,9 @@ def _cmd_bound(args):
 def _cmd_compare_bounds(args):
     _require_p2(args.p)
     spec = _spec_from_args(args)
-    report = bounds.compare_report(spec, args.p, level=args.level)
+    report = bounds.compare_report(spec, level=args.level)
     ratios = report.ratios
-    return [{"domain": report.domain, "p": report.p, "n": report.n,
+    return [{"domain": report.domain, "p": args.p, "n": 2,
              "mu1": report.mu1, "bound": name, "value": value,
              "ratio": ratios[name]}
             for name, value in report.bounds.items()]
@@ -209,13 +207,11 @@ def _cmd_verify_rhombus(args):
         raise ParameterError("verify-rhombus needs at least one --m value")
     rows = []
     for m in ms:
-        sharp = bounds.rhombus_sharpness(m, level=args.level)
-        sandwich = bounds.sector_sandwich(m, level=args.level)
+        sample = bounds.rhombus_sharpness(m, level=args.level)
         rows.append({
-            "m": m, "level": args.level, "mu1": sharp.mu1,
-            "scaled_ball_value": sharp.scaled_ball_value, "r_m": sharp.ratio,
-            "dn_value": sandwich.value, "dn_lower": sandwich.lower,
-            "dn_upper": sandwich.upper, "dn_ok": sandwich.ok,
+            "m": m, "level": args.level, "mu1": sample.mu1,
+            "r_m": sample.ratio, "dn_lower": sample.lower,
+            "dn_upper": sample.upper, "dn_ok": sample.ok,
         })
     return rows
 
@@ -360,11 +356,14 @@ def dispatch(argv, out=None, err=None) -> int:
 
     The subcommand runs in one shared-solve scope (bounds.shared_solves),
     joined if the caller already opened one, as a suite does for its lines.
+    --help text goes to out, like a table.
     """
     stream = out if out is not None else sys.stdout
     errstream = err if err is not None else sys.stderr
     try:
-        args = _parser().parse_args(argv)
+        # argparse prints --help to sys.stdout, then exits the parser
+        with contextlib.redirect_stdout(stream):
+            args = _parser().parse_args(argv)
         if args.command == "suite":
             return run_suite(args.path, out=stream, err=errstream)
         # overflow or an invalid operation anywhere in the numerics is a

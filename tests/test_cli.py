@@ -121,28 +121,42 @@ def test_compare_bounds_square_csv():
 
 
 def test_verify_rhombus_golden_rows():
-    """Every column at 12 digits, dn_value (the rhombus mu1) included."""
+    """Every column at 12 digits."""
     code, out, err = run_cli(["verify-rhombus", "--m", "8,16", "--level", "3",
                               "--format", "csv"])
     assert (code, err) == (0, "")
     assert out == (
-        "m,level,mu1,scaled_ball_value,r_m,dn_value,dn_lower,dn_upper,dn_ok\n"
-        "8,3,6.48913088476,2.89159298152,2.24413702974,6.48913088476,"
-        "5.78318596295,6.77542380674,true\n"
-        "16,3,5.94489230738,2.89159298152,2.05592292739,5.94489230738,"
-        "5.78318596295,6.01200424997,true\n")
+        "m,level,mu1,r_m,dn_lower,dn_upper,dn_ok\n"
+        "8,3,6.48913088476,2.24413702974,5.78318596295,6.77542380674,true\n"
+        "16,3,5.94489230738,2.05592292739,5.78318596295,6.01200424997,true\n")
+
+
+def test_verify_rhombus_reads_the_main_bound():
+    """r_m is 2 mu1 / main and dn_lower is main, with main the bound
+    subcommand's value; dn_lower reaches j01 by bisection, main by shooting,
+    and the two routes differ by about 1.4e-11."""
+    code, out, err = run_cli(["verify-rhombus", "--m", "5,8,64", "--level",
+                              "3"])
+    assert (code, err) == (0, "")
+    for row in json.loads(out):
+        code, bound_out, _ = run_cli(["bound", "--domain", "rhombus", "--m",
+                                      str(row["m"])])
+        assert code == 0
+        main = json.loads(bound_out)["main"]
+        assert row["r_m"] == pytest.approx(2.0 * row["mu1"] / main,
+                                           rel=1e-11), row
+        assert row["dn_lower"] == pytest.approx(main, rel=1e-10), row
 
 
 def test_rhombus_mu1_is_the_half_rhombus_mixed_value():
     """The first Neumann mode of the rhombus is odd across the short
-    diagonal, so mu1 equals the mixed eigenvalue of the half rhombus. The
-    CLI prints mu1 as dn_value; the mixed solve on the cut half, an
-    independent mesh and solve, checks the identity."""
+    diagonal, so mu1 equals the mixed eigenvalue of the half rhombus; the
+    mixed solve on the cut half, an independent mesh and solve, checks the
+    identity."""
     code, out, err = run_cli(["verify-rhombus", "--m", "5,8,16,33,64",
                               "--level", "3"])
     assert (code, err) == (0, "")
     for row in json.loads(out):
-        assert row["dn_value"] == row["mu1"], row
         m = row["m"]
         mixed = fem.richardson(pipelines.mixed_half_rhombus(m, 2).value,
                                pipelines.mixed_half_rhombus(m, 3).value)
@@ -150,14 +164,14 @@ def test_rhombus_mu1_is_the_half_rhombus_mixed_value():
 
 
 def test_verify_rhombus_at_the_m_cap():
-    # the level-1 Neumann pair certifies at m = 4096; dn_value is that mu1,
-    # so no second solve can fail the residual gate
+    # the level-1 Neumann pair certifies at m = 4096, and the sandwich
+    # reads that mu1, so no second solve can fail the residual gate
     code, out, err = run_cli(["verify-rhombus", "--m", "4096", "--level",
                               "1"])
     assert (code, err) == (0, "")
     rows = json.loads(out)
     assert len(rows) == 1
-    assert rows[0]["dn_value"] == rows[0]["mu1"]
+    assert rows[0]["dn_ok"] is True
 
 
 def test_verify_rhombus_row():
@@ -170,7 +184,7 @@ def test_verify_rhombus_row():
     assert row["r_m"] > 2.0
     assert row["dn_ok"] is True
     assert row["dn_lower"] == pytest.approx(J01 ** 2, rel=1e-11)
-    assert row["dn_lower"] <= row["dn_value"] <= row["dn_upper"] * 1.01
+    assert row["dn_lower"] <= row["mu1"] <= row["dn_upper"] * 1.01
 
 
 def test_chiti_row():
@@ -311,17 +325,16 @@ def test_usage_errors(capsys):
                  ["bound", "--domain", "rectangle", "--a", "1e6",
                   "--b", "1e6"]):
         assert run_cli(argv)[::2] == (0, "")
-    capsys.readouterr()
     for sub in ("sturm", "bound"):
-        assert run_cli([sub, "--help"])[0] == 0
-        assert "in [1e-06, 1e+06]" in capsys.readouterr().out
+        code, out, _ = run_cli([sub, "--help"])
+        assert code == 0 and "in [1e-06, 1e+06]" in out
     for sub in ("chiti", "rholder"):
-        assert run_cli([sub, "--help"])[0] == 0
-        assert "exponent in (0, 50]" in capsys.readouterr().out
+        code, out, _ = run_cli([sub, "--help"])
+        assert code == 0 and "exponent in (0, 50]" in out
     for sub in ("bound", "compare-bounds", "verify-rhombus", "chiti",
                 "rholder"):
-        assert run_cli([sub, "--help"])[0] == 0
-        assert "in [5, 4096]" in capsys.readouterr().out
+        code, out, _ = run_cli([sub, "--help"])
+        assert code == 0 and "in [5, 4096]" in out
     # near-degenerate rhombi below the m cap fail the residual gate at
     # once, on one line
     for argv in (["compare-bounds", "--domain", "rhombus", "--m", "4096",
@@ -401,7 +414,7 @@ def test_rholder_constant_overflow_is_one_numeric_failure():
         assert len(err.splitlines()) == 1
 
 
-def test_size_budget_refused_before_building(capsys):
+def test_size_budget_refused_before_building():
     for argv in (["compare-bounds", "--domain", "polygon", "--k", "64",
                   "--level", "10"],
                  ["sturm", "--gamma", "1.5", "--beta", "0.75", "--A", "1",
@@ -415,15 +428,14 @@ def test_size_budget_refused_before_building(capsys):
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
-    capsys.readouterr()
     for argv, text in ((["psi", "--help"], "[2, 10]"),
                        (["psi", "--help"], "[2, 32]"),
                        (["bound", "--help"], "[2, 10]"),
                        (["chiti", "--help"], "262144"),
                        (["sturm", "--help"], "65536"),
                        (["sturm", "--help"], "at most 4096 at gamma 2")):
-        assert run_cli(argv)[0] == 0
-        assert text in capsys.readouterr().out
+        code, out, _ = run_cli(argv)
+        assert code == 0 and text in out
 
 
 def test_polygon_vertex_budget(monkeypatch):
@@ -481,6 +493,18 @@ def test_suite_reports_failures(tmp_path):
     assert "# line 2 fail(2)" in out
     assert "# line 3 fail(2): suite nested.txt: nested suite lines" in out
     assert out.splitlines()[-1] == "# suite: 3 runs, 2 failures"
+
+
+def test_suite_help_lands_in_its_stream(tmp_path, capsys):
+    # argparse prints help through sys.stdout; dispatch points that at out
+    path = tmp_path / "runs.txt"
+    path.write_text("psi --help\n", encoding="utf-8")
+    code, out, err = run_cli(["suite", str(path)])
+    assert (code, err) == (0, "")
+    assert capsys.readouterr() == ("", "")
+    assert out.index("usage: spectral-bounds psi") < out.index(
+        "# line 1 ok: psi --help")
+    assert out.splitlines()[-1] == "# suite: 1 runs, 0 failures"
 
 
 def test_suite_usage_errors_stay_in_their_status_line(tmp_path, capsys):
