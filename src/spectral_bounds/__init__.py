@@ -12,7 +12,6 @@ subcommands with deterministic CSV/JSON output.
 """
 
 from .bounds import (
-    BoundReport,
     KnEntry,
     SharedSolves,
     ashbaugh_mercado,
@@ -62,9 +61,9 @@ from .sturm1d import SturmProblem
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "KnEntry", "SharedSolves", "ashbaugh_mercado",
-    "bct_corollary", "compare_report", "kn_lookup", "lower_bounds",
-    "main_bound", "payne_weinberger", "rhombus_sharpness", "shared_solves",
+    "KnEntry", "SharedSolves", "ashbaugh_mercado", "bct_corollary",
+    "compare_report", "kn_lookup", "lower_bounds", "main_bound",
+    "payne_weinberger", "rhombus_sharpness", "shared_solves",
     "symmetric_planar_bound",
     "ConvergenceError", "NumericError", "ParameterError",
     "assemble_mass", "assemble_stiffness", "richardson",

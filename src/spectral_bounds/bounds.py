@@ -139,20 +139,6 @@ def lower_bounds(spec: DomainSpec, p: float) -> dict[str, float]:
     return values
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Every p = 2 lower bound on one domain, against mu1, the
-    Richardson-extrapolated finite element eigenvalue."""
-
-    domain: str
-    mu1: float
-    bounds: dict[str, float]
-
-    @property
-    def ratios(self) -> dict[str, float]:
-        return {name: value / self.mu1 for name, value in self.bounds.items()}
-
-
 class SharedSolves:
     """Keyed memo of the deterministic (domain, level) pipelines.
 
@@ -233,12 +219,14 @@ def _extrapolated_mu1(spec: DomainSpec, level: int) -> float:
                               solves.neumann(spec, level).value)
 
 
-def compare_report(spec: DomainSpec, level: int = 5) -> BoundReport:
-    """Evaluate every p = 2 lower bound of one domain (lower_bounds).
+def compare_report(spec: DomainSpec,
+                   level: int = 5) -> tuple[float, dict[str, float]]:
+    """Every p = 2 lower bound of one domain (lower_bounds), against mu1.
 
-    The reference eigenvalue comes from two consecutive refinements plus
-    Richardson extrapolation, and every listed bound is required to sit
-    below it with _REPORT_TOL relative slack.
+    Returns (mu1, bounds): mu1 is the Richardson value of the Neumann
+    eigenvalues at two consecutive refinements, and bounds maps each name
+    to its value. Every bound is required to sit below mu1 with
+    _REPORT_TOL relative slack.
     """
     values = lower_bounds(spec, 2.0)
     mu1 = _extrapolated_mu1(spec, level)
@@ -247,7 +235,7 @@ def compare_report(spec: DomainSpec, level: int = 5) -> BoundReport:
             raise NumericError(
                 f"lower bound {name} = {value:.6g} exceeds "
                 f"reference mu1 = {mu1:.6g} on {spec.label}")
-    return BoundReport(spec.label, mu1, values)
+    return mu1, values
 
 
 @dataclass(frozen=True)
@@ -255,7 +243,6 @@ class SharpnessSample:
     """One row of the degenerating-rhombus study: mu1, its sharpness ratio
     and its closed-form sandwich [lower, upper]."""
 
-    m: int
     mu1: float
     ratio: float
     lower: float
@@ -289,4 +276,4 @@ def rhombus_sharpness(m: int, level: int = 5) -> SharpnessSample:
     upper = lower / math.cos(math.pi / m) ** 2
     ok = bool(lower * (1.0 - _REPORT_TOL) <= mu1
               <= upper * (1.0 + _REPORT_TOL))
-    return SharpnessSample(m, mu1, 2.0 * mu1 / main, lower, upper, ok)
+    return SharpnessSample(mu1, 2.0 * mu1 / main, lower, upper, ok)

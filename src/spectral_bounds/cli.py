@@ -47,8 +47,6 @@ _M_RANGE = f"in [5, {geometry.MAX_RHOMBUS_M}]"
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -83,11 +81,11 @@ def emit_table(table, fmt: str) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(fieldnames)
         for row in rows:
-            writer.writerow([_fmt(row.get(name)) for name in fieldnames])
+            writer.writerow([_fmt(row[name]) for name in fieldnames])
         return buf.getvalue()
     if fmt != "json":
         raise ParameterError(f"unknown format {fmt!r}")
-    payload = [{name: _json_ready(row.get(name)) for name in fieldnames}
+    payload = [{name: _json_ready(row[name]) for name in fieldnames}
                for row in rows]
     obj = payload[0] if isinstance(table, dict) else payload
     return json.dumps(obj, indent=2) + "\n"
@@ -193,12 +191,10 @@ def _cmd_bound(args):
 def _cmd_compare_bounds(args):
     _require_p2(args.p)
     spec = _spec_from_args(args)
-    report = bounds.compare_report(spec, level=args.level)
-    ratios = report.ratios
-    return [{"domain": report.domain, "p": args.p, "n": 2,
-             "mu1": report.mu1, "bound": name, "value": value,
-             "ratio": ratios[name]}
-            for name, value in report.bounds.items()]
+    mu1, values = bounds.compare_report(spec, level=args.level)
+    return [{"domain": spec.label, "p": args.p, "n": 2, "mu1": mu1,
+             "bound": name, "value": value, "ratio": value / mu1}
+            for name, value in values.items()]
 
 
 def _cmd_verify_rhombus(args):
@@ -224,8 +220,8 @@ def _cmd_chiti(args):
         "domain": spec.label, "p": args.p, "q": args.q,
         "lhs": report.lhs, "rhs": report.rhs,
         "max_violation": report.max_violation, "mesh_level": args.level,
-        "s_at_max": report.s_at_max, "comparison_measure": report.L,
-        "positive_measure": report.s_tilde,
+        "s_at_max": report.s_at_max, "comparison_measure": ball.measure,
+        "positive_measure": profile.positive_measure,
         "lemma_violated": report.lemma_violated, "margin": report.margin,
     }
 
@@ -253,7 +249,7 @@ def _cmd_sturm(args):
     return {
         "gamma": args.gamma, "beta": args.beta, "a": args.A, "n_cells": args.N,
         "sigma1": solution.sigma,
-        "hardy_lower_bound": solution.hardy_lower_bound,
+        "hardy_lower_bound": problem.hardy_lower_bound,
         "iterations": solution.iterations,
     }
 
@@ -410,7 +406,7 @@ def run_suite(path: str, out=None, err=None) -> int:
     stream = out if out is not None else sys.stdout
     errstream = err if err is not None else sys.stderr
     try:
-        content = Path(path).read_text(encoding="utf-8")
+        content = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as ex:
         print(f"cannot read suite file: {ex}", file=errstream)
         return 2

@@ -18,8 +18,9 @@ rearranged profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -198,15 +199,12 @@ def _stable_roots(c0, c1, c2):
     return r1, r2
 
 
-@dataclass(frozen=True)
-class CumulativePower:
-    """s -> integral of the profile's positive part to power q on (0, s)."""
+class CumulativePower(NamedTuple):
+    """s -> integral of the profile's positive part to power q on (0, s):
+    value(s), and its limit total as s reaches the positive measure."""
 
     total: float
-    _evaluate: object = field(repr=False)
-
-    def value(self, s):
-        return self._evaluate(s)
+    value: Callable
 
 
 @dataclass(frozen=True)
@@ -329,7 +327,7 @@ def cumulative_power(profile: RearrangedProfile, q: float) -> CumulativePower:
         out = np.where(s_eff <= 0.0, 0.0, out)
         return float(out[0]) if scalar else out
 
-    return CumulativePower(total=total, _evaluate=evaluate)
+    return CumulativePower(total, evaluate)
 
 
 @dataclass(frozen=True)
@@ -352,8 +350,7 @@ class BallComparisonProfile:
             return factor * prof.power_integral(q, x)
 
         return CumulativePower(
-            total=factor * prof.power_integral(q, prof.first_zero),
-            _evaluate=evaluate)
+            factor * prof.power_integral(q, prof.first_zero), evaluate)
 
 
 def dirichlet_ball_profile(p: float, n: int, K: float,
@@ -378,8 +375,6 @@ class ChitiReport:
     s_at_max: float
     lhs: float
     rhs: float
-    L: float
-    s_tilde: float
     lemma_violated: bool
     margin: float
 
@@ -388,14 +383,17 @@ def chiti_check(u_profile: RearrangedProfile,
                 ball_profile: BallComparisonProfile,
                 q: float) -> ChitiReport:
     """Max of the normalized cumulative-power gap on _CHITI_GRID points of
-    [0, L], for q in (0, Q_MAX].
+    [0, L], L = ball_profile.measure, for q in (0, Q_MAX].
 
-    The ball cumulative is rescaled so the totals match, then both are
-    normalized to unit total; a max_violation above CHECK_TOL means the
-    domination fails at the reported measure. The grid holds s = 0, where
-    both sides vanish, so max_violation >= 0: 0 means dominated on every
-    grid point. The margin is the least relative gap (rhs - lhs)/rhs over
-    the grid points s > 0, positive when the domination holds with room.
+    lemma_violated reports L > s̃ + CHECK_TOL |domain| with s̃ =
+    u_profile.positive_measure; callers read both measures from the
+    profiles. The ball cumulative is rescaled so the totals match, then
+    both are normalized to unit total; a max_violation above CHECK_TOL
+    means the domination fails at the reported measure. The grid holds
+    s = 0, where both sides vanish, so max_violation >= 0: 0 means
+    dominated on every grid point. The margin is the least relative gap
+    (rhs - lhs)/rhs over the grid points s > 0, positive when the
+    domination holds with room.
     """
     if not 0.0 < q <= Q_MAX:
         raise ParameterError(f"exponent must lie in (0, {Q_MAX:g}], got {q}")
@@ -412,7 +410,6 @@ def chiti_check(u_profile: RearrangedProfile,
     margin = np.min(-gap[1:] / ball_side[1:])
     return ChitiReport(max_violation=float(gap[k]), s_at_max=float(s[k]),
                        lhs=float(u_side[k]), rhs=float(ball_side[k]),
-                       L=float(L), s_tilde=float(s_tilde),
                        lemma_violated=bool(lemma_violated),
                        margin=float(margin))
 

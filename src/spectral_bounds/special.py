@@ -64,20 +64,13 @@ def classical_constant(n: int) -> float:
     return n * omega_n(n) ** (1.0 / n)
 
 
-def bessel_j(nu: float, x):
-    """Bessel function of the first kind J_nu, vectorized over x."""
-    if nu < 0:
-        raise ParameterError(f"order must be >= 0, got {nu}")
-    return scipy.special.jv(nu, x)
-
-
 def bessel_first_zero(nu: float) -> float:
     """First positive zero of J_nu by scanning for a bracket, then bisection
     to a bracket width of 1e-12."""
     if nu < 0:
         raise ParameterError(f"order must be >= 0, got {nu}")
     lo = max(nu, 0.5)
-    flo = bessel_j(nu, lo)
+    flo = scipy.special.jv(nu, lo)
     if flo <= 0.0:
         # The scan start is left of the first zero for every nu >= 0; a
         # non-positive value here means the bracket assumption broke down.
@@ -85,7 +78,7 @@ def bessel_first_zero(nu: float) -> float:
     step = 0.5
     hi = lo + step
     for _ in range(10_000):
-        fhi = bessel_j(nu, hi)
+        fhi = scipy.special.jv(nu, hi)
         if fhi <= 0.0:
             break
         lo, flo = hi, fhi
@@ -94,7 +87,7 @@ def bessel_first_zero(nu: float) -> float:
         raise NumericError(f"no sign change of J_{nu} found up to x = {hi}")
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if bessel_j(nu, mid) > 0.0:
+        if scipy.special.jv(nu, mid) > 0.0:
             lo = mid
         else:
             hi = mid

@@ -88,10 +88,14 @@ class SturmProblem:
 
 @dataclass(frozen=True)
 class SturmSolution:
+    """Discrete sigma1 with the graded grid, the minimizer's nodal values
+    on it (node 0 included, signed so the largest is positive) and the
+    step count. solve checks sigma against the problem's own Hardy floor,
+    SturmProblem.hardy_lower_bound."""
+
     sigma: float
     grid: np.ndarray
     minimizer: np.ndarray
-    hardy_lower_bound: float
     iterations: int
 
 
@@ -115,14 +119,13 @@ def _weight_quadrature(s: np.ndarray, beta: float):
     return wq, xi
 
 
-def _solution(problem: SturmProblem, s: np.ndarray, phi: np.ndarray,
-              sigma: float, iterations: int) -> SturmSolution:
+def _solution(s: np.ndarray, phi: np.ndarray, sigma: float,
+              iterations: int) -> SturmSolution:
     """Package the nodal values phi at nodes 1..N, signed nonnegative."""
     full = np.concatenate([[0.0], phi])
     if full[np.argmax(np.abs(full))] < 0:
         full = -full
     return SturmSolution(sigma=sigma, grid=s, minimizer=full,
-                         hardy_lower_bound=problem.hardy_lower_bound,
                          iterations=iterations)
 
 
@@ -182,7 +185,7 @@ def _solve_linear(problem: SturmProblem) -> SturmSolution:
     M = sparse.diags([diag, off, off], [0, 1, -1], format="csr")
 
     pair = _inverse_iteration(K, M, np.arange(n), 0.0)
-    return _solution(problem, s, pair.vector, pair.value, pair.iterations)
+    return _solution(s, pair.vector, pair.value, pair.iterations)
 
 
 def _solve_gradient(problem: SturmProblem) -> SturmSolution:
@@ -256,8 +259,7 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
     change = math.inf
     for iteration in range(1, _MAX_STEPS + 1):
         if change <= _QUOTIENT_TOL * quotient:
-            return _solution(problem, s, phi, quotient,
-                             coarse_steps + iteration)
+            return _solution(s, phi, quotient, coarse_steps + iteration)
         g_e, g_f = gradients(d, vals, phi[0])
         grad = (g_e - quotient * g_f) / f_val
         # precondition with the energy Hessian at phi; slopes are floored so
@@ -292,8 +294,7 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
             # descent exhausted at floating point resolution; only accept
             # if the quotient had already stabilized
             if change <= 1e-6 * quotient:
-                return _solution(problem, s, phi, quotient,
-                                 coarse_steps + iteration)
+                return _solution(s, phi, quotient, coarse_steps + iteration)
             raise NumericError(
                 "quotient minimization stalled at "
                 f"{quotient!r} after {iteration} steps")

@@ -12,6 +12,7 @@ import dataclasses
 import math
 
 import numpy as np
+from scipy.special import jv
 
 from spectral_bounds import bounds, geometry, rearrangement, special, sturm1d
 from spectral_bounds.errors import ParameterError
@@ -88,8 +89,7 @@ def normalized_bessel_profile(n: int, r):
     nu = n / 2.0 - 1.0
     out = np.ones_like(r)
     nz = r != 0.0
-    out[nz] = (math.gamma(n / 2.0) * (2.0 / r[nz]) ** nu
-               * special.bessel_j(nu, r[nz]))
+    out[nz] = math.gamma(n / 2.0) * (2.0 / r[nz]) ** nu * jv(nu, r[nz])
     return out if out.ndim else float(out)
 
 

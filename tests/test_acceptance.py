@@ -82,7 +82,8 @@ def test_criterion_3_main_bound_validity(capsys):
 
 def test_criterion_4_sharpness(capsys):
     t0 = time.perf_counter()
-    samples = [bounds.rhombus_sharpness(m, level=5) for m in (8, 16, 32, 64)]
+    ms = (8, 16, 32, 64)
+    samples = [bounds.rhombus_sharpness(m, level=5) for m in ms]
     ratios = [sample.ratio for sample in samples]
     elapsed = time.perf_counter() - t0
     decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))
@@ -93,8 +94,8 @@ def test_criterion_4_sharpness(capsys):
           f"sector sandwich ok {[s.ok for s in samples]} ({elapsed:.1f}s)")
     assert decreasing
     assert ratios[-1] <= 2.05
-    for sample in samples:
-        assert sample.ok, sample.m
+    for m, sample in zip(ms, samples):
+        assert sample.ok, m
     assert elapsed < 180.0
 
 
@@ -186,9 +187,11 @@ def test_criterion_9_sturm_consistency(capsys):
     # Hardy bound on a spread of solved problems
     hardy_ok = True
     for gamma, beta in ((2.0, 1.0), (1.5, 0.8), (3.0, 1.2)):
-        sol = sturm1d.solve(sturm1d.SturmProblem(gamma=gamma, beta=beta,
-                                                 length=1.7, n_cells=1024))
-        hardy_ok = hardy_ok and sol.sigma >= sol.hardy_lower_bound * (1 - 1e-9)
+        problem = sturm1d.SturmProblem(gamma=gamma, beta=beta, length=1.7,
+                                       n_cells=1024)
+        sol = sturm1d.solve(problem)
+        hardy_ok = hardy_ok and (
+            sol.sigma >= problem.hardy_lower_bound * (1 - 1e-9))
     # interval never longer than either nodal region or half the domain
     min_margin = math.inf
     for spec in _DOMAINS_MAIN + (pipelines.GON64,):

@@ -29,9 +29,9 @@ def run_cli(argv):
 
 
 def test_emit_table_csv():
-    rows = [{"name": "x", "value": math.pi, "flag": True, "extra": None}]
+    rows = [{"name": "x", "value": math.pi, "flag": True}]
     text = cli.emit_table(rows, "csv")
-    assert text == "name,value,flag,extra\nx,3.14159265359,true,\n"
+    assert text == "name,value,flag\nx,3.14159265359,true\n"
     # a non-finite value is a numeric failure, never a printed row
     for value in (math.nan, math.inf):
         with pytest.raises(NumericError, match="non-finite value"):
@@ -129,6 +129,49 @@ def test_verify_rhombus_golden_rows():
         "m,level,mu1,r_m,dn_lower,dn_upper,dn_ok\n"
         "8,3,6.48913088476,2.24413702974,5.78318596295,6.77542380674,true\n"
         "16,3,5.94489230738,2.05592292739,5.78318596295,6.01200424997,true\n")
+
+
+# every column at 12 digits, on domains whose mu1 is simple: a double mu1
+# (square, hexagon, octagon) leaves the chiti and rholder rows to the
+# eigensolver's choice of vector in the eigenspace
+GOLDEN_CSV = {
+    "bound": (
+        "bound --domain rectangle --a 3 --b 1",
+        "domain,p,n,k_value,rule,area,width,diameter,main,ashbaugh_mercado,"
+        "payne_weinberger,bct_corollary,symmetric_planar\n"
+        "rectangle_3x1,2,2,0.816496580928,symmetric-convex-width,3,1,"
+        "3.16227766017,0.642576218115,0.444444444444,0.986960440109,"
+        "0.501326152798,0.642576218105\n"),
+    "compare-bounds": (
+        "compare-bounds --domain rhombus --m 8 --level 3",
+        "domain,p,n,mu1,bound,value,ratio\n"
+        "rhombus_8,2,2,6.48913088476,main,5.78318596303,0.891211175386\n"
+        "rhombus_8,2,2,6.48913088476,ashbaugh_mercado,4,0.616415367641\n"
+        "rhombus_8,2,2,6.48913088476,payne_weinberger,2.89074020145,"
+        "0.445474171008\n"
+        "rhombus_8,2,2,6.48913088476,bct_corollary,4.51193537519,"
+        "0.695306575767\n"
+        "rhombus_8,2,2,6.48913088476,symmetric_planar,5.78318596295,"
+        "0.891211175372\n"),
+    "chiti": (
+        "chiti --domain rectangle --a 2 --b 1 --q 2 --level 3",
+        "domain,p,q,lhs,rhs,max_violation,mesh_level,s_at_max,"
+        "comparison_measure,positive_measure,lemma_violated,margin\n"
+        "rectangle_2x1,2,2,0,0,0,3,0,0.578560444565,1,false,0.112308809408\n"),
+    "rholder": (
+        "rholder --domain rhombus --m 16 --q 4 --r 2 --level 3",
+        "domain,p,q,r,lhs,rhs,max_violation,mesh_level,constant,ok\n"
+        "rhombus_16,2,4,2,1.28772452005,1.29626515175,0,3,1.83319575803,"
+        "true\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CSV))
+def test_golden_csv(name):
+    line, expected = GOLDEN_CSV[name]
+    code, out, err = run_cli(line.split() + ["--format", "csv"])
+    assert (code, err) == (0, "")
+    assert out == expected
 
 
 def test_verify_rhombus_reads_the_main_bound():
@@ -539,6 +582,18 @@ def test_suite_file_not_utf8(tmp_path):
     assert err.startswith("cannot read suite file: 'utf-8' codec can't "
                           "decode byte 0xff")
     assert len(err.splitlines()) == 1
+
+
+def test_suite_byte_order_mark(tmp_path):
+    # editors that save UTF-8 with a BOM must not break the first line
+    path = tmp_path / "runs.txt"
+    path.write_bytes(b"\xef\xbb\xbfpsi --p 2 --n 2\n")
+    code, out, err = run_cli(["suite", str(path)])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["p,n,psi,psi_p",
+                                "2,2,2.40482555771,5.78318596303",
+                                "# line 1 ok: psi --p 2 --n 2",
+                                "# suite: 1 runs, 0 failures"]
 
 
 def test_suite_deterministic(tmp_path):

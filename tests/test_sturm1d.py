@@ -95,7 +95,7 @@ def test_solution_contract():
     assert sol.grid[0] == 0.0 and sol.grid[-1] == 1.0
     assert sol.minimizer[0] == 0.0
     assert np.min(sol.minimizer) >= -1e-10
-    assert sol.sigma >= sol.hardy_lower_bound * (1.0 - 1e-9)
+    assert sol.sigma >= problem.hardy_lower_bound * (1.0 - 1e-9)
 
 
 @pytest.mark.parametrize("gamma,beta,rel", [(2.0, 1.0, 1e-9),
@@ -332,8 +332,8 @@ def test_hardy_bound_every_solve(gamma, beta):
     problem = SturmProblem(gamma=gamma, beta=beta, length=1.7, n_cells=512)
     sol = solve(problem)
     expect = 1.7 ** (beta - gamma) * ((gamma - 1.0) / gamma) ** gamma
-    assert sol.hardy_lower_bound == pytest.approx(expect, rel=1e-12)
-    assert sol.sigma >= sol.hardy_lower_bound * (1.0 - 1e-9)
+    assert problem.hardy_lower_bound == pytest.approx(expect, rel=1e-12)
+    assert sol.sigma >= problem.hardy_lower_bound * (1.0 - 1e-9)
 
 
 @pytest.mark.parametrize("gamma", [2.0, 1.5])
