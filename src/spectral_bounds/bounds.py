@@ -9,14 +9,13 @@ together with the older bounds it competes against, and aggregates everything
 into one p = 2 report per domain against a finite element reference value.
 
 The (domain, level) pipelines behind those reference values run through
-SharedSolves, a keyed memo that shared_solves() shares within one scope.
+SharedSolves, a keyed memo that its caller holds and passes on; its mu1 is
+the one reference value the bound checks take.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 from . import fem, geometry, rearrangement, special
@@ -140,14 +139,16 @@ def lower_bounds(spec: DomainSpec, p: float) -> dict[str, float]:
 
 
 class SharedSolves:
-    """Keyed memo of the deterministic (domain, level) pipelines.
+    """Keyed memo of the deterministic (domain, level) pipelines, held by
+    its caller: the CLI makes one per invocation, and a suite one for all
+    its lines.
 
-    Each key is computed at most once per instance. A level-L mesh is
-    always geometry.refine of the memoized level-(L-1) mesh, so what a key
-    computes does not depend on which caller asks first, and a chain costs
-    the mesh work of one triangulate call. A key whose computation fails
-    keeps its exception, which re-raises on every later call for the key.
-    An instance is not locked: it belongs to one thread.
+    Each key is computed at most once per instance. The level-L mesh is
+    geometry.refine of the memoized level-(L-1) mesh, down to the base
+    mesh geometry.triangulate builds, so what a key computes does not
+    depend on which caller asks first. A key whose computation fails keeps
+    its exception, which re-raises on every later call for the key. An
+    instance is not locked: it belongs to one thread.
     """
 
     def __init__(self) -> None:
@@ -166,12 +167,17 @@ class SharedSolves:
         return self._values[key]
 
     def mesh(self, spec: DomainSpec, level: int) -> geometry.Mesh:
-        """Level ``level`` of the chain of spec's base mesh; triangulate
-        refuses level < 0."""
+        """Level ``level`` of the refinement chain of spec's base mesh; the
+        base mesh is built, and refuses its own size, before a level < 0 is
+        refused."""
         def build():
-            if level <= 0:
-                return geometry.triangulate(spec, level)
-            return geometry.refine(self.mesh(spec, level - 1))
+            if level > 0:
+                return geometry.refine(self.mesh(spec, level - 1))
+            base = geometry.triangulate(spec)
+            if level < 0:
+                raise ParameterError(
+                    f"refinement level must be >= 0, got {level}")
+            return base
 
         return self._once(("mesh", spec, level), build)
 
@@ -185,57 +191,28 @@ class SharedSolves:
             rearrangement.rearrange_oriented(self.mesh(spec, level),
                                              self.neumann(spec, level).vector)))
 
-
-_SCOPE: ContextVar[SharedSolves | None] = ContextVar("shared_solves",
-                                                     default=None)
-
-
-@contextmanager
-def shared_solves():
-    """Open a shared-solve scope, or join the one already open, and yield
-    its SharedSolves; the memo is dropped when the outermost scope closes.
-
-    The scope is a context variable of the thread that opens it, and its
-    memo is not locked: use a scope from that one thread only.
-    """
-    solves = _SCOPE.get()
-    if solves is not None:
-        yield solves
-        return
-    solves = SharedSolves()
-    token = _SCOPE.set(solves)
-    try:
-        yield solves
-    finally:
-        _SCOPE.reset(token)
+    def mu1(self, spec: DomainSpec, level: int) -> float:
+        """Reference mu1 of spec: the Richardson value of the Neumann
+        eigenvalues at level - 1 and level."""
+        if level < 1:
+            raise ParameterError(f"level must be >= 1, got {level}")
+        return fem.richardson(self.neumann(spec, level - 1).value,
+                              self.neumann(spec, level).value)
 
 
-def _extrapolated_mu1(spec: DomainSpec, level: int) -> float:
-    """Richardson value of the Neumann pairs at level - 1 and level."""
-    if level < 1:
-        raise ParameterError(f"level must be >= 1, got {level}")
-    with shared_solves() as solves:
-        return fem.richardson(solves.neumann(spec, level - 1).value,
-                              solves.neumann(spec, level).value)
+def compare_report(spec: DomainSpec, mu1: float) -> dict[str, float]:
+    """Every p = 2 lower bound of one domain (lower_bounds), each required
+    to sit below the reference value mu1 with _REPORT_TOL relative slack.
 
-
-def compare_report(spec: DomainSpec,
-                   level: int = 5) -> tuple[float, dict[str, float]]:
-    """Every p = 2 lower bound of one domain (lower_bounds), against mu1.
-
-    Returns (mu1, bounds): mu1 is the Richardson value of the Neumann
-    eigenvalues at two consecutive refinements, and bounds maps each name
-    to its value. Every bound is required to sit below mu1 with
-    _REPORT_TOL relative slack.
+    Returns the bounds by name.
     """
     values = lower_bounds(spec, 2.0)
-    mu1 = _extrapolated_mu1(spec, level)
     for name, value in values.items():
         if value > mu1 * (1.0 + _REPORT_TOL):
             raise NumericError(
                 f"lower bound {name} = {value:.6g} exceeds "
                 f"reference mu1 = {mu1:.6g} on {spec.label}")
-    return mu1, values
+    return values
 
 
 @dataclass(frozen=True)
@@ -250,10 +227,10 @@ class SharpnessSample:
     ok: bool
 
 
-def rhombus_sharpness(m: int, level: int = 5) -> SharpnessSample:
-    """Richardson mu1 of the unit-side rhombus with acute angle 2 pi / m,
-    its sharpness ratio and the sandwich j_{0,1}^2 <= mu1 <= j_{0,1}^2 /
-    cos^2(pi / m).
+def rhombus_sharpness(spec: DomainSpec, mu1: float) -> SharpnessSample:
+    """Sharpness ratio of the reference value mu1 of the unit-side rhombus
+    spec with acute angle 2 pi / m, and the sandwich j_{0,1}^2 <= mu1 <=
+    j_{0,1}^2 / cos^2(pi / m).
 
     The ratio is 2 mu1 / main: mu1 over the main bound without its factor
     2^(p/n) = 2. It decreases toward 2 as the rhombus degenerates, which is
@@ -268,12 +245,10 @@ def rhombus_sharpness(m: int, level: int = 5) -> SharpnessSample:
     Neither end comes from domain monotonicity. ok compares mu1 with both
     ends at _REPORT_TOL relative slack.
     """
-    spec = geometry.make_rhombus(m)
-    mu1 = _extrapolated_mu1(spec, level)
     main = main_bound(2.0, 2, kn_lookup(spec).value, spec.area)
     j0 = special.bessel_first_zero(0.0)
     lower = j0 * j0
-    upper = lower / math.cos(math.pi / m) ** 2
+    upper = lower / math.cos(math.pi / spec.m) ** 2
     ok = bool(lower * (1.0 - _REPORT_TOL) <= mu1
               <= upper * (1.0 + _REPORT_TOL))
     return SharpnessSample(mu1, 2.0 * mu1 / main, lower, upper, ok)

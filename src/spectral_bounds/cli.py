@@ -9,9 +9,10 @@ row order, solver seeds are fixed, and a suite runs its lines one after
 another in file order.
 
 Each invocation computes every (domain, level) mesh, Neumann eigenpair and
-rearranged profile at most once, in one shared-solve scope
-(bounds.shared_solves) that all lines of a suite share and that is dropped
-when the invocation returns. The argument parser is built once per process.
+rearranged profile at most once, in one bounds.SharedSolves memo that
+dispatch hands to the handler: the caller's, or a fresh one dropped when
+dispatch returns. A suite makes one memo and hands it to every line. The
+argument parser is built once per process.
 
 Exit codes: 0 success, 1 numeric failure (a verified inequality broke, an
 iteration stalled, a factorization met an exactly singular pivot, numpy
@@ -111,7 +112,18 @@ def _list_of(kind):
     return parse
 
 
+# the size flags each --domain takes
+_SIZE_FLAGS = {"square": (), "rectangle": ("a", "b"), "rhombus": ("m",),
+               "polygon": ("k", "radius")}
+
+
 def _spec_from_args(args) -> geometry.DomainSpec:
+    stray = [f"--{name}" for name in ("m", "a", "b", "k", "radius")
+             if getattr(args, name) is not None
+             and name not in _SIZE_FLAGS[args.domain]]
+    if stray:
+        raise ParameterError(
+            f"{args.domain} does not take {', '.join(stray)}")
     if args.domain == "square":
         return geometry.make_rectangle(1.0, 1.0)
     if args.domain == "rectangle":
@@ -124,7 +136,8 @@ def _spec_from_args(args) -> geometry.DomainSpec:
         return geometry.make_rhombus(args.m)
     if args.k is None:
         raise ParameterError("polygon needs --k")
-    return geometry.make_regular_polygon(args.k, args.radius)
+    return geometry.make_regular_polygon(
+        args.k, 1.0 if args.radius is None else args.radius)
 
 
 def _add_domain_flags(sub) -> None:
@@ -138,7 +151,7 @@ def _add_domain_flags(sub) -> None:
                      help=f"rectangle short side, {_LENGTH_RANGE}")
     sub.add_argument("--k", type=int, help="polygon vertex count, at most "
                      f"{geometry.MAX_ELEMENTS}")
-    sub.add_argument("--radius", type=_finite_float, default=1.0,
+    sub.add_argument("--radius", type=_finite_float,
                      help=f"polygon circumradius, {_LENGTH_RANGE}")
 
 
@@ -148,13 +161,12 @@ def _add_output_flags(sub, default_format: str) -> None:
                      help="write the table to this file instead of stdout")
 
 
-def _ball_comparison(args):
+def _ball_comparison(args, solves):
     """(spec, oriented profile, comparison ball) of the p = 2 Neumann
     eigenfunction of the domain at args.level."""
     spec = _spec_from_args(args)
-    with bounds.shared_solves() as solves:
-        mu1 = solves.neumann(spec, args.level).value
-        profile = solves.profile(spec, args.level)
+    mu1 = solves.neumann(spec, args.level).value
+    profile = solves.profile(spec, args.level)
     ball = rearrangement.dirichlet_ball_profile(
         2.0, 2, bounds.kn_lookup(spec).value, mu1)
     return spec, profile, ball
@@ -165,7 +177,7 @@ def _require_p2(p: float) -> None:
         raise ParameterError(_FEM_P_RULE)
 
 
-def _cmd_psi(args):
+def _cmd_psi(args, _solves):
     ps, ns = args.p, args.n
     if not ps or not ns:
         raise ParameterError("psi needs at least one --p and one --n value")
@@ -177,7 +189,7 @@ def _cmd_psi(args):
     return rows
 
 
-def _cmd_bound(args):
+def _cmd_bound(args, _solves):
     spec = _spec_from_args(args)
     entry = bounds.kn_lookup(spec)
     return {
@@ -188,22 +200,25 @@ def _cmd_bound(args):
     }
 
 
-def _cmd_compare_bounds(args):
+def _cmd_compare_bounds(args, solves):
     _require_p2(args.p)
     spec = _spec_from_args(args)
-    mu1, values = bounds.compare_report(spec, level=args.level)
+    # a domain without an isoperimetric constant is refused before any solve
+    bounds.kn_lookup(spec)
+    mu1 = solves.mu1(spec, args.level)
     return [{"domain": spec.label, "p": args.p, "n": 2, "mu1": mu1,
              "bound": name, "value": value, "ratio": value / mu1}
-            for name, value in values.items()]
+            for name, value in bounds.compare_report(spec, mu1).items()]
 
 
-def _cmd_verify_rhombus(args):
+def _cmd_verify_rhombus(args, solves):
     ms = args.m
     if not ms:
         raise ParameterError("verify-rhombus needs at least one --m value")
     rows = []
     for m in ms:
-        sample = bounds.rhombus_sharpness(m, level=args.level)
+        spec = geometry.make_rhombus(m)
+        sample = bounds.rhombus_sharpness(spec, solves.mu1(spec, args.level))
         rows.append({
             "m": m, "level": args.level, "mu1": sample.mu1,
             "r_m": sample.ratio, "dn_lower": sample.lower,
@@ -212,9 +227,9 @@ def _cmd_verify_rhombus(args):
     return rows
 
 
-def _cmd_chiti(args):
+def _cmd_chiti(args, solves):
     _require_p2(args.p)
-    spec, profile, ball = _ball_comparison(args)
+    spec, profile, ball = _ball_comparison(args, solves)
     report = rearrangement.chiti_check(profile, ball, args.q)
     return {
         "domain": spec.label, "p": args.p, "q": args.q,
@@ -226,11 +241,11 @@ def _cmd_chiti(args):
     }
 
 
-def _cmd_rholder(args):
+def _cmd_rholder(args, solves):
     _require_p2(args.p)
     if not (0.0 < args.r < args.q):
         raise ParameterError(f"need 0 < r < q, got r={args.r}, q={args.q}")
-    spec, profile, ball = _ball_comparison(args)
+    spec, profile, ball = _ball_comparison(args, solves)
     report = rearrangement.reverse_holder_check(profile, ball, q=args.q,
                                                 r=args.r)
     return {
@@ -242,7 +257,7 @@ def _cmd_rholder(args):
     }
 
 
-def _cmd_sturm(args):
+def _cmd_sturm(args, _solves):
     problem = sturm1d.SturmProblem(gamma=args.gamma, beta=args.beta,
                                    length=args.A, n_cells=args.N)
     solution = sturm1d.solve(problem)
@@ -347,12 +362,13 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def dispatch(argv, out=None, err=None) -> int:
+def dispatch(argv, out=None, err=None, solves=None) -> int:
     """Parse argv, run one subcommand, write its table, return the exit code.
 
-    The subcommand runs in one shared-solve scope (bounds.shared_solves),
-    joined if the caller already opened one, as a suite does for its lines.
-    --help text goes to out, like a table.
+    The subcommand computes its (domain, level) stages in solves, the
+    caller's bounds.SharedSolves (run_suite passes one to all its lines),
+    or without it in a fresh memo that is dropped when dispatch returns; a
+    suite argv makes its own. --help text goes to out, like a table.
     """
     stream = out if out is not None else sys.stdout
     errstream = err if err is not None else sys.stderr
@@ -364,9 +380,9 @@ def dispatch(argv, out=None, err=None) -> int:
             return run_suite(args.path, out=stream, err=errstream)
         # overflow or an invalid operation anywhere in the numerics is a
         # failure of this invocation, not a warning beside a NaN row
-        with bounds.shared_solves(), np.errstate(over="raise",
-                                                 invalid="raise"):
-            table = _HANDLERS[args.command](args)
+        with np.errstate(over="raise", invalid="raise"):
+            table = _HANDLERS[args.command](
+                args, bounds.SharedSolves() if solves is None else solves)
         text = emit_table(table, args.format)
         if args.out_path:
             try:
@@ -397,8 +413,8 @@ def dispatch(argv, out=None, err=None) -> int:
 def run_suite(path: str, out=None, err=None) -> int:
     """Run every non-blank, non-comment line of a suite file as an invocation.
 
-    Lines run one after another in file order, on the calling thread and in
-    one shared-solve scope. Each line's table is followed by its status
+    Lines run one after another in file order, on the calling thread, and
+    share one bounds.SharedSolves. Each line's table is followed by its status
     comment, which carries the line's one-line failure message if it failed.
     Nested suite lines are rejected. Exit 1 if any line fails, 2 if the file
     cannot be read or split into lines, 0 otherwise.
@@ -423,22 +439,22 @@ def run_suite(path: str, out=None, err=None) -> int:
         runs.append((lineno, argv))
 
     failures = 0
-    with bounds.shared_solves():
-        for lineno, argv in runs:
-            errbuffer = io.StringIO()
-            if argv and argv[0] == "suite":
-                print("nested suite lines are not allowed", file=errbuffer)
-                code = 2
-            else:
-                code = dispatch(argv, out=stream, err=errbuffer)
-            if code == 0:
-                print(f"# line {lineno} ok: {shlex.join(argv)}", file=stream)
-                continue
-            failures += 1
-            detail = errbuffer.getvalue().strip().splitlines()
-            suffix = f": {detail[-1]}" if detail else ""
-            print(f"# line {lineno} fail({code}): {shlex.join(argv)}{suffix}",
-                  file=stream)
+    solves = bounds.SharedSolves()
+    for lineno, argv in runs:
+        errbuffer = io.StringIO()
+        if argv and argv[0] == "suite":
+            print("nested suite lines are not allowed", file=errbuffer)
+            code = 2
+        else:
+            code = dispatch(argv, out=stream, err=errbuffer, solves=solves)
+        if code == 0:
+            print(f"# line {lineno} ok: {shlex.join(argv)}", file=stream)
+            continue
+        failures += 1
+        detail = errbuffer.getvalue().strip().splitlines()
+        suffix = f": {detail[-1]}" if detail else ""
+        print(f"# line {lineno} fail({code}): {shlex.join(argv)}{suffix}",
+              file=stream)
     print(f"# suite: {len(runs)} runs, {failures} failures", file=stream)
     return 1 if failures else 0
 

@@ -3,7 +3,8 @@
 Domains come in three families: rhombi with unit side and acute angle 2*pi/m,
 axis-aligned rectangles, and regular polygons inscribed in a circle. Meshes
 are produced by uniform midpoint (red) refinement of a small hand-built base
-triangulation, so every refinement is nested in the previous one. A mesh is
+triangulation (``triangulate``), so every refinement is nested in the
+previous one; bounds.SharedSolves.mesh holds the chain of levels. A mesh is
 its nodes and its elements; the outer boundary is not stored: it is the set
 of edges that one element has. The short diagonal of a rhombus lies on the
 line x = cos(pi/m) and is made of mesh edges at every level, so the tests
@@ -185,7 +186,9 @@ def edge_table(mesh: Mesh) -> EdgeTable:
                      counts=counts[order])
 
 
-def _base_mesh(spec: DomainSpec) -> Mesh:
+def triangulate(spec: DomainSpec) -> Mesh:
+    """Hand-built base triangulation of spec; finer meshes are chains of
+    refine from it."""
     if spec.kind == "rectangle":
         a, b = spec.a, spec.b
         return Mesh(nodes=np.array([[0.0, 0.0], [a, 0.0], [a, b], [0.0, b]]),
@@ -232,13 +235,3 @@ def refine(mesh: Mesh) -> Mesh:
     nodes = np.vstack([mesh.nodes, 0.5 * (ends[:, 0] + ends[:, 1])])
     corners = np.hstack([mesh.elements, n + table.element_edges])
     return Mesh(nodes=nodes, elements=corners[:, _CHILDREN].reshape(-1, 3))
-
-
-def triangulate(spec: DomainSpec, level: int = 0) -> Mesh:
-    """Base triangulation refined ``level`` times."""
-    mesh = _base_mesh(spec)
-    if level < 0:
-        raise ParameterError(f"refinement level must be >= 0, got {level}")
-    for _ in range(level):
-        mesh = refine(mesh)
-    return mesh

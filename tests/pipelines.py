@@ -2,7 +2,7 @@
 
 Meshing and the eigensolvers are deterministic, so tests share one
 session-wide bounds.SharedSolves keyed by (domain spec, level): the same
-memo the CLI opens per invocation. This keeps the full suite well under the
+memo the CLI makes per invocation. This keeps the full suite well under the
 runtime budget even though several test modules touch the same domains.
 """
 
@@ -21,6 +21,8 @@ mesh = _SOLVES.mesh
 neumann = _SOLVES.neumann
 # rearranged first Neumann eigenfunction, positive part the smaller one
 oriented_profile = _SOLVES.profile
+# Richardson value of the level - 1 and level Neumann eigenvalues
+mu1 = _SOLVES.mu1
 
 
 @lru_cache(maxsize=None)
@@ -34,8 +36,3 @@ def mixed_half_rhombus(m: int, level: int) -> fem.EigenPair:
     cut of the memoized rhombus mesh of the same level."""
     return fem.solve_mixed_dn(
         *oracles.half_rhombus(mesh(geometry.make_rhombus(m), level)))
-
-
-def mu1_extrapolated(spec: geometry.DomainSpec, level: int) -> float:
-    return fem.richardson(neumann(spec, level - 1).value,
-                          neumann(spec, level).value)

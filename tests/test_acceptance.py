@@ -67,7 +67,7 @@ def test_criterion_2_fem_oracles(capsys):
 def test_criterion_3_main_bound_validity(capsys):
     margins = {}
     for spec in _DOMAINS_MAIN:
-        mu1 = pipelines.mu1_extrapolated(spec, 5)
+        mu1 = pipelines.mu1(spec, 5)
         value = bounds.main_bound(2.0, 2, bounds.kn_lookup(spec).value,
                                   spec.area)
         margins[spec.label] = (mu1 - value) / mu1
@@ -83,7 +83,8 @@ def test_criterion_3_main_bound_validity(capsys):
 def test_criterion_4_sharpness(capsys):
     t0 = time.perf_counter()
     ms = (8, 16, 32, 64)
-    samples = [bounds.rhombus_sharpness(m, level=5) for m in ms]
+    samples = [bounds.rhombus_sharpness(spec, pipelines.mu1(spec, 5))
+               for spec in map(geometry.make_rhombus, ms)]
     ratios = [sample.ratio for sample in samples]
     elapsed = time.perf_counter() - t0
     decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))
@@ -180,7 +181,7 @@ def test_criterion_8_reverse_holder(capsys):
 def test_criterion_9_sturm_consistency(capsys):
     rels = {}
     for spec in (pipelines.SQUARE, pipelines.GON64):
-        mu1 = pipelines.mu1_extrapolated(spec, 5)
+        mu1 = pipelines.mu1(spec, 5)
         K = bounds.kn_lookup(spec).value
         rels[spec.label] = oracles.sturm_round_trip(2.0, 2, K, mu1)[2]
     consistency_ok = all(rel <= 1e-3 for rel in rels.values())
@@ -195,7 +196,7 @@ def test_criterion_9_sturm_consistency(capsys):
     # interval never longer than either nodal region or half the domain
     min_margin = math.inf
     for spec in _DOMAINS_MAIN + (pipelines.GON64,):
-        mu1 = pipelines.mu1_extrapolated(spec, 5)
+        mu1 = pipelines.mu1(spec, 5)
         profile = pipelines.oriented_profile(spec, 5)
         K = bounds.kn_lookup(spec).value
         ball = rearrangement.dirichlet_ball_profile(2.0, 2, K, mu1)
@@ -217,7 +218,7 @@ def test_criterion_10_diameter_bound_improvement(capsys):
     spec = pipelines.SQUARE
     product, bound_d2 = oracles.thin_domain_products(spec, 0.75)
     hypothesis_holds = spec.area < product
-    mu1 = pipelines.mu1_extrapolated(spec, 5)
+    mu1 = pipelines.mu1(spec, 5)
     measured = mu1 * spec.diameter ** 2
     threshold = J01 ** 2 / 0.75 ** 2
     improves = bound_d2 >= threshold > math.pi ** 2

@@ -16,6 +16,7 @@ from spectral_bounds import bounds, geometry, special
 from spectral_bounds.errors import NumericError, ParameterError
 
 import oracles
+import pipelines
 
 J01 = special.bessel_first_zero(0.0)
 
@@ -147,8 +148,8 @@ def test_validation_errors():
         bounds.bct_corollary(2, -1.0, 1.0)
     with pytest.raises(ParameterError):
         bounds.lower_bounds(geometry.make_rectangle(1.0, 1.0), 1.5)
-    with pytest.raises(ParameterError):
-        bounds.compare_report(geometry.make_rectangle(1.0, 1.0), level=0)
+    with pytest.raises(ParameterError, match="level must be >= 1, got 0"):
+        bounds.SharedSolves().mu1(geometry.make_rectangle(1.0, 1.0), 0)
 
 
 def test_pw_improvement_square():
@@ -175,7 +176,8 @@ def test_pw_improvement_rejects():
 
 def test_compare_report_square():
     square = geometry.make_rectangle(1.0, 1.0)
-    mu1, values = bounds.compare_report(square, level=5)
+    mu1 = pipelines.mu1(square, 5)
+    values = bounds.compare_report(square, mu1)
     assert mu1 == pytest.approx(math.pi ** 2, rel=1e-5)
     assert list(values) == ["main", "ashbaugh_mercado", "payne_weinberger",
                             "bct_corollary", "symmetric_planar"]
@@ -200,7 +202,8 @@ def test_lower_bounds_p3():
 
 def test_rhombus_sharpness_sequence():
     expected = {8: 2.242711, 16: 2.054796, 32: 2.013231, 64: 2.003268}
-    samples = [bounds.rhombus_sharpness(m, level=5) for m in expected]
+    samples = [bounds.rhombus_sharpness(spec, pipelines.mu1(spec, 5))
+               for spec in map(geometry.make_rhombus, expected)]
     for m, sample in zip(expected, samples):
         # the main bound is j01^2 on every rhombus
         assert sample.ratio == pytest.approx(
@@ -215,7 +218,8 @@ def test_rhombus_sharpness_sequence():
 
 @pytest.mark.parametrize("m", [8, 16])
 def test_sector_sandwich(m):
-    sample = bounds.rhombus_sharpness(m, level=4)
+    spec = geometry.make_rhombus(m)
+    sample = bounds.rhombus_sharpness(spec, pipelines.mu1(spec, 4))
     assert sample.ok
     assert sample.lower == pytest.approx(J01 ** 2, rel=1e-12)
     assert sample.upper == pytest.approx(
@@ -225,22 +229,13 @@ def test_sector_sandwich(m):
 
 def test_sector_sandwich_degeneration():
     # as the opening angle closes, the half-rhombus hugs the unit sector
-    sample = bounds.rhombus_sharpness(64, level=4)
+    spec = geometry.make_rhombus(64)
+    sample = bounds.rhombus_sharpness(spec, pipelines.mu1(spec, 4))
     assert sample.ok
     assert sample.mu1 <= J01 ** 2 * 1.01
 
 
-def test_shared_solves_scope():
-    with bounds.shared_solves() as outer:
-        with bounds.shared_solves() as inner:
-            assert inner is outer
-    with bounds.shared_solves() as fresh:
-        assert fresh is not outer
+def test_shared_solves_refuses_negative_levels():
     spec = geometry.make_rhombus(8)
-    # the refinement chain builds the same mesh as triangulate
-    mesh = bounds.SharedSolves().mesh(spec, 3)
-    direct = geometry.triangulate(spec, 3)
-    assert np.array_equal(mesh.nodes, direct.nodes)
-    assert np.array_equal(mesh.elements, direct.elements)
     with pytest.raises(ParameterError, match="got -1"):
         bounds.SharedSolves().neumann(spec, -1)

@@ -14,7 +14,7 @@ import weakref
 
 import pytest
 
-from spectral_bounds import cli, fem, geometry, special, sturm1d
+from spectral_bounds import bounds, cli, fem, geometry, special, sturm1d
 from spectral_bounds.errors import NumericError, ParameterError
 
 import pipelines
@@ -333,6 +333,18 @@ def test_usage_errors(capsys):
     assert code == 2 and "rectangle needs --a and --b" in err
     code, _, err = run_cli(["bound", "--domain", "polygon", "--k", "5"])
     assert code == 2 and "error:" in err
+    # a size flag the domain does not take is refused, not ignored
+    for argv, text in (
+            (["bound", "--domain", "square", "--a", "3", "--b", "1"],
+             "square does not take --a, --b"),
+            (["compare-bounds", "--domain", "rhombus", "--m", "8",
+              "--radius", "2"], "rhombus does not take --radius"),
+            (["chiti", "--domain", "polygon", "--k", "6", "--m", "8"],
+             "polygon does not take --m"),
+            (["rholder", "--domain", "rectangle", "--a", "2", "--b", "1",
+              "--k", "6"], "rectangle does not take --k")):
+        code, out, err = run_cli(argv)
+        assert (code, out, err) == (2, "", f"error: {text}\n")
     # non-finite floats and list items are rejected while parsing
     for argv in (["bound", "--domain", "square", "--p", "nan"],
                  ["sturm", "--gamma", "2", "--beta", "1", "--A", "inf"],
@@ -495,7 +507,7 @@ def test_polygon_vertex_budget(monkeypatch):
 
 
 def test_numeric_failure_exit_code(monkeypatch):
-    def broken(m, level=5):
+    def broken(spec, mu1):
         raise NumericError("synthetic failure")
 
     monkeypatch.setattr(cli.bounds, "rhombus_sharpness", broken)
@@ -663,6 +675,20 @@ def test_failed_solve_fails_every_line_that_needs_it(tmp_path, monkeypatch):
     assert message.startswith("numeric failure:") and "residual" in message
     assert "Traceback" not in out
     assert len(calls) == 2   # level 3, and the failing level 4
+
+
+def test_dispatch_reuses_the_callers_solves(monkeypatch):
+    argv = ["compare-bounds", "--domain", "square", "--level", "3"]
+    calls = _counting_splu(monkeypatch)
+    solves = bounds.SharedSolves()
+    first = cli.dispatch(argv, out=io.StringIO(), solves=solves)
+    assert (first, len(calls)) == (0, 2)
+    out = io.StringIO()
+    assert cli.dispatch(argv, out=out, solves=solves) == 0
+    assert len(calls) == 2
+    # without a memo, dispatch starts from a fresh one
+    assert run_cli(argv) == (0, out.getvalue(), "")
+    assert len(calls) == 4
 
 
 def test_solves_are_dropped_when_dispatch_returns(monkeypatch):

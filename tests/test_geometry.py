@@ -96,14 +96,18 @@ def test_refinement_counts_and_edge_lengths():
 
 def test_refine_budget(monkeypatch):
     spec = geometry.make_regular_polygon(64)
-    assert geometry.triangulate(spec, 6).element_count == geometry.MAX_ELEMENTS
+    mesh = geometry.triangulate(spec)
+    for _ in range(6):
+        mesh = geometry.refine(mesh)
+    assert mesh.element_count == geometry.MAX_ELEMENTS
     monkeypatch.setattr(geometry, "MAX_ELEMENTS", 4 * 64)
-    assert geometry.triangulate(spec, 1).element_count == 4 * 64
+    once = geometry.refine(geometry.triangulate(spec))
+    assert once.element_count == 4 * 64
     # a polygon's base mesh has one element per vertex: refused before the
     # vertex arrays are allocated
-    for build in (lambda: geometry.triangulate(spec, 2),
+    for build in (lambda: geometry.refine(once),
                   lambda: geometry.triangulate(
-                      geometry.make_regular_polygon(4 * 64 + 1), 0)):
+                      geometry.make_regular_polygon(4 * 64 + 1))):
         with pytest.raises(ParameterError, match="budget"):
             build()
 
@@ -148,26 +152,22 @@ def _outer_edges(mesh):
     return {tuple(edge) for edge in table.edges[table.counts == 1].tolist()}
 
 
-@pytest.mark.parametrize("build", [
-    lambda level: geometry.triangulate(pipelines.RECT21, level),
-    lambda level: geometry.triangulate(geometry.make_rhombus(8), level),
-    lambda level: geometry.triangulate(geometry.make_regular_polygon(3),
-                                       level),
-    lambda level: geometry.triangulate(geometry.make_regular_polygon(16),
-                                       level),
+@pytest.mark.parametrize("spec", [
+    pipelines.RECT21, geometry.make_rhombus(8),
+    geometry.make_regular_polygon(3), geometry.make_regular_polygon(16),
 ], ids=["rectangle", "rhombus8", "polygon3", "polygon16"])
-def test_refine_matches_loop_reference(build):
+def test_refine_matches_loop_reference(spec):
     """The edge-table refinement numbers nodes exactly as the dict walk, and
     the outer boundary stays the split base boundary."""
-    reference = build(0)
+    mesh = reference = geometry.triangulate(spec)
     outer = _outer_edges(reference)
-    for level in range(6):
-        mesh = build(level)
+    for _ in range(5):
+        mesh = geometry.refine(mesh)
+        reference, outer = _loop_refine(reference, outer)
         assert mesh.nodes.tobytes() == reference.nodes.tobytes()
         assert mesh.elements.dtype == reference.elements.dtype
         assert np.array_equal(mesh.elements, reference.elements)
         assert _outer_edges(mesh) == {tuple(sorted(pair)) for pair in outer}
-        reference, outer = _loop_refine(reference, outer)
 
 
 def test_edge_table():
