@@ -44,14 +44,16 @@ class KnEntry:
 
 def kn_lookup(spec: DomainSpec) -> KnEntry:
     """Closed-form relative isoperimetric constant of a centrally symmetric
-    convex planar domain: the width rule, sqrt(2 w^2 / area).
+    convex planar domain: the width rule, sqrt(2 w^2 / area), with w and
+    the area read from the domain's ring. Every domain constructor here
+    builds a convex ring, so central symmetry is the one condition checked.
 
     On the unit-side rhombus with acute angle 2 pi / m the width and the
     area both equal sin(2 pi / m), so the rule gives sqrt(2 sin(2 pi / m)),
     the value of the cut along a chord of length w across a side pair, not
-    of the short diagonal. Anything else has no known constant here:
-    computing it would mean solving a shape optimization problem, which is
-    out of scope.
+    of the short diagonal. Anything else, odd regular polygons included,
+    has no known constant here: computing it would mean solving a shape
+    optimization problem, which is out of scope.
     """
     if spec.centrally_symmetric:
         value = math.sqrt(2.0 * spec.width ** 2 / spec.area)
@@ -123,7 +125,7 @@ def lower_bounds(spec: DomainSpec, p: float) -> dict[str, float]:
     """Every closed-form lower bound that applies to one domain at p, by name.
 
     The main and Ashbaugh-Mercado bounds hold for every p >= 2; the others
-    are p = 2 bounds. All three domain families here are convex, so the
+    are p = 2 bounds. Each domain constructor builds a convex ring, so the
     diameter bound applies whenever p = 2; the width bound additionally
     needs central symmetry, which kn_lookup already enforces.
     """
@@ -242,13 +244,14 @@ def rhombus_sharpness(spec: DomainSpec, mu1: float) -> SharpnessSample:
     J_0(j_{0,1} r / c) on the sector of radius c = cos(pi / m) inscribed at
     an acute vertex, zero on the rest of that half of the rhombus, and
     extended oddly across the short diagonal, which gives it zero mean.
-    Neither end comes from domain monotonicity. ok compares mu1 with both
-    ends at _REPORT_TOL relative slack.
+    c is half the long diagonal, the rhombus' diameter. Neither end comes
+    from domain monotonicity. ok compares mu1 with both ends at _REPORT_TOL
+    relative slack.
     """
     main = main_bound(2.0, 2, kn_lookup(spec).value, spec.area)
     j0 = special.bessel_first_zero(0.0)
     lower = j0 * j0
-    upper = lower / math.cos(math.pi / spec.m) ** 2
+    upper = lower / (spec.diameter / 2.0) ** 2
     ok = bool(lower * (1.0 - _REPORT_TOL) <= mu1
               <= upper * (1.0 + _REPORT_TOL))
     return SharpnessSample(mu1, 2.0 * mu1 / main, lower, upper, ok)

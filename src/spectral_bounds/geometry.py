@@ -1,11 +1,14 @@
 """Planar domains and structured triangle meshes.
 
-Domains come in three families: rhombi with unit side and acute angle 2*pi/m,
-axis-aligned rectangles, and regular polygons inscribed in a circle. Meshes
-are produced by uniform midpoint (red) refinement of a small hand-built base
+A domain is its label, a hand-built base triangulation and the node ids of
+its counterclockwise boundary ring. Area, width, diameter and central
+symmetry come from the ring, by one set of formulas; only the family
+constructors (``make_*``) know a family, and each builds a convex ring.
+
+Meshes are produced by uniform midpoint (red) refinement of the base
 triangulation (``triangulate``), so every refinement is nested in the
 previous one; bounds.SharedSolves.mesh holds the chain of levels. A mesh is
-its nodes and its elements; the outer boundary is not stored: it is the set
+its nodes and its elements; its outer boundary is not stored: it is the set
 of edges that one element has. The short diagonal of a rhombus lies on the
 line x = cos(pi/m) and is made of mesh edges at every level, so the tests
 cut the half rhombus of the mixed eigenvalue problem from the rhombus mesh.
@@ -21,7 +24,8 @@ bytes of everything computed downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -46,58 +50,75 @@ MAX_ELEMENTS = 2 ** 18
 MAX_RHOMBUS_M = 4096
 
 
+# largest distance of ring[i] + ring[i + k/2] from twice the centre, as a
+# fraction of the ring's extent about the centre, for which the ring is
+# centrally symmetric; regular polygons of every even k to 2000, and of
+# larger even k to 262144, at radii 1e-6 to 1e6 reach 2.0e-15
+_SYMMETRY_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class DomainSpec:
-    """One of: rhombus(m), rectangle(a, b), regular_polygon(k, radius)."""
+    """A planar domain: its label, its hand-built base mesh (nodes,
+    elements) and the node ids of its counterclockwise boundary ring.
+    Width and diameter are measured from the centre, the midpoint of ring
+    vertices 0 and k/2, and need a centrally symmetric ring.
 
-    kind: str
-    m: int | None = None
-    a: float | None = None
-    b: float | None = None
-    k: int | None = None
-    radius: float | None = None
+    Equality and hashing read key alone, the constructor's name and exact
+    arguments: the label rounds them, and comparing arrays would make a
+    memo lookup cost grow with the vertex count.
+    """
 
-    @property
+    key: tuple
+    label: str = field(compare=False)
+    nodes: np.ndarray = field(compare=False)
+    elements: np.ndarray = field(compare=False)
+    ring: np.ndarray = field(compare=False)
+
+    def __post_init__(self) -> None:
+        # every mesh chain shares the base arrays: none may change them
+        for array in (self.nodes, self.elements, self.ring):
+            array.flags.writeable = False
+
+    @cached_property
     def area(self) -> float:
-        if self.kind == "rhombus":
-            return math.sin(2.0 * math.pi / self.m)
-        if self.kind == "rectangle":
-            return self.a * self.b
-        return 0.5 * self.k * self.radius ** 2 * math.sin(2.0 * math.pi / self.k)
+        """Shoelace area of the ring."""
+        x, y = self.nodes[self.ring].T
+        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
-    @property
-    def width(self) -> float:
-        """Minimal distance between parallel supporting lines."""
-        if self.kind == "rhombus":
-            return math.sin(2.0 * math.pi / self.m)
-        if self.kind == "rectangle":
-            return self.b
-        k, r = self.k, self.radius
-        apothem = r * math.cos(math.pi / k)
-        return 2.0 * apothem if k % 2 == 0 else r + apothem
-
-    @property
-    def diameter(self) -> float:
-        if self.kind == "rhombus":
-            return 2.0 * math.cos(math.pi / self.m)
-        if self.kind == "rectangle":
-            return math.hypot(self.a, self.b)
-        k, r = self.k, self.radius
-        return 2.0 * r if k % 2 == 0 else 2.0 * r * math.cos(math.pi / (2 * k))
-
-    @property
+    @cached_property
     def centrally_symmetric(self) -> bool:
-        if self.kind == "regular_polygon":
-            return self.k % 2 == 0
-        return True
+        """Vertex i + k/2 mirrors vertex i through the centre, k even."""
+        points = self.nodes[self.ring]
+        half, odd = divmod(len(points), 2)
+        if odd:
+            return False
+        sums = points[:half] + points[half:]
+        extent = np.max(np.abs(points - 0.5 * sums[0]))
+        return bool(np.max(np.abs(sums - sums[0])) <= _SYMMETRY_TOL * extent)
 
-    @property
-    def label(self) -> str:
-        if self.kind == "rhombus":
-            return f"rhombus_{self.m}"
-        if self.kind == "rectangle":
-            return f"rectangle_{self.a:g}x{self.b:g}"
-        return f"polygon_{self.k}_r{self.radius:g}"
+    def _centred(self) -> np.ndarray:
+        """Ring vertices less the centre of a centrally symmetric ring."""
+        if not self.centrally_symmetric:
+            raise ParameterError(f"{self.label} is not centrally symmetric")
+        points = self.nodes[self.ring]
+        return points - 0.5 * (points[0] + points[len(points) // 2])
+
+    @cached_property
+    def width(self) -> float:
+        """Minimal distance between parallel supporting lines: twice the
+        least distance from the centre to an edge line."""
+        points = self._centred()
+        edges = np.roll(points, -1, axis=0) - points
+        cross = points[:, 0] * edges[:, 1] - points[:, 1] * edges[:, 0]
+        return 2.0 * float(np.min(np.abs(cross)
+                                  / np.hypot(edges[:, 0], edges[:, 1])))
+
+    @cached_property
+    def diameter(self) -> float:
+        """Twice the largest distance from the centre to a vertex."""
+        points = self._centred()
+        return 2.0 * float(np.max(np.hypot(points[:, 0], points[:, 1])))
 
 
 def make_rhombus(m: int) -> DomainSpec:
@@ -107,24 +128,53 @@ def make_rhombus(m: int) -> DomainSpec:
     if m > MAX_RHOMBUS_M:
         raise ParameterError(
             f"rhombus requires m <= {MAX_RHOMBUS_M}, got {m}")
-    return DomainSpec(kind="rhombus", m=int(m))
+    # A B C D with A at the origin and the long diagonal on the positive x
+    # axis; both diagonals meet at O, giving four triangles
+    m = int(m)
+    c, s = math.cos(math.pi / m), math.sin(math.pi / m)
+    return DomainSpec(
+        key=("rhombus", m), label=f"rhombus_{m}",
+        nodes=np.array([[0.0, 0.0], [c, s], [2 * c, 0.0], [c, -s], [c, 0.0]]),
+        elements=np.array([[0, 4, 1], [4, 2, 1], [0, 3, 4], [4, 3, 2]]),
+        ring=np.array([0, 3, 2, 1]))   # A D C B
 
 
 def make_rectangle(a: float, b: float) -> DomainSpec:
+    """Axis-aligned a x b rectangle with a corner at the origin."""
     if not (MAX_LENGTH >= a >= b >= MIN_LENGTH):
         raise ParameterError(f"rectangle requires {MAX_LENGTH:g} >= a >= b "
                              f">= {MIN_LENGTH:g}, got a={a}, b={b}")
-    return DomainSpec(kind="rectangle", a=float(a), b=float(b))
+    a, b = float(a), float(b)
+    return DomainSpec(
+        key=("rectangle", a, b), label=f"rectangle_{a:g}x{b:g}",
+        nodes=np.array([[0.0, 0.0], [a, 0.0], [a, b], [0.0, b]]),
+        elements=np.array([[0, 1, 2], [0, 2, 3]]), ring=np.arange(4))
 
 
 def make_regular_polygon(k: int, radius: float = 1.0) -> DomainSpec:
+    """Regular k-gon inscribed in the circle of the given radius about the
+    origin, fanned from the centre into k elements (k <= MAX_ELEMENTS)."""
     if k < 3:
         raise ParameterError(f"polygon requires k >= 3, got {k}")
     if not MIN_LENGTH <= radius <= MAX_LENGTH:
         raise ParameterError(
             f"polygon radius must lie in [{MIN_LENGTH:g}, {MAX_LENGTH:g}], "
             f"got {radius}")
-    return DomainSpec(kind="regular_polygon", k=int(k), radius=float(radius))
+    # refused before the vertex arrays are allocated
+    if k > MAX_ELEMENTS:
+        raise ParameterError(
+            f"a {k}-gon mesh has {k} elements, past the budget of "
+            f"{MAX_ELEMENTS}; use fewer vertices")
+    k, r = int(k), float(radius)
+    angles = 2.0 * math.pi * np.arange(k) / k
+    ring = 1 + np.arange(k)
+    return DomainSpec(
+        key=("polygon", k, r), label=f"polygon_{k}_r{r:g}",
+        nodes=np.vstack([[0.0, 0.0], np.column_stack([r * np.cos(angles),
+                                                      r * np.sin(angles)])]),
+        elements=np.column_stack([np.zeros(k, dtype=int), ring,
+                                  np.roll(ring, -1)]),
+        ring=ring)
 
 
 @dataclass
@@ -189,34 +239,7 @@ def edge_table(mesh: Mesh) -> EdgeTable:
 def triangulate(spec: DomainSpec) -> Mesh:
     """Hand-built base triangulation of spec; finer meshes are chains of
     refine from it."""
-    if spec.kind == "rectangle":
-        a, b = spec.a, spec.b
-        return Mesh(nodes=np.array([[0.0, 0.0], [a, 0.0], [a, b], [0.0, b]]),
-                    elements=np.array([[0, 1, 2], [0, 2, 3]]))
-    if spec.kind == "regular_polygon":
-        k, r = spec.k, spec.radius
-        # a k-gon's base mesh already has k elements
-        if k > MAX_ELEMENTS:
-            raise ParameterError(
-                f"a {k}-gon mesh has {k} elements, past the budget of "
-                f"{MAX_ELEMENTS}; use fewer vertices")
-        angles = 2.0 * math.pi * np.arange(k) / k
-        ring = np.column_stack([r * np.cos(angles), r * np.sin(angles)])
-        ring_ids = 1 + np.arange(k)
-        elements = np.column_stack([np.zeros(k, dtype=int), ring_ids,
-                                    np.roll(ring_ids, -1)])
-        return Mesh(nodes=np.vstack([[0.0, 0.0], ring]), elements=elements)
-    # Rhombus A B C D with A at the origin and the long diagonal on the
-    # positive x axis; both diagonals meet at O, giving four triangles.
-    half = math.pi / spec.m
-    c, s = math.cos(half), math.sin(half)
-    nodes = np.array([[0.0, 0.0],   # A
-                      [c, s],       # B
-                      [2 * c, 0.0],  # C
-                      [c, -s],      # D
-                      [c, 0.0]])    # O
-    elements = np.array([[0, 4, 1], [4, 2, 1], [0, 3, 4], [4, 3, 2]])
-    return Mesh(nodes=nodes, elements=elements)
+    return Mesh(nodes=spec.nodes, elements=spec.elements)
 
 
 # children of a red-refined element, as columns of [i0, i1, i2, m01, m12, m20]

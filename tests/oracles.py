@@ -3,7 +3,9 @@
 Each reference route computes a quantity the library also computes, by an
 independent route: the tests compare the two. Each check returns the
 numbers of one inequality of the paper, which the tests hold to their own
-tolerances. ``validate_mesh`` checks a mesh's topology and area;
+tolerances. The ``*_closed_form`` functions give each domain family's
+area, width and diameter by formula, against the ring formulas of
+geometry.DomainSpec. ``validate_mesh`` checks a mesh's topology and area;
 ``scaled`` rescales a mesh for covariance tests; ``half_rhombus`` cuts the
 mesh of the mixed problem whose eigenvalue is the rhombus mu1.
 """
@@ -18,6 +20,30 @@ from spectral_bounds import bounds, geometry, rearrangement, special, sturm1d
 from spectral_bounds.errors import ParameterError
 from spectral_bounds.rearrangement import (_power_diff, cumulative_power,
                                            dirichlet_ball_profile)
+
+
+def rhombus_closed_form(m: int) -> tuple[float, float, float]:
+    """(area, width, diameter) of the unit-side rhombus with acute angle
+    2 pi / m: its area and width are both sin(2 pi / m), its long diagonal
+    2 cos(pi / m)."""
+    beta = 2.0 * math.pi / m
+    return math.sin(beta), math.sin(beta), 2.0 * math.cos(beta / 2.0)
+
+
+def rectangle_closed_form(a: float, b: float) -> tuple[float, float, float]:
+    """(area, width, diameter) of the a x b rectangle, a >= b."""
+    return a * b, b, math.hypot(a, b)
+
+
+def polygon_closed_form(k: int, r: float) -> tuple[float, float | None,
+                                                   float | None]:
+    """(area, width, diameter) of the regular k-gon of circumradius r;
+    width and diameter are None for odd k, which has no centre of
+    symmetry."""
+    area = 0.5 * k * r ** 2 * math.sin(2.0 * math.pi / k)
+    if k % 2:
+        return area, None, None
+    return area, 2.0 * r * math.cos(math.pi / k), 2.0 * r
 
 
 def max_edge_length(mesh: geometry.Mesh) -> float:

@@ -163,6 +163,25 @@ GOLDEN_CSV = {
         "domain,p,q,r,lhs,rhs,max_violation,mesh_level,constant,ok\n"
         "rhombus_16,2,4,2,1.28772452005,1.29626515175,0,3,1.83319575803,"
         "true\n"),
+    "bound-polygon": (
+        "bound --domain polygon --k 8 --radius 0.37",
+        "domain,p,n,k_value,rule,area,width,diameter,main,ashbaugh_mercado,"
+        "payne_weinberger,bct_corollary,symmetric_planar\n"
+        "polygon_8_r0.37,2,2,1.55377397403,symmetric-convex-width,"
+        "0.387211673378,0.683670854058,0.74,18.028699734,12.469735436,"
+        "18.0233827631,14.0656601082,18.0286997338\n"),
+    "compare-bounds-polygon": (
+        "compare-bounds --domain polygon --k 6 --level 3",
+        "domain,p,n,mu1,bound,value,ratio\n"
+        "polygon_6_r1,2,2,4.04370800519,main,2.57030487246,0.63563068084\n"
+        "polygon_6_r1,2,2,4.04370800519,ashbaugh_mercado,1.77777777778,"
+        "0.439640492215\n"
+        "polygon_6_r1,2,2,4.04370800519,payne_weinberger,2.46740110027,"
+        "0.610182806747\n"
+        "polygon_6_r1,2,2,4.04370800519,bct_corollary,2.00530461119,"
+        "0.495907372298\n"
+        "polygon_6_r1,2,2,4.04370800519,symmetric_planar,2.57030487242,"
+        "0.635630680831\n"),
 }
 
 
@@ -495,15 +514,16 @@ def test_size_budget_refused_before_building():
 
 def test_polygon_vertex_budget(monkeypatch):
     """A k-gon's base mesh has k elements: k past the budget is refused
-    before any mesh is built."""
+    when the domain is built, by every subcommand, the mesh-free bound
+    included."""
     monkeypatch.setattr(geometry, "MAX_ELEMENTS", 64)
     code, out, err = run_cli(["chiti", "--domain", "polygon", "--k", "1000",
                               "--level", "0"])
     assert (code, out) == (2, "")
     assert err == ("error: a 1000-gon mesh has 1000 elements, past the "
                    "budget of 64; use fewer vertices\n")
-    code, _, _ = run_cli(["bound", "--domain", "polygon", "--k", "1000"])
-    assert code == 0
+    assert run_cli(["bound", "--domain", "polygon", "--k", "1000"]) == (
+        2, "", err)
 
 
 def test_numeric_failure_exit_code(monkeypatch):
@@ -653,6 +673,22 @@ def test_suite_shares_solves_across_lines(tmp_path, monkeypatch):
     calls = _counting_splu(monkeypatch)
     code, out, err = run_cli(["suite", str(path)])
     assert (code, out, err) == (0, expected, "")
+    assert len(calls) == 4
+
+
+def test_suite_memo_keys_are_exact(tmp_path, monkeypatch):
+    """Two rectangles that both print as rectangle_1x1 are two domains:
+    each line factors its own chain and prints its own mu1."""
+    lines = [f"compare-bounds --domain rectangle --a {a} --b 1 --level 3 "
+             "--format csv" for a in ("1", "1.0000000001")]
+    path = tmp_path / "near.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    calls = _counting_splu(monkeypatch)
+    code, out, err = run_cli(["suite", str(path)])
+    assert (code, err) == (0, "")
+    mu1s = [row.split(",")[3] for row in out.splitlines()
+            if row.startswith("rectangle_1x1,")]
+    assert mu1s == ["9.87375783067"] * 5 + ["9.87375782968"] * 5
     assert len(calls) == 4
 
 

@@ -50,10 +50,38 @@ def test_regular_polygon_spec_geometry():
     assert not tri.centrally_symmetric
 
 
+CLOSED_FORMS = (
+    [(geometry.make_rhombus(m), oracles.rhombus_closed_form(m))
+     for m in (5, 6, 8, 100, 1000, 4096)]
+    + [(geometry.make_rectangle(a, b), oracles.rectangle_closed_form(a, b))
+       for a, b in ((1.0, 1.0), (2.0, 1.0), (2.5, 2.5), (1e6, 1e-6))]
+    + [(geometry.make_regular_polygon(k, r), oracles.polygon_closed_form(k, r))
+       for k in (3, 4, 5, 6, 7, 8, 64) for r in (1e-6, 0.37, 1.0, 1e6)])
+
+
+@pytest.mark.parametrize("spec, expected", CLOSED_FORMS,
+                         ids=[spec.label for spec, _ in CLOSED_FORMS])
+def test_ring_invariants_match_closed_forms(spec, expected):
+    """The ring's shoelace area, centre-to-edge width and centre-to-vertex
+    diameter equal each family's closed forms; an odd polygon has no
+    centre, so no width or diameter."""
+    area, width, diameter = expected
+    assert spec.area == pytest.approx(area, rel=1e-15)
+    assert spec.centrally_symmetric == (width is not None)
+    if width is None:
+        for name in ("width", "diameter"):
+            with pytest.raises(ParameterError, match="not centrally"):
+                getattr(spec, name)
+    else:
+        assert spec.width == pytest.approx(width, rel=1e-15)
+        assert spec.diameter == pytest.approx(diameter, rel=1e-15)
+
+
 def test_spec_validation():
     with pytest.raises(ParameterError):
         geometry.make_rhombus(4)
-    assert geometry.make_rhombus(geometry.MAX_RHOMBUS_M).m == 4096
+    assert geometry.make_rhombus(geometry.MAX_RHOMBUS_M).label == \
+        "rhombus_4096"
     with pytest.raises(ParameterError, match="m <= 4096"):
         geometry.make_rhombus(geometry.MAX_RHOMBUS_M + 1)
     with pytest.raises(ParameterError):
