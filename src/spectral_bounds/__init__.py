@@ -3,7 +3,7 @@ Neumann eigenvalue of the p-Laplacian on planar domains.
 
 The package is organized as a pipeline: `geometry` builds nested triangle
 meshes for rhombi, rectangles and regular polygons; `fem` solves the p = 2
-eigenproblems on them; `special` provides the radial ball profiles for
+Neumann eigenproblem on them; `special` provides the radial ball profiles for
 general p; `rearrangement` turns discrete eigenfunctions into decreasing
 rearrangements and runs the comparison checks; `sturm1d` solves the singular
 one-dimensional problem behind the consistency identities; `bounds` evaluates
@@ -29,8 +29,6 @@ from .fem import (
     assemble_mass,
     assemble_stiffness,
     richardson,
-    solve_dirichlet_lambda1,
-    solve_mixed_dn,
     solve_neumann_mu1,
 )
 from .geometry import (
@@ -65,7 +63,7 @@ __all__ = [
     "payne_weinberger", "rhombus_sharpness", "symmetric_planar_bound",
     "ConvergenceError", "NumericError", "ParameterError",
     "assemble_mass", "assemble_stiffness", "richardson",
-    "solve_dirichlet_lambda1", "solve_mixed_dn", "solve_neumann_mu1",
+    "solve_neumann_mu1",
     "DomainSpec", "Mesh", "make_rectangle", "make_regular_polygon",
     "make_rhombus", "triangulate",
     "chiti_check", "cumulative_power", "dirichlet_ball_profile",

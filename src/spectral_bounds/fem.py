@@ -1,14 +1,13 @@
-"""P1 finite elements for the Laplacian eigenvalue problems (p = 2 only).
+"""P1 finite elements for the Neumann eigenvalue problem (p = 2 only).
 
-Assembly produces scipy CSR matrices: the stiffness matrix from the exact
-per-element gradient formula and the consistent mass matrix
-(area/12) [[2,1,1],[1,2,1],[1,1,2]]. Every eigen solve factors the shifted
-stiffness matrix once and runs ARPACK shift-invert Lanczos on that factor,
-then polishes the pair with one inverse-iteration step on the same factor;
-the Neumann solve deflates the constant mode in that step. The Dirichlet and
-mixed solves are one constrained solve: zero data on the nodes they are
-given, the natural condition elsewhere. Everything is deterministic: the
-start vector is drawn from a fixed-seed generator.
+Assembly produces scipy CSC matrices, the format the sparse LU factors:
+the stiffness matrix from the exact per-element gradient formula and the
+consistent mass matrix (area/12) [[2,1,1],[1,2,1],[1,1,2]]. The eigen
+solve factors the shifted stiffness matrix once and runs ARPACK
+shift-invert Lanczos on that factor, then polishes the pair with one
+inverse-iteration step on the same factor, deflating the constant mode in
+that step for the Neumann problem. Everything is deterministic: the start
+vector is drawn from a fixed-seed generator.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, splu
 
 from .errors import ConvergenceError, ParameterError
-from .geometry import Mesh, edge_table, element_areas
+from .geometry import Mesh, element_areas
 
 _SEED = 42
 _RES_TOL = 1e-9
@@ -35,8 +34,9 @@ _DENSE_SIZE = 20
 class EigenPair:
     """Converged eigenvalue/eigenvector.
 
-    The vector spans all mesh nodes (zeros on constrained ones), has unit
-    mass norm, and satisfies the residual bound checked at convergence.
+    The vector spans the solve's own unknowns (for a mesh, all its nodes),
+    has unit mass norm, and satisfies the residual bound checked at
+    convergence.
     ``iterations`` counts the solves with the single LU factor: ARPACK's
     shift-invert applications plus the polishing step.
     """
@@ -60,14 +60,14 @@ def _element_geometry(mesh: Mesh):
     return areas, grads
 
 
-def assemble_stiffness(mesh: Mesh) -> sparse.csr_matrix:
+def assemble_stiffness(mesh: Mesh) -> sparse.csc_matrix:
     """Stiffness matrix int grad(u) . grad(v); rows sum to zero."""
     areas, grads = _element_geometry(mesh)
     local = np.einsum("eid,ejd->eij", grads, grads) * areas[:, None, None]
     return _scatter(mesh, local)
 
 
-def assemble_mass(mesh: Mesh) -> sparse.csr_matrix:
+def assemble_mass(mesh: Mesh) -> sparse.csc_matrix:
     """Consistent mass matrix; entries sum to the mesh area."""
     areas = element_areas(mesh)
     pattern = (np.full((3, 3), 1.0) + np.eye(3)) / 12.0
@@ -75,37 +75,30 @@ def assemble_mass(mesh: Mesh) -> sparse.csr_matrix:
     return _scatter(mesh, local)
 
 
-def _scatter(mesh: Mesh, local: np.ndarray) -> sparse.csr_matrix:
+def _scatter(mesh: Mesh, local: np.ndarray) -> sparse.csc_matrix:
     rows = np.repeat(mesh.elements, 3, axis=1).ravel()
     cols = np.tile(mesh.elements, (1, 3)).ravel()
     mat = sparse.coo_matrix((local.ravel(), (rows, cols)),
                             shape=(mesh.node_count, mesh.node_count))
-    return mat.tocsr()
+    return mat.tocsc()
 
 
-def _true_boundary_nodes(mesh: Mesh) -> np.ndarray:
-    table = edge_table(mesh)
-    return np.unique(table.edges[table.counts == 1])
-
-
-def _inverse_iteration(K, M, free: np.ndarray, shift: float,
-                       neumann: bool = False) -> EigenPair:
+def _inverse_iteration(K, M, shift: float, neumann: bool = False) -> EigenPair:
     """Lowest eigenpair (above the constant mode for Neumann) on one factor.
 
-    ARPACK runs Lanczos on (K + shift M)^-1 M with the single sparse LU of
-    the shifted matrix and a fixed start vector; three Ritz pairs (two
-    without the constant mode) resolve the nearly degenerate first pairs
-    that symmetric domains split by a high power of h. One
-    inverse-iteration step on the same factor polishes the pair. The
+    K and M are CSC matrices. ARPACK runs Lanczos on (K + shift M)^-1 M
+    with the single sparse LU of the shifted matrix and a fixed start
+    vector; three Ritz pairs (two without the constant mode) resolve the
+    nearly degenerate first pairs that symmetric domains split by a high
+    power of h. One inverse-iteration step on the same factor polishes
+    the pair. The
     residual is measured in the M^-1 norm by Jacobi-preconditioned CG on M
     (on P1 triangles the Jacobi-scaled mass matrix has condition number at
     most 4), relative to the eigenvalue, and must be below _RES_TOL; the
     eigenvalue itself must be positive.
     """
-    Kff = K[free][:, free].tocsc()
-    Mff = M[free][:, free].tocsc()
     try:
-        lu = splu((Kff + shift * Mff) if shift else Kff)
+        lu = splu((K + shift * M) if shift else K)
     except RuntimeError as ex:
         # SuperLU reports an exactly singular pivot this way
         raise ConvergenceError(
@@ -119,25 +112,25 @@ def _inverse_iteration(K, M, free: np.ndarray, shift: float,
         return lu.solve(x)
 
     k = 3 if neumann else 2
-    n = free.size
+    n = K.shape[0]
     if n <= _DENSE_SIZE:
-        values, vectors = eigh(Kff.toarray(), Mff.toarray())
+        values, vectors = eigh(K.toarray(), M.toarray())
     else:
         v0 = np.random.default_rng(_SEED).standard_normal(n)
         try:
             values, vectors = eigsh(
-                Kff, k, M=Mff, sigma=-shift, v0=v0, tol=0,
+                K, k, M=M, sigma=-shift, v0=v0, tol=0,
                 OPinv=LinearOperator((n, n), matvec=solve, dtype=float))
         except ArpackError as ex:
             raise ConvergenceError(f"ARPACK failed: {ex}") from None
-    v = solve(Mff @ vectors[:, np.argsort(values)[1 if neumann else 0]])
+    v = solve(M @ vectors[:, np.argsort(values)[1 if neumann else 0]])
     if neumann:
-        mass_ones = Mff @ np.ones(n)
+        mass_ones = M @ np.ones(n)
         v -= (mass_ones @ v) / mass_ones.sum()
-    v /= math.sqrt(float(v @ (Mff @ v)))
-    value = float(v @ (Kff @ v))
-    r = Kff @ v - value * (Mff @ v)
-    z, info = cg(Mff, r, rtol=1e-12, M=sparse.diags(1.0 / Mff.diagonal()))
+    v /= math.sqrt(float(v @ (M @ v)))
+    value = float(v @ (K @ v))
+    r = K @ v - value * (M @ v)
+    z, info = cg(M, r, rtol=1e-12, M=sparse.diags(1.0 / M.diagonal()))
     residual = math.sqrt(max(float(r @ z), 0.0)) / abs(value)
     # a non-positive Rayleigh quotient is roundoff on a degenerate mesh,
     # however small its residual
@@ -145,9 +138,7 @@ def _inverse_iteration(K, M, free: np.ndarray, shift: float,
         raise ConvergenceError(
             f"eigen solve not certified: residual {residual:.3g} "
             f"(tolerance {_RES_TOL:g})")
-    full = np.zeros(K.shape[0])
-    full[free] = v
-    return EigenPair(value=value, vector=full, residual=residual,
+    return EigenPair(value=value, vector=v, residual=residual,
                      iterations=solves)
 
 
@@ -157,29 +148,7 @@ def solve_neumann_mu1(mesh: Mesh) -> EigenPair:
     M = assemble_mass(mesh)
     span = mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)
     shift = math.pi ** 2 / float(span @ span)
-    free = np.arange(mesh.node_count)
-    return _inverse_iteration(K, M, free, shift, neumann=True)
-
-
-def solve_dirichlet_lambda1(mesh: Mesh) -> EigenPair:
-    """First Dirichlet eigenvalue; constrains the true topological boundary."""
-    return solve_mixed_dn(mesh, _true_boundary_nodes(mesh))
-
-
-def solve_mixed_dn(mesh: Mesh, zero) -> EigenPair:
-    """First eigenvalue with u = 0 on the nodes ``zero``.
-
-    The rest of the boundary carries the natural (Neumann) condition. An
-    empty ``zero`` is refused: that is the Neumann problem.
-    """
-    if not len(zero):
-        raise ParameterError("mixed problem needs at least one zero node")
-    free = np.setdiff1d(np.arange(mesh.node_count), zero)
-    if free.size == 0:
-        raise ParameterError("no interior nodes; refine the mesh")
-    K = assemble_stiffness(mesh)
-    M = assemble_mass(mesh)
-    return _inverse_iteration(K, M, free, 0.0)
+    return _inverse_iteration(K, M, shift, neumann=True)
 
 
 def richardson(coarse: float, fine: float) -> float:

@@ -182,9 +182,9 @@ def _solve_linear(problem: SturmProblem) -> SturmSolution:
     diag[:-1] += np.sum(wq * (1.0 - xi) ** 2, axis=1)
     diag[1:] += np.sum(wq * xi ** 2, axis=1)
     off = np.sum(wq * xi * (1.0 - xi), axis=1)
-    M = sparse.diags([diag, off, off], [0, 1, -1], format="csr")
+    M = sparse.diags([diag, off, off], [0, 1, -1], format="csc")
 
-    pair = _inverse_iteration(K, M, np.arange(n), 0.0)
+    pair = _inverse_iteration(K, M, 0.0)
     return _solution(s, pair.vector, pair.value, pair.iterations)
 
 

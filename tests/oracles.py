@@ -7,7 +7,9 @@ tolerances. The ``*_closed_form`` functions give each domain family's
 area, width and diameter by formula, against the ring formulas of
 geometry.DomainSpec. ``validate_mesh`` checks a mesh's topology and area;
 ``scaled`` rescales a mesh for covariance tests; ``half_rhombus`` cuts the
-mesh of the mixed problem whose eigenvalue is the rhombus mu1.
+mesh of the mixed problem whose eigenvalue is the rhombus mu1, and
+``constrained_pair`` solves that problem and the Dirichlet one, which the
+library does not.
 """
 
 import dataclasses
@@ -16,7 +18,8 @@ import math
 import numpy as np
 from scipy.special import jv
 
-from spectral_bounds import bounds, geometry, rearrangement, special, sturm1d
+from spectral_bounds import (bounds, fem, geometry, rearrangement, special,
+                             sturm1d)
 from spectral_bounds.errors import ParameterError
 from spectral_bounds.rearrangement import (_power_diff, cumulative_power,
                                            dirichlet_ball_profile)
@@ -85,6 +88,35 @@ def scaled(mesh: geometry.Mesh, factor: float) -> geometry.Mesh:
     if factor <= 0.0:
         raise ParameterError(f"scale factor must be positive, got {factor}")
     return dataclasses.replace(mesh, nodes=mesh.nodes * factor)
+
+
+def boundary_nodes(mesh: geometry.Mesh) -> np.ndarray:
+    """Nodes on the mesh's topological boundary: the ends of the edges only
+    one element has."""
+    table = geometry.edge_table(mesh)
+    return np.unique(table.edges[table.counts == 1])
+
+
+def constrained_pair(mesh: geometry.Mesh, zero) -> fem.EigenPair:
+    """First eigenpair with u = 0 on the nodes ``zero`` and the natural
+    (Neumann) condition on the rest of the boundary: the Dirichlet pair
+    when ``zero`` is the whole boundary.
+
+    Solves the assembled matrices restricted to the free nodes with the
+    library's eigensolver and re-embeds the vector, zero on ``zero``. An
+    empty ``zero`` is refused, as that is the Neumann problem, and so is a
+    mesh with no free node.
+    """
+    if not len(zero):
+        raise ParameterError("mixed problem needs at least one zero node")
+    free = np.setdiff1d(np.arange(mesh.node_count), zero)
+    if free.size == 0:
+        raise ParameterError("no interior nodes; refine the mesh")
+    pair = fem._inverse_iteration(fem.assemble_stiffness(mesh)[free][:, free],
+                                  fem.assemble_mass(mesh)[free][:, free], 0.0)
+    vector = np.zeros(mesh.node_count)
+    vector[free] = pair.vector
+    return dataclasses.replace(pair, vector=vector)
 
 
 def half_rhombus(mesh: geometry.Mesh) -> tuple[geometry.Mesh, np.ndarray]:

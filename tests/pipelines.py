@@ -27,12 +27,14 @@ mu1 = _SOLVES.mu1
 
 @lru_cache(maxsize=None)
 def dirichlet(spec: geometry.DomainSpec, level: int) -> fem.EigenPair:
-    return fem.solve_dirichlet_lambda1(mesh(spec, level))
+    """Dirichlet pair, zero on every boundary node of the memoized mesh."""
+    domain = mesh(spec, level)
+    return oracles.constrained_pair(domain, oracles.boundary_nodes(domain))
 
 
 @lru_cache(maxsize=None)
 def mixed_half_rhombus(m: int, level: int) -> fem.EigenPair:
     """Mixed pair of the half rhombus, zero on the short diagonal, on the
     cut of the memoized rhombus mesh of the same level."""
-    return fem.solve_mixed_dn(
+    return oracles.constrained_pair(
         *oracles.half_rhombus(mesh(geometry.make_rhombus(m), level)))

@@ -8,9 +8,11 @@ import gc
 import io
 import json
 import math
+import re
 import time
 import warnings
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -626,6 +628,28 @@ def test_suite_byte_order_mark(tmp_path):
                                 "2,2,2.40482555771,5.78318596303",
                                 "# line 1 ok: psi --p 2 --n 2",
                                 "# suite: 1 runs, 0 failures"]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_commands(tmp_path):
+    """The README's command block, as the CI step runs it: every
+    `spectral-bounds` line but the suite one exits 0, and a suite file of
+    those lines runs them all without a failure."""
+    lines = [match.strip() for match in re.findall(
+        r"^spectral-bounds ([^#\n]*)", README.read_text(encoding="utf-8"),
+        flags=re.MULTILINE)]
+    runs = [line for line in lines if not line.startswith("suite ")]
+    assert len(runs) == 8 and len(lines) == 9
+    for line in runs:
+        code, _, err = run_cli(line.split())
+        assert (code, err) == (0, ""), line
+    path = tmp_path / "runs.txt"
+    path.write_text("".join(f"{line}\n" for line in runs), encoding="utf-8")
+    code, out, _ = run_cli(["suite", str(path)])
+    assert code == 0
+    assert out.splitlines()[-1] == "# suite: 8 runs, 0 failures"
 
 
 def test_suite_deterministic(tmp_path):

@@ -1,4 +1,8 @@
-"""P1 assembly and the three eigenvalue solvers against separable oracles."""
+"""P1 assembly and the Neumann eigensolver against separable oracles.
+
+The Dirichlet and mixed pairs come from oracles.constrained_pair, which
+runs the same eigensolver on the free nodes' matrices.
+"""
 
 import math
 
@@ -110,7 +114,7 @@ def test_dirichlet_oracles():
     j0 = special.bessel_first_zero(0.0)
     assert abs(gon.value - j0 * j0) / (j0 * j0) < 1e-2
     # boundary nodes are hard zeros
-    boundary = fem._true_boundary_nodes(pipelines.mesh(pipelines.SQUARE, 4))
+    boundary = oracles.boundary_nodes(pipelines.mesh(pipelines.SQUARE, 4))
     assert np.abs(pair.vector[boundary]).max() == 0.0
 
 
@@ -139,8 +143,8 @@ def test_eigenpair_contract():
 def test_eigsh_cross_check():
     """Independent route: shift-invert Lanczos on the same matrices."""
     mesh = pipelines.mesh(pipelines.SQUARE, 4)
-    K = fem.assemble_stiffness(mesh).tocsc()
-    M = fem.assemble_mass(mesh).tocsc()
+    K = fem.assemble_stiffness(mesh)
+    M = fem.assemble_mass(mesh)
     v0 = np.ones(mesh.node_count)
     vals = eigsh(K, k=2, M=M, sigma=-1.0, which="LM", v0=v0,
                  return_eigenvectors=False)
@@ -148,7 +152,7 @@ def test_eigsh_cross_check():
     assert mu1_lanczos == pytest.approx(
         pipelines.neumann(pipelines.SQUARE, 4).value, rel=1e-9)
 
-    boundary = fem._true_boundary_nodes(mesh)
+    boundary = oracles.boundary_nodes(mesh)
     free = np.setdiff1d(np.arange(mesh.node_count), boundary)
     Kd = K[free][:, free]
     Md = M[free][:, free]
@@ -159,7 +163,8 @@ def test_eigsh_cross_check():
 
 
 def test_one_factorization_per_solve(monkeypatch):
-    """Each solve factors once: no second (mass) factor for the residual."""
+    """Each solve factors once: no second (mass) factor for the residual.
+    The constrained reference pairs run the same eigensolver."""
     shapes = []
     real_splu = fem.splu
 
@@ -172,8 +177,8 @@ def test_one_factorization_per_solve(monkeypatch):
     pair = fem.solve_neumann_mu1(mesh)
     assert shapes == [(mesh.node_count, mesh.node_count)]
     assert pair.iterations >= 2          # Lanczos solves plus the polish
-    fem.solve_dirichlet_lambda1(mesh)
-    fem.solve_mixed_dn(*oracles.half_rhombus(
+    oracles.constrained_pair(mesh, oracles.boundary_nodes(mesh))
+    oracles.constrained_pair(*oracles.half_rhombus(
         pipelines.mesh(geometry.make_rhombus(8), 3)))
     assert len(shapes) == 3
 
@@ -193,7 +198,7 @@ def test_square_double_mu1_converges():
             vals = eigh(K.toarray(), M.toarray(), eigvals_only=True)
         else:
             v0 = np.random.default_rng(0).standard_normal(mesh.node_count)
-            vals = eigsh(K.tocsc(), k=4, M=M.tocsc(), sigma=-1.0, v0=v0,
+            vals = eigsh(K, k=4, M=M, sigma=-1.0, v0=v0,
                          return_eigenvectors=False)
         mu = np.sort(vals)
         assert mu[2] - mu[1] <= 1e-5 * mu[1]
@@ -227,13 +232,17 @@ def test_mixed_sector_sandwich_and_limit():
 
 
 def test_mixed_requires_tag():
-    with pytest.raises(ParameterError):
-        fem.solve_mixed_dn(pipelines.mesh(pipelines.SQUARE, 2), [])
+    with pytest.raises(ParameterError, match="at least one zero node"):
+        oracles.constrained_pair(pipelines.mesh(pipelines.SQUARE, 2), [])
 
 
-# (spec, level, value hex, iterations) of the Dirichlet solve, recorded
-# from its own constrained path: running it through the mixed solve must not
-# move a bit
+# (spec, level, value hex, iterations) of the Neumann and the Dirichlet
+# pair; a change to the eigen path must not move a bit of either
+NEUMANN_BITS = [
+    (pipelines.SQUARE, 4, "0x1.3cd64a33f613ap+3", 38),
+    (geometry.make_rhombus(8), 3, "0x1.a0b295c587d6cp+2", 22),
+    (pipelines.GON64, 2, "0x1.b7d0c1d6b622fp+1", 38),
+]
 DIRICHLET_BITS = [
     (pipelines.SQUARE, 4, "0x1.3ee06b50478c7p+4", 39),
     (geometry.make_rhombus(8), 3, "0x1.1a7249d9d73f5p+5", 22),
@@ -241,18 +250,22 @@ DIRICHLET_BITS = [
 ]
 
 
+def test_neumann_bits():
+    for spec, level, bits, iterations in NEUMANN_BITS:
+        pair = pipelines.neumann(spec, level)
+        assert (pair.value.hex(), pair.iterations) == (bits, iterations)
+
+
 def test_dirichlet_is_the_mixed_solve_on_the_boundary():
-    """The Dirichlet solve is the mixed solve with every true boundary node
+    """The Dirichlet pair is the constrained pair with every boundary node
     zero, bit for bit as the separate solve it replaced; a mesh with no
     free node is refused."""
     for spec, level, bits, iterations in DIRICHLET_BITS:
-        mesh = pipelines.mesh(spec, level)
-        pair = fem.solve_dirichlet_lambda1(mesh)
-        mixed = fem.solve_mixed_dn(mesh, fem._true_boundary_nodes(mesh))
+        pair = pipelines.dirichlet(spec, level)
         assert (pair.value.hex(), pair.iterations) == (bits, iterations)
-        assert pair.vector.tobytes() == mixed.vector.tobytes()
+    triangle = _single_triangle()
     with pytest.raises(ParameterError, match="no interior nodes"):
-        fem.solve_dirichlet_lambda1(_single_triangle())
+        oracles.constrained_pair(triangle, oracles.boundary_nodes(triangle))
 
 
 def test_richardson():

@@ -19,12 +19,11 @@ MODULES = sorted(path.stem for path in PACKAGE.glob("*.py")
 # (importer, owner, name). sturm1d shares the FEM eigensolver until the
 # gamma = 2 path that calls it is deleted
 ALLOWED = {("sturm1d", "fem", "_inverse_iteration")}
-# exports no library module calls: the Dirichlet solve awaits its callers
-# in the library, the version is package metadata
-UNCALLED = {"solve_dirichlet_lambda1", "__version__"}
+# exports no library module calls: the version is package metadata
+UNCALLED = {"__version__"}
 # public functions and methods the library defines but never names: argparse
-# calls the parser's error hook, and the Dirichlet solve awaits its callers
-NAMED_OUTSIDE = {"_Parser.error", "solve_dirichlet_lambda1"}
+# calls the parser's error hook
+NAMED_OUTSIDE = {"_Parser.error"}
 
 
 def _private(name: str) -> bool:
