@@ -112,47 +112,45 @@ def _list_of(kind):
     return parse
 
 
-# the size flags each --domain takes
-_SIZE_FLAGS = {"square": (), "rectangle": ("a", "b"), "rhombus": ("m",),
-               "polygon": ("k", "radius")}
+# the size flags, in --help order: name, argparse type, help
+_SIZE_FLAGS = (
+    ("m", int, f"rhombus angle parameter, {_M_RANGE}"),
+    ("a", _finite_float, f"rectangle long side, {_LENGTH_RANGE}"),
+    ("b", _finite_float, f"rectangle short side, {_LENGTH_RANGE}"),
+    ("k", int, f"polygon vertex count, at most {geometry.MAX_ELEMENTS}"),
+    ("radius", _finite_float, f"polygon circumradius, {_LENGTH_RANGE}"),
+)
+
+# each --domain: the size flags it takes, those it needs, and its spec
+# built from the parsed flags
+_DOMAINS = {
+    "square": ((), (), lambda args: geometry.make_rectangle(1.0, 1.0)),
+    "rectangle": (("a", "b"), ("a", "b"),
+                  lambda args: geometry.make_rectangle(args.a, args.b)),
+    "rhombus": (("m",), ("m",), lambda args: geometry.make_rhombus(args.m)),
+    "polygon": (("k", "radius"), ("k",),
+                lambda args: geometry.make_regular_polygon(
+                    args.k, 1.0 if args.radius is None else args.radius)),
+}
 
 
 def _spec_from_args(args) -> geometry.DomainSpec:
-    stray = [f"--{name}" for name in ("m", "a", "b", "k", "radius")
-             if getattr(args, name) is not None
-             and name not in _SIZE_FLAGS[args.domain]]
+    takes, needs, build = _DOMAINS[args.domain]
+    stray = [f"--{name}" for name, _, _ in _SIZE_FLAGS
+             if getattr(args, name) is not None and name not in takes]
     if stray:
         raise ParameterError(
             f"{args.domain} does not take {', '.join(stray)}")
-    if args.domain == "square":
-        return geometry.make_rectangle(1.0, 1.0)
-    if args.domain == "rectangle":
-        if args.a is None or args.b is None:
-            raise ParameterError("rectangle needs --a and --b")
-        return geometry.make_rectangle(args.a, args.b)
-    if args.domain == "rhombus":
-        if args.m is None:
-            raise ParameterError("rhombus needs --m")
-        return geometry.make_rhombus(args.m)
-    if args.k is None:
-        raise ParameterError("polygon needs --k")
-    return geometry.make_regular_polygon(
-        args.k, 1.0 if args.radius is None else args.radius)
+    if any(getattr(args, name) is None for name in needs):
+        raise ParameterError(f"{args.domain} needs "
+                             + " and ".join(f"--{name}" for name in needs))
+    return build(args)
 
 
 def _add_domain_flags(sub) -> None:
-    sub.add_argument("--domain", required=True,
-                     choices=["square", "rectangle", "rhombus", "polygon"])
-    sub.add_argument("--m", type=int,
-                     help=f"rhombus angle parameter, {_M_RANGE}")
-    sub.add_argument("--a", type=_finite_float,
-                     help=f"rectangle long side, {_LENGTH_RANGE}")
-    sub.add_argument("--b", type=_finite_float,
-                     help=f"rectangle short side, {_LENGTH_RANGE}")
-    sub.add_argument("--k", type=int, help="polygon vertex count, at most "
-                     f"{geometry.MAX_ELEMENTS}")
-    sub.add_argument("--radius", type=_finite_float,
-                     help=f"polygon circumradius, {_LENGTH_RANGE}")
+    sub.add_argument("--domain", required=True, choices=list(_DOMAINS))
+    for name, kind, text in _SIZE_FLAGS:
+        sub.add_argument(f"--{name}", type=kind, help=text)
 
 
 def _add_output_flags(sub, default_format: str) -> None:
@@ -269,17 +267,6 @@ def _cmd_sturm(args, _solves):
     }
 
 
-_HANDLERS = {
-    "psi": _cmd_psi,
-    "bound": _cmd_bound,
-    "compare-bounds": _cmd_compare_bounds,
-    "verify-rhombus": _cmd_verify_rhombus,
-    "chiti": _cmd_chiti,
-    "rholder": _cmd_rholder,
-    "sturm": _cmd_sturm,
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error as ParameterError instead of printing the usage
     and exiting, so that dispatch reports it on one line of its err stream."""
@@ -295,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("psi", help="first zeros of the radial profiles")
+    sub.set_defaults(handler=_cmd_psi)
     sub.add_argument("--p", default="2", type=_list_of(_finite_float),
                      help=f"comma-separated exponents, each in "
                      f"[2, {special.P_MAX:g}]")
@@ -304,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub, "csv")
 
     sub = subs.add_parser("bound", help="closed-form lower bounds, no FEM")
+    sub.set_defaults(handler=_cmd_bound)
     _add_domain_flags(sub)
     sub.add_argument("--p", type=_finite_float, default=2.0,
                      help=f"exponent in [2, {special.P_MAX:g}]")
@@ -311,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("compare-bounds",
                           help="all bounds against the FEM eigenvalue")
+    sub.set_defaults(handler=_cmd_compare_bounds)
     _add_domain_flags(sub)
     sub.add_argument("--p", type=_finite_float, default=2.0)
     sub.add_argument("--level", type=int, default=5, help=_LEVEL_HELP)
@@ -318,12 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify-rhombus",
                           help="sharpness ratio table for degenerating rhombi")
+    sub.set_defaults(handler=_cmd_verify_rhombus)
     sub.add_argument("--m", default="8,16,32,64", type=_list_of(int),
                      help=f"comma-separated angle parameters, each {_M_RANGE}")
     sub.add_argument("--level", type=int, default=5, help=_LEVEL_HELP)
     _add_output_flags(sub, "json")
 
     sub = subs.add_parser("chiti", help="cumulative-power domination check")
+    sub.set_defaults(handler=_cmd_chiti)
     _add_domain_flags(sub)
     sub.add_argument("--p", type=_finite_float, default=2.0)
     sub.add_argument("--q", type=_finite_float, default=2.0, help=_Q_HELP)
@@ -331,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub, "json")
 
     sub = subs.add_parser("rholder", help="reverse Holder norm check")
+    sub.set_defaults(handler=_cmd_rholder)
     _add_domain_flags(sub)
     sub.add_argument("--p", type=_finite_float, default=2.0)
     sub.add_argument("--q", type=_finite_float, default=2.0, help=_Q_HELP)
@@ -340,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub, "json")
 
     sub = subs.add_parser("sturm", help="singular Sturm-Liouville eigenvalue")
+    sub.set_defaults(handler=_cmd_sturm)
     sub.add_argument("--gamma", type=_finite_float, required=True)
     sub.add_argument("--beta", type=_finite_float, required=True)
     sub.add_argument("--A", type=_finite_float, required=True,
@@ -381,7 +375,7 @@ def dispatch(argv, out=None, err=None, solves=None) -> int:
         # overflow or an invalid operation anywhere in the numerics is a
         # failure of this invocation, not a warning beside a NaN row
         with np.errstate(over="raise", invalid="raise"):
-            table = _HANDLERS[args.command](
+            table = args.handler(
                 args, bounds.SharedSolves() if solves is None else solves)
         text = emit_table(table, args.format)
         if args.out_path:
@@ -410,7 +404,7 @@ def dispatch(argv, out=None, err=None, solves=None) -> int:
     return 0
 
 
-def run_suite(path: str, out=None, err=None) -> int:
+def run_suite(path: str, out, err) -> int:
     """Run every non-blank, non-comment line of a suite file as an invocation.
 
     Lines run one after another in file order, on the calling thread, and
@@ -419,12 +413,10 @@ def run_suite(path: str, out=None, err=None) -> int:
     Nested suite lines are rejected. Exit 1 if any line fails, 2 if the file
     cannot be read or split into lines, 0 otherwise.
     """
-    stream = out if out is not None else sys.stdout
-    errstream = err if err is not None else sys.stderr
     try:
         content = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as ex:
-        print(f"cannot read suite file: {ex}", file=errstream)
+        print(f"cannot read suite file: {ex}", file=err)
         return 2
     runs = []
     for lineno, raw in enumerate(content.splitlines(), start=1):
@@ -434,7 +426,7 @@ def run_suite(path: str, out=None, err=None) -> int:
         try:
             argv = shlex.split(line)
         except ValueError as ex:
-            print(f"cannot parse suite line {lineno}: {ex}", file=errstream)
+            print(f"cannot parse suite line {lineno}: {ex}", file=err)
             return 2
         runs.append((lineno, argv))
 
@@ -446,16 +438,16 @@ def run_suite(path: str, out=None, err=None) -> int:
             print("nested suite lines are not allowed", file=errbuffer)
             code = 2
         else:
-            code = dispatch(argv, out=stream, err=errbuffer, solves=solves)
+            code = dispatch(argv, out=out, err=errbuffer, solves=solves)
         if code == 0:
-            print(f"# line {lineno} ok: {shlex.join(argv)}", file=stream)
+            print(f"# line {lineno} ok: {shlex.join(argv)}", file=out)
             continue
         failures += 1
         detail = errbuffer.getvalue().strip().splitlines()
         suffix = f": {detail[-1]}" if detail else ""
         print(f"# line {lineno} fail({code}): {shlex.join(argv)}{suffix}",
-              file=stream)
-    print(f"# suite: {len(runs)} runs, {failures} failures", file=stream)
+              file=out)
+    print(f"# suite: {len(runs)} runs, {failures} failures", file=out)
     return 1 if failures else 0
 
 

@@ -407,7 +407,7 @@ def chiti_check(u_profile: RearrangedProfile,
     ball_side = np.asarray(lower.value(s)) / lower.total
     gap = u_side - ball_side
     k = int(np.argmax(gap))
-    margin = np.min(-gap[1:] / ball_side[1:])
+    margin = np.min((ball_side[1:] - u_side[1:]) / ball_side[1:])
     return ChitiReport(max_violation=float(gap[k]), s_at_max=float(s[k]),
                        lhs=float(u_side[k]), rhs=float(ball_side[k]),
                        lemma_violated=bool(lemma_violated),

@@ -275,6 +275,19 @@ def test_chiti_reports_a_margin():
     assert row["margin"] > 0.0
 
 
+def test_chiti_margin_zero_is_positive():
+    # at q = 50 both normalised cumulatives reach 1.0 on the grid, so the
+    # least relative gap is an exact zero; it prints as 0, never -0
+    argv = ["chiti", "--domain", "square", "--level", "4", "--q", "50"]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    margin = json.loads(out)["margin"]
+    assert margin == 0.0 and math.copysign(1.0, margin) == 1.0
+    code, out, _ = run_cli(argv + ["--format", "csv"])
+    assert code == 0
+    assert out.splitlines()[1].split(",")[-1] == "0"
+
+
 def test_rholder_row():
     code, out, _ = run_cli(["rholder", "--domain", "rhombus", "--m", "16",
                             "--q", "4", "--r", "2", "--level", "3"])
@@ -434,6 +447,43 @@ def test_usage_errors(capsys):
         assert (code, out) == (1, "")
         assert err.startswith("numeric failure: ") and "singular" in err
         assert len(err.splitlines()) == 1
+
+
+# the size flags each --domain takes, with valid values, written out here
+# as the contract rather than read from the parser's tables
+SIZE_VALUES = {"m": "8", "a": "2", "b": "1", "k": "6", "radius": "2"}
+DOMAIN_TAKES = {"square": (), "rectangle": ("a", "b"), "rhombus": ("m",),
+                "polygon": ("k", "radius")}
+# the 15 (domain, flag) pairs a domain refuses
+STRAY_FLAGS = [(domain, flag) for domain, takes in DOMAIN_TAKES.items()
+               for flag in SIZE_VALUES if flag not in takes]
+
+
+def _size_argv(domain, flags):
+    return ["bound", "--domain", domain,
+            *(item for flag in flags for item in (f"--{flag}",
+                                                  SIZE_VALUES[flag]))]
+
+
+@pytest.mark.parametrize("domain,flag", STRAY_FLAGS)
+def test_every_domain_refuses_a_size_flag_it_does_not_take(domain, flag):
+    code, out, err = run_cli(_size_argv(domain,
+                                        (*DOMAIN_TAKES[domain], flag)))
+    assert (code, out) == (2, "")
+    assert err == f"error: {domain} does not take --{flag}\n"
+
+
+@pytest.mark.parametrize("domain,flags,message", [
+    ("rectangle", (), "rectangle needs --a and --b"),
+    ("rectangle", ("a",), "rectangle needs --a and --b"),
+    ("rectangle", ("b",), "rectangle needs --a and --b"),
+    ("rhombus", (), "rhombus needs --m"),
+    ("polygon", (), "polygon needs --k"),
+    ("polygon", ("radius",), "polygon needs --k"),
+])
+def test_every_domain_names_the_size_flags_it_needs(domain, flags, message):
+    code, out, err = run_cli(_size_argv(domain, flags))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_p_range_is_a_usage_error():

@@ -1,6 +1,6 @@
-"""Package layout: no module leans on another module's private names,
-every exported name exists and has a caller in the library, and every
-public function and method is named somewhere in the library.
+"""Package layout: no module leans on another module's private names, and
+every public module-level function and class, and every public method of a
+module-level class, is named somewhere in the library.
 
 The sources are parsed with ast, not imported, so a private name reached
 through `from .x import _y`, `from spectral_bounds.x import _y` or an
@@ -19,10 +19,8 @@ MODULES = sorted(path.stem for path in PACKAGE.glob("*.py")
 # (importer, owner, name). sturm1d shares the FEM eigensolver until the
 # gamma = 2 path that calls it is deleted
 ALLOWED = {("sturm1d", "fem", "_inverse_iteration")}
-# exports no library module calls: the version is package metadata
-UNCALLED = {"__version__"}
-# public functions and methods the library defines but never names: argparse
-# calls the parser's error hook
+# public functions, classes and methods the library defines but never names:
+# argparse calls the parser's error hook
 NAMED_OUTSIDE = {"_Parser.error"}
 
 
@@ -72,13 +70,6 @@ def test_no_module_imports_a_private_name_of_another():
     assert ALLOWED - found == set(), "stale allowed exception"
 
 
-def test_every_export_resolves():
-    missing = [name for name in spectral_bounds.__all__
-               if not hasattr(spectral_bounds, name)]
-    assert missing == []
-    assert len(set(spectral_bounds.__all__)) == len(spectral_bounds.__all__)
-
-
 def _named() -> set:
     """Every name or attribute referenced in a module but __init__.
     Definitions are not references, so code only the tests call is caught."""
@@ -87,19 +78,14 @@ def _named() -> set:
             if isinstance(node, (ast.Name, ast.Attribute))}
 
 
-def test_every_export_has_a_library_caller():
-    uncalled = set(spectral_bounds.__all__) - _named()
-    assert uncalled - UNCALLED == set(), "export with no library caller"
-    assert UNCALLED - uncalled == set(), "stale allowed exception"
-
-
 def _defined(tree: ast.Module):
     """Qualified name and bare name of every public module-level function
-    and every public method of a module-level class."""
+    and class and every public method of a module-level class."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
             yield node.name, node.name
-        elif isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) \
                         and not item.name.startswith("_"):
