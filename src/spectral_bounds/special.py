@@ -9,6 +9,12 @@ integrated out to its first zero psi. The first Dirichlet eigenvalue of the
 unit ball is then psi^p, and weighted power means of Psi over (0, psi) supply
 the constants of the comparison machinery. For p = 2 everything collapses to
 Bessel functions, which is what the tests check against.
+
+One integrator serves the whole module: Dormand and Prince's 12-stage,
+order-8 Runge-Kutta step DOP853. Hairer's compiled code marches the ODE with
+error control and keeps a table of its accepted steps; every later value of
+Psi, the Newton iterates for its zero included, is one more DOP853 step from
+the start of the table step holding the radius.
 """
 
 from __future__ import annotations
@@ -19,17 +25,20 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.special
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, ode
 
 from .errors import NumericError, ParameterError
 
 #: Largest p accepted: the profile's first zero agrees with an independent
-#: RK45 shooting to 7e-9 at p = 10, n = 2, and drifts apart beyond.
+#: RK45 shooting from a first-order start at r = 1e-3 to 6.7e-9 at p = 10,
+#: n = 2. That gap is the start's truncation: from r = 1e-6 the same RK45
+#: agrees to 1.2e-13.
 P_MAX = 10.0
 #: Largest dimension n accepted: for 2 <= n <= 32 the first zero agrees with
-#: the Bessel zero j_(n/2-1) (p = 2) and with an independent RK45 shooting
-#: (17 p in [2, 10]) to 2.3e-9, and drifts apart beyond: 1.2e-8 at n = 39,
-#: 4e-6 at n = 100, 5% at n = 150.
+#: the Bessel zero j_(n/2-1) (p = 2) to 4.1e-14 and with that RK45 shooting
+#: (17 p in [2, 10]) to 6.7e-9, 7.1e-12 for n >= 4, and drifts from the
+#: Bessel zero beyond: 2.5e-12 at n = 50, 1.9e-9 at n = 100, 1.7e-6 at
+#: n = 150.
 N_MAX = 32
 #: Largest exponent q accepted by the power means and by the cumulative
 #: power checks; past it (u+)^q of a discrete eigenfunction can overflow.
@@ -45,11 +54,17 @@ _GL_SHARE = np.polynomial.legendre.legint(
 _BULK_PANELS = 32
 _TAIL_PANELS = 60
 #: Distance from the zero (relative to psi) below which the local Taylor
-#: model replaces the ODE interpolant when evaluating log Psi.
+#: model replaces ``RadialProfile.value`` when evaluating log Psi.
 _TAIL_MODEL_CUT = 1e-6
 #: Radius where the shooting starts from the series expansion, and below
 #: which ``RadialProfile.value`` evaluates that expansion.
 _SERIES_R0 = 1e-4
+#: Newton iterations allowed for the zero; 3 to 6 reach a step below 1e-15
+#: relative over p in [2, P_MAX] and n in [2, N_MAX].
+_NEWTON_CAP = 8
+#: Butcher tableau of the DOP853 step: stage nodes C, stage weights A and
+#: the weights B of the eighth-order solution.
+_A, _B, _C = DOP853.A, DOP853.B, DOP853.C
 
 
 def omega_n(n: int) -> float:
@@ -65,8 +80,9 @@ def classical_constant(n: int) -> float:
 
 
 def bessel_first_zero(nu: float) -> float:
-    """First positive zero of J_nu by scanning for a bracket, then bisection
-    to a bracket width of 1e-12."""
+    """First positive zero of J_nu by scanning for a bracket, bisection to a
+    bracket width of 1e-12, then one Newton step, which squares that error
+    to below the rounding of J_nu itself."""
     if nu < 0:
         raise ParameterError(f"order must be >= 0, got {nu}")
     lo = max(nu, 0.5)
@@ -91,21 +107,25 @@ def bessel_first_zero(nu: float) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    return float(mid - scipy.special.jv(nu, mid) / scipy.special.jvp(nu, mid))
 
 
 @dataclass(frozen=True)
 class RadialProfile:
     """Radial eigenprofile of the p-Laplacian on the ball, up to its zero.
 
-    ``value`` evaluates the continuous solution; integrals of
-    t^(n-1) Psi^q over (0, x) all run on one cached panel table.
+    ``value`` evaluates the solution by one DOP853 step from the start of
+    the shooting step holding each radius; integrals of t^(n-1) Psi^q over
+    (0, x) all run on one cached panel table.
     """
 
     p: float
     n: int
     first_zero: float
-    _dense: object = field(repr=False)
+    #: rows r, Psi, Q of the accepted step starts of the shooting, from the
+    #: series start to the last start with Psi > 0
+    _steps: np.ndarray = field(repr=False)
     _slope_at_zero: float = field(repr=False)
 
     def value(self, r):
@@ -119,7 +139,10 @@ class RadialProfile:
         out[near] = 1.0 - c * r[near] ** kappa + c2 * r[near] ** (2.0 * kappa)
         mid = (~near) & (r <= self.first_zero)
         if np.any(mid):
-            out[mid] = self._dense(r[mid])[0]
+            k = np.searchsorted(self._steps[0], r[mid], side="right") - 1
+            start, psi, q = self._steps[:, k]
+            out[mid] = _dop853_step(_profile_rhs(self.p, self.n), start,
+                                    (psi, q), r[mid] - start)[0]
         return float(out[0]) if arr.ndim == 0 else out
 
     # -- radial power integrals ----------------------------------------------
@@ -146,7 +169,7 @@ class RadialProfile:
         logpsi = np.empty_like(t)
         vals = self.value(t[~deep])
         logpsi[~deep] = np.log(vals)
-        # Near the zero the interpolant loses relative accuracy, but
+        # Near the zero value() loses relative accuracy, but
         # Psi(psi - u) = a u (1 + b u + O(u^2)) with coefficients fixed by the
         # ODE at the zero, so switch to that model.
         a = self._slope_at_zero
@@ -211,24 +234,48 @@ def _series_coefficients(p: float, n: int) -> tuple[float, float, float]:
 
 
 def _profile_rhs(p: float, n: int):
-    """Flux form of the radial ODE: state (Psi, Q), Q = |Psi'|^(p-2) Psi'."""
-    a = 1.0 / (p - 1.0)
+    """Flux form of the radial ODE: state (Psi, Q), Q = |Psi'|^(p-2) Psi'.
+
+    x |x|^(s-1) is the signed power sign(x) |x|^s with plain operators, so
+    one function takes float states and arrays of states alike. Q < 0 for
+    every r > 0, so the negative power |Q|^(1/(p-1) - 1) stays finite.
+    """
+    a = 1.0 / (p - 1.0) - 1.0
+    b = p - 2.0
 
     def rhs(r, y):
         psi, q = y
-        dpsi = math.copysign(abs(q) ** a, q)
-        dq = -math.copysign(abs(psi) ** (p - 1.0), psi) - (n - 1.0) / r * q
-        return (dpsi, dq)
+        return (q * abs(q) ** a, -psi * abs(psi) ** b - (n - 1.0) / r * q)
 
     return rhs
+
+
+def _dop853_step(rhs, r, y, h):
+    """The eighth-order DOP853 solution of y' = rhs(r, y) one step h on.
+
+    y is one state, or one state per column with r and h one entry per
+    column, so a single call steps every start of a table at once.
+    """
+    y = np.asarray(y, dtype=float)
+    k = np.empty((len(_B),) + y.shape)
+    k[0] = rhs(r, y)
+    for s in range(1, len(_B)):
+        k[s] = rhs(r + _C[s] * h, y + h * np.tensordot(_A[s, :s], k[:s], 1))
+    return y + h * np.tensordot(_B, k, 1)
 
 
 @lru_cache(maxsize=None)
 def psi_profile(p: float, n: int) -> RadialProfile:
     """Shoot the radial profile from a series start to its first zero.
 
-    Series start at _SERIES_R0 (second-order expansion), DOP853 with
-    rtol 1e-11, first zero located by a terminal event on the dense output.
+    Series start at _SERIES_R0 (second-order expansion). Hairer's compiled
+    DOP853 marches out to r = 100 and stops after the first accepted step
+    that ends with Psi <= 0; its rtol 1e-13 and atol 1e-14 hold the p = 2
+    zeros to the Bessel zeros within 1e-13 relative for every n in
+    [2, N_MAX]. Newton on the radius, r -= Psi / Psi' with
+    Psi' = -|Q|^(1/(p-1)), then places the zero inside that step; each
+    iterate is one DOP853 step from the step's start, the last one also
+    giving the slope at the zero.
     """
     p = float(p)
     if not 2.0 <= p <= P_MAX:
@@ -240,21 +287,33 @@ def psi_profile(p: float, n: int) -> RadialProfile:
     r0 = _SERIES_R0
     y0 = (1.0 - c * r0 ** kappa + c2 * r0 ** (2.0 * kappa),
           -r0 / n + q1 * r0 ** (1.0 + kappa))
+    rhs = _profile_rhs(p, n)
+    steps = []
 
-    def crossing(r, y):
-        return y[0]
+    def record(r, y):
+        steps.append((r, *y.tolist()))
+        return -1 if y[0] <= 0.0 else 0
 
-    crossing.terminal = True
-    crossing.direction = -1
-    sol = solve_ivp(_profile_rhs(p, n), (r0, 100.0), y0, method="DOP853",
-                    rtol=1e-11, atol=1e-12, events=crossing, dense_output=True)
-    if not sol.t_events[0].size:
+    solver = ode(lambda r, y: rhs(r, y.tolist()))
+    solver.set_integrator("dop853", rtol=1e-13, atol=1e-14, nsteps=100_000)
+    solver.set_solout(record)
+    solver.set_initial_value(y0, r0).integrate(100.0)
+    *starts, (x, psi_x, q_x) = steps
+    if psi_x > 0.0:
         raise NumericError(f"no zero of the radial profile for p={p}, n={n} "
                            f"below r = 100")
-    first_zero = float(sol.t_events[0][0])
-    q_at_zero = float(sol.y_events[0][0][1])
-    slope = -math.copysign(abs(q_at_zero) ** (1.0 / (p - 1.0)), q_at_zero)
-    return RadialProfile(p=p, n=n, first_zero=first_zero, _dense=sol.sol,
+    r, psi, q = starts[-1]
+    for _ in range(_NEWTON_CAP):
+        slope = abs(q_x) ** (1.0 / (p - 1.0))
+        dx = psi_x / slope
+        x += dx
+        if abs(dx) <= 1e-15 * x:
+            break
+        psi_x, q_x = _dop853_step(rhs, r, (psi, q), x - r).tolist()
+    else:
+        raise NumericError(f"Newton found no zero of the radial profile for "
+                           f"p={p}, n={n}")
+    return RadialProfile(p=p, n=n, first_zero=x, _steps=np.array(starts).T,
                          _slope_at_zero=slope)
 
 

@@ -60,7 +60,19 @@ def test_json_rounding_is_lossless_at_12_digits():
 def test_psi_csv_exact():
     code, out, err = run_cli(["psi", "--p", "2", "--n", "2"])
     assert code == 0 and err == ""
-    assert out == "p,n,psi,psi_p\n2,2,2.40482555771,5.78318596303\n"
+    assert out == "p,n,psi,psi_p\n2,2,2.4048255577,5.78318596295\n"
+
+
+def test_psi_p2_rows_are_the_bessel_zeros():
+    """At p = 2 every psi row prints the 12 digits of j_(n/2-1,1)."""
+    ns = range(2, special.N_MAX + 1)
+    code, out, err = run_cli(["psi", "--p", "2", "--n",
+                              ",".join(map(str, ns)), "--format", "csv"])
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[1] for row in rows] == [str(n) for n in ns]
+    for n, row in zip(ns, rows):
+        assert row[2] == f"{special.bessel_first_zero(n / 2.0 - 1.0):.12g}"
 
 
 def test_psi_json_multiple():
@@ -129,8 +141,8 @@ def test_verify_rhombus_golden_rows():
     assert (code, err) == (0, "")
     assert out == (
         "m,level,mu1,r_m,dn_lower,dn_upper,dn_ok\n"
-        "8,3,6.48913088476,2.24413702974,5.78318596295,6.77542380674,true\n"
-        "16,3,5.94489230738,2.05592292739,5.78318596295,6.01200424997,true\n")
+        "8,3,6.48913088476,2.24413702977,5.78318596295,6.77542380674,true\n"
+        "16,3,5.94489230738,2.05592292742,5.78318596295,6.01200424997,true\n")
 
 
 # every column at 12 digits, on domains whose mu1 is simple: a double mu1
@@ -142,46 +154,46 @@ GOLDEN_CSV = {
         "domain,p,n,k_value,rule,area,width,diameter,main,ashbaugh_mercado,"
         "payne_weinberger,bct_corollary,symmetric_planar\n"
         "rectangle_3x1,2,2,0.816496580928,symmetric-convex-width,3,1,"
-        "3.16227766017,0.642576218115,0.444444444444,0.986960440109,"
-        "0.501326152798,0.642576218105\n"),
+        "3.16227766017,0.642576218105,0.444444444444,0.986960440109,"
+        "0.501326152806,0.642576218105\n"),
     "compare-bounds": (
         "compare-bounds --domain rhombus --m 8 --level 3",
         "domain,p,n,mu1,bound,value,ratio\n"
-        "rhombus_8,2,2,6.48913088476,main,5.78318596303,0.891211175386\n"
+        "rhombus_8,2,2,6.48913088476,main,5.78318596295,0.891211175372\n"
         "rhombus_8,2,2,6.48913088476,ashbaugh_mercado,4,0.616415367641\n"
         "rhombus_8,2,2,6.48913088476,payne_weinberger,2.89074020145,"
         "0.445474171008\n"
-        "rhombus_8,2,2,6.48913088476,bct_corollary,4.51193537519,"
-        "0.695306575767\n"
+        "rhombus_8,2,2,6.48913088476,bct_corollary,4.51193537525,"
+        "0.695306575777\n"
         "rhombus_8,2,2,6.48913088476,symmetric_planar,5.78318596295,"
         "0.891211175372\n"),
     "chiti": (
         "chiti --domain rectangle --a 2 --b 1 --q 2 --level 3",
         "domain,p,q,lhs,rhs,max_violation,mesh_level,s_at_max,"
         "comparison_measure,positive_measure,lemma_violated,margin\n"
-        "rectangle_2x1,2,2,0,0,0,3,0,0.578560444565,1,false,0.112308809408\n"),
+        "rectangle_2x1,2,2,0,0,0,3,0,0.578560444556,1,false,0.112308809415\n"),
     "rholder": (
         "rholder --domain rhombus --m 16 --q 4 --r 2 --level 3",
         "domain,p,q,r,lhs,rhs,max_violation,mesh_level,constant,ok\n"
-        "rhombus_16,2,4,2,1.28772452005,1.29626515175,0,3,1.83319575803,"
+        "rhombus_16,2,4,2,1.28772452005,1.29626515175,0,3,1.83319575804,"
         "true\n"),
     "bound-polygon": (
         "bound --domain polygon --k 8 --radius 0.37",
         "domain,p,n,k_value,rule,area,width,diameter,main,ashbaugh_mercado,"
         "payne_weinberger,bct_corollary,symmetric_planar\n"
         "polygon_8_r0.37,2,2,1.55377397403,symmetric-convex-width,"
-        "0.387211673378,0.683670854058,0.74,18.028699734,12.469735436,"
-        "18.0233827631,14.0656601082,18.0286997338\n"),
+        "0.387211673378,0.683670854058,0.74,18.0286997338,12.469735436,"
+        "18.0233827631,14.0656601084,18.0286997338\n"),
     "compare-bounds-polygon": (
         "compare-bounds --domain polygon --k 6 --level 3",
         "domain,p,n,mu1,bound,value,ratio\n"
-        "polygon_6_r1,2,2,4.04370800519,main,2.57030487246,0.63563068084\n"
+        "polygon_6_r1,2,2,4.04370800519,main,2.57030487242,0.635630680831\n"
         "polygon_6_r1,2,2,4.04370800519,ashbaugh_mercado,1.77777777778,"
         "0.439640492215\n"
         "polygon_6_r1,2,2,4.04370800519,payne_weinberger,2.46740110027,"
         "0.610182806747\n"
-        "polygon_6_r1,2,2,4.04370800519,bct_corollary,2.00530461119,"
-        "0.495907372298\n"
+        "polygon_6_r1,2,2,4.04370800519,bct_corollary,2.00530461122,"
+        "0.495907372305\n"
         "polygon_6_r1,2,2,4.04370800519,symmetric_planar,2.57030487242,"
         "0.635630680831\n"),
 }
@@ -197,8 +209,8 @@ def test_golden_csv(name):
 
 def test_verify_rhombus_reads_the_main_bound():
     """r_m is 2 mu1 / main and dn_lower is main, with main the bound
-    subcommand's value; dn_lower reaches j01 by bisection, main by shooting,
-    and the two routes differ by about 1.4e-11."""
+    subcommand's value; dn_lower reaches j01 from the Bessel zero, main by
+    shooting, and the two routes agree to about 1e-14."""
     code, out, err = run_cli(["verify-rhombus", "--m", "5,8,64", "--level",
                               "3"])
     assert (code, err) == (0, "")
@@ -210,6 +222,22 @@ def test_verify_rhombus_reads_the_main_bound():
         assert row["r_m"] == pytest.approx(2.0 * row["mu1"] / main,
                                            rel=1e-11), row
         assert row["dn_lower"] == pytest.approx(main, rel=1e-10), row
+
+
+def test_rhombus_main_and_dn_lower_print_one_j01_squared():
+    """Both columns are j01^2, one through the shot profile and one through
+    the Bessel zero, and they print the same 12 digits."""
+    code, out, _ = run_cli(["bound", "--domain", "rhombus", "--m", "8",
+                            "--format", "csv"])
+    assert code == 0
+    header, row = out.splitlines()
+    main = dict(zip(header.split(","), row.split(",")))["main"]
+    code, out, _ = run_cli(["verify-rhombus", "--m", "8", "--level", "3",
+                            "--format", "csv"])
+    assert code == 0
+    header, row = out.splitlines()
+    dn_lower = dict(zip(header.split(","), row.split(",")))["dn_lower"]
+    assert main == dn_lower == f"{J01 ** 2:.12g}"
 
 
 def test_rhombus_mu1_is_the_half_rhombus_mixed_value():
@@ -675,7 +703,7 @@ def test_suite_byte_order_mark(tmp_path):
     code, out, err = run_cli(["suite", str(path)])
     assert (code, err) == (0, "")
     assert out.splitlines() == ["p,n,psi,psi_p",
-                                "2,2,2.40482555771,5.78318596303",
+                                "2,2,2.4048255577,5.78318596295",
                                 "# line 1 ok: psi --p 2 --n 2",
                                 "# suite: 1 runs, 0 failures"]
 

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import jv
+from scipy.special import jn_zeros, jv
 
 from spectral_bounds import special
-from spectral_bounds.errors import ParameterError
+from spectral_bounds.errors import NumericError, ParameterError
 
 import oracles
 
@@ -46,6 +46,17 @@ def test_bessel_first_zero():
         special.bessel_first_zero(-0.5)
 
 
+def test_bessel_first_zero_to_a_few_ulp():
+    zeros = [special.bessel_first_zero(float(nu)) for nu in range(16)]
+    reference = [jn_zeros(nu, 1)[0] for nu in range(16)]
+    assert np.abs(np.subtract(zeros, reference)).max() <= 4 * np.spacing(
+        max(reference))
+    assert abs(special.bessel_first_zero(0.5) - math.pi) <= 4 * np.spacing(
+        math.pi)
+    # a Python float, so overflow downstream raises instead of warning
+    assert type(special.bessel_first_zero(0.0)) is float
+
+
 def test_normalized_bessel_profile():
     r = np.linspace(0.0, 3.0, 7)
     two = oracles.normalized_bessel_profile(2, r)
@@ -74,6 +85,14 @@ def test_psi_profile_matches_bessel_at_p2(n):
     assert np.abs(prof.value(grid) - exact).max() <= 1e-8
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_psi_profile_value_to_1e13_at_p2(n):
+    prof = special.psi_profile(2.0, n)
+    grid = np.linspace(0.0, prof.first_zero, 4097)
+    exact = oracles.normalized_bessel_profile(n, grid)
+    assert np.abs(prof.value(grid) - exact).max() <= 1e-13
+
+
 def test_dimension_range():
     n = special.N_MAX
     assert special.psi_profile(2.0, n).first_zero == pytest.approx(
@@ -81,6 +100,14 @@ def test_dimension_range():
     for bad in (1, n + 1):
         with pytest.raises(ParameterError, match=f"\\[2, {n}\\]"):
             special.psi_profile(2.0, bad)
+
+
+def test_profile_without_a_zero_is_a_numeric_error(monkeypatch):
+    # a constant solution stands in for a profile that never reaches 0
+    monkeypatch.setattr(special, "_profile_rhs",
+                        lambda p, n: lambda r, y: (0.0, 0.0))
+    with pytest.raises(NumericError, match="below r = 100"):
+        special.psi_profile.__wrapped__(2.0, 2)
 
 
 def test_profile_shape_invariants():
