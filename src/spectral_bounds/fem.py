@@ -4,10 +4,10 @@ Assembly produces scipy CSC matrices, the format the sparse LU factors:
 the stiffness matrix from the exact per-element gradient formula and the
 consistent mass matrix (area/12) [[2,1,1],[1,2,1],[1,1,2]]. The eigen
 solve factors the shifted stiffness matrix once and runs ARPACK
-shift-invert Lanczos on that factor, then polishes the pair with one
-inverse-iteration step on the same factor, deflating the constant mode in
-that step for the Neumann problem. Everything is deterministic: the start
-vector is drawn from a fixed-seed generator.
+shift-invert Lanczos on that factor at every problem size, then polishes
+the pair with one inverse-iteration step on the same factor, deflating the
+constant mode in that step for the Neumann problem. Everything is
+deterministic: the start vector is drawn from a fixed-seed generator.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, splu
 
 from .errors import ConvergenceError, ParameterError
@@ -25,9 +24,6 @@ from .geometry import Mesh, element_areas
 
 _SEED = 42
 _RES_TOL = 1e-9
-# up to this many unknowns ARPACK's default 20-vector Lanczos basis does not
-# fit; a dense generalized eigensolve is exact and cheap there
-_DENSE_SIZE = 20
 
 
 @dataclass
@@ -38,7 +34,7 @@ class EigenPair:
     has unit mass norm, and satisfies the residual bound checked at
     convergence.
     ``iterations`` counts the solves with the single LU factor: ARPACK's
-    shift-invert applications plus the polishing step.
+    shift-invert applications plus the polishing step, at every size.
     """
 
     value: float
@@ -90,8 +86,10 @@ def _inverse_iteration(K, M, shift: float, neumann: bool = False) -> EigenPair:
     with the single sparse LU of the shifted matrix and a fixed start
     vector; three Ritz pairs (two without the constant mode) resolve the
     nearly degenerate first pairs that symmetric domains split by a high
-    power of h. One inverse-iteration step on the same factor polishes
-    the pair. The
+    power of h. ARPACK caps its Lanczos basis at the n unknowns, so this
+    one path serves every n above the k Ritz pairs: a Neumann mesh has at
+    least 4 nodes for k = 3, a 1-D grid at least 4 cells for k = 2.
+    One inverse-iteration step on the same factor polishes the pair. The
     residual is measured in the M^-1 norm by Jacobi-preconditioned CG on M
     (on P1 triangles the Jacobi-scaled mass matrix has condition number at
     most 4), relative to the eigenvalue, and must be below _RES_TOL; the
@@ -113,16 +111,13 @@ def _inverse_iteration(K, M, shift: float, neumann: bool = False) -> EigenPair:
 
     k = 3 if neumann else 2
     n = K.shape[0]
-    if n <= _DENSE_SIZE:
-        values, vectors = eigh(K.toarray(), M.toarray())
-    else:
-        v0 = np.random.default_rng(_SEED).standard_normal(n)
-        try:
-            values, vectors = eigsh(
-                K, k, M=M, sigma=-shift, v0=v0, tol=0,
-                OPinv=LinearOperator((n, n), matvec=solve, dtype=float))
-        except ArpackError as ex:
-            raise ConvergenceError(f"ARPACK failed: {ex}") from None
+    v0 = np.random.default_rng(_SEED).standard_normal(n)
+    try:
+        values, vectors = eigsh(
+            K, k, M=M, sigma=-shift, v0=v0, tol=0,
+            OPinv=LinearOperator((n, n), matvec=solve, dtype=float))
+    except ArpackError as ex:
+        raise ConvergenceError(f"ARPACK failed: {ex}") from None
     v = solve(M @ vectors[:, np.argsort(values)[1 if neumann else 0]])
     if neumann:
         mass_ones = M @ np.ones(n)

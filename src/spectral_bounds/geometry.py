@@ -204,14 +204,14 @@ def element_areas(mesh: Mesh) -> np.ndarray:
 class EdgeTable(NamedTuple):
     """Undirected edges of one mesh, numbered in first-encounter order.
 
-    edges[e] is the vertex pair (lo, hi) of edge e with lo < hi, counts[e]
-    the number of elements sharing it, and element_edges[f] the ids of the
-    sides (0,1), (1,2), (2,0) of element f.
+    edges[e] is the vertex pair (lo, hi) of edge e with lo < hi, and
+    element_edges[f] the ids of the sides (0,1), (1,2), (2,0) of element f:
+    the two arrays refine reads. The number of elements sharing edge e is
+    np.bincount(element_edges.ravel())[e].
     """
 
     edges: np.ndarray
     element_edges: np.ndarray
-    counts: np.ndarray
 
 
 def _edge_keys(pairs, node_count: int) -> np.ndarray:
@@ -224,16 +224,14 @@ def edge_table(mesh: Mesh) -> EdgeTable:
     """The mesh's edge table from one ``np.unique`` pass over its sides."""
     sides = np.stack([mesh.elements, np.roll(mesh.elements, -1, axis=1)],
                      axis=2).reshape(-1, 2)
-    _, first, inverse, counts = np.unique(
-        _edge_keys(sides, mesh.node_count), return_index=True,
-        return_inverse=True, return_counts=True)
+    _, first, inverse = np.unique(_edge_keys(sides, mesh.node_count),
+                                  return_index=True, return_inverse=True)
     # np.unique numbers edges by key; renumber them by first encounter
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return EdgeTable(edges=np.sort(sides[first[order]], axis=1),
-                     element_edges=rank[inverse].reshape(-1, 3),
-                     counts=counts[order])
+                     element_edges=rank[inverse].reshape(-1, 3))
 
 
 def triangulate(spec: DomainSpec) -> Mesh:

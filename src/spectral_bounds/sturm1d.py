@@ -281,6 +281,8 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
         # would raise the peak resident size
         del lu
         slope = float(grad @ direction)
+        # Armijo backtracking; only the stop rule above ends a descent, so
+        # a search that finds no step is a stall
         accepted = False
         if slope > 0.0:
             while step > 1e-14:
@@ -291,10 +293,6 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
                     break
                 step *= 0.5
         if not accepted:
-            # descent exhausted at floating point resolution; only accept
-            # if the quotient had already stabilized
-            if change <= 1e-6 * quotient:
-                return _solution(s, phi, quotient, coarse_steps + iteration)
             raise NumericError(
                 "quotient minimization stalled at "
                 f"{quotient!r} after {iteration} steps")

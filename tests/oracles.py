@@ -9,13 +9,16 @@ geometry.DomainSpec. ``validate_mesh`` checks a mesh's topology and area;
 ``scaled`` rescales a mesh for covariance tests; ``half_rhombus`` cuts the
 mesh of the mixed problem whose eigenvalue is the rhombus mu1, and
 ``constrained_pair`` solves that problem and the Dirichlet one, which the
-library does not.
+library does not. ``dense_pair`` is the second route for the library's
+sparse eigensolver, on the FEM matrices or on ``sturm_linear_pencil``.
 """
 
 import dataclasses
 import math
 
 import numpy as np
+import scipy.sparse as sparse
+from scipy.linalg import eigh
 from scipy.special import jv
 
 from spectral_bounds import (bounds, fem, geometry, rearrangement, special,
@@ -59,7 +62,8 @@ def max_edge_length(mesh: geometry.Mesh) -> float:
 def undirected_edges(mesh: geometry.Mesh) -> dict[tuple[int, int], int]:
     """Multiplicity of each undirected element edge."""
     table = geometry.edge_table(mesh)
-    return dict(zip(map(tuple, table.edges.tolist()), table.counts.tolist()))
+    counts = np.bincount(table.element_edges.ravel())
+    return dict(zip(map(tuple, table.edges.tolist()), counts.tolist()))
 
 
 def validate_mesh(mesh: geometry.Mesh, area: float | None = None) -> float:
@@ -71,10 +75,10 @@ def validate_mesh(mesh: geometry.Mesh, area: float | None = None) -> float:
     areas = geometry.element_areas(mesh)
     if np.any(areas <= 0.0):
         raise ParameterError("mesh has non-positive element areas")
-    table = geometry.edge_table(mesh)
-    if np.any(table.counts > 2):
+    counts = np.bincount(geometry.edge_table(mesh).element_edges.ravel())
+    if np.any(counts > 2):
         raise ParameterError("mesh edge shared by more than two elements")
-    euler = mesh.node_count - len(table.counts) + mesh.element_count
+    euler = mesh.node_count - len(counts) + mesh.element_count
     if euler != 1:
         raise ParameterError(f"Euler relation violated: V - E + F = {euler}")
     total = float(np.sum(areas))
@@ -94,7 +98,8 @@ def boundary_nodes(mesh: geometry.Mesh) -> np.ndarray:
     """Nodes on the mesh's topological boundary: the ends of the edges only
     one element has."""
     table = geometry.edge_table(mesh)
-    return np.unique(table.edges[table.counts == 1])
+    counts = np.bincount(table.element_edges.ravel())
+    return np.unique(table.edges[counts == 1])
 
 
 def constrained_pair(mesh: geometry.Mesh, zero) -> fem.EigenPair:
@@ -105,18 +110,48 @@ def constrained_pair(mesh: geometry.Mesh, zero) -> fem.EigenPair:
     Solves the assembled matrices restricted to the free nodes with the
     library's eigensolver and re-embeds the vector, zero on ``zero``. An
     empty ``zero`` is refused, as that is the Neumann problem, and so is a
-    mesh with no free node.
+    mesh with fewer than 3 free nodes: ARPACK needs more unknowns than the
+    solver's 2 Ritz pairs.
     """
     if not len(zero):
         raise ParameterError("mixed problem needs at least one zero node")
     free = np.setdiff1d(np.arange(mesh.node_count), zero)
-    if free.size == 0:
-        raise ParameterError("no interior nodes; refine the mesh")
+    if free.size < 3:
+        raise ParameterError(
+            f"{free.size} of the 3 free nodes the eigensolver needs; "
+            "refine the mesh")
     pair = fem._inverse_iteration(fem.assemble_stiffness(mesh)[free][:, free],
                                   fem.assemble_mass(mesh)[free][:, free], 0.0)
     vector = np.zeros(mesh.node_count)
     vector[free] = pair.vector
     return dataclasses.replace(pair, vector=vector)
+
+
+def dense_pair(K, M) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenvalue of the pencil (K, M), ascending, with M-orthonormal
+    eigenvectors, from scipy's dense generalized eigensolver."""
+    return eigh(K.toarray(), M.toarray())
+
+
+def sturm_linear_pencil(problem: sturm1d.SturmProblem):
+    """(K, M) of the gamma = 2 quotient on the problem's graded grid, over
+    nodes 1..N: the stiffness with cell weights 1/h, and the mass of the
+    weight s^(-beta) from the descent's Gauss-Legendre table, in closed
+    form on the first cell."""
+    s = sturm1d._graded_grid(problem.length, problem.n_cells)
+    w = 1.0 / np.diff(s)
+    main = w.copy()
+    main[:-1] += w[1:]
+    K = sparse.diags([main, -w[1:], -w[1:]], [0, 1, -1], format="csc")
+    beta = problem.beta
+    wq, xi = sturm1d._weight_quadrature(s, beta)
+    diag = np.zeros(problem.n_cells)
+    diag[0] = s[1] ** (1.0 - beta) / (3.0 - beta)
+    diag[:-1] += np.sum(wq * (1.0 - xi) ** 2, axis=1)
+    diag[1:] += np.sum(wq * xi ** 2, axis=1)
+    off = np.sum(wq * xi * (1.0 - xi), axis=1)
+    M = sparse.diags([diag, off, off], [0, 1, -1], format="csc")
+    return K, M
 
 
 def half_rhombus(mesh: geometry.Mesh) -> tuple[geometry.Mesh, np.ndarray]:

@@ -8,7 +8,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 from scipy.special import jnp_zeros
 
@@ -186,8 +185,8 @@ def test_one_factorization_per_solve(monkeypatch):
 def test_square_double_mu1_converges():
     """The square's continuum mu1 is double; on the mesh it splits into a
     pair closer than 1e-5 relative (8e-11 at level 6). The solve returns
-    the lower one with a certified residual, on the dense small-mesh route
-    (level 1) and the Lanczos one alike."""
+    the lower one with a certified residual at every level; the reference
+    spectrum is the dense pencil's at level 1 and Lanczos's above."""
     for level in (1, 3, 5, 6):
         mesh = pipelines.mesh(pipelines.SQUARE, level)
         pair = fem.solve_neumann_mu1(mesh)
@@ -195,7 +194,7 @@ def test_square_double_mu1_converges():
         K = fem.assemble_stiffness(mesh)
         M = fem.assemble_mass(mesh)
         if level == 1:
-            vals = eigh(K.toarray(), M.toarray(), eigvals_only=True)
+            vals = oracles.dense_pair(K, M)[0]
         else:
             v0 = np.random.default_rng(0).standard_normal(mesh.node_count)
             vals = eigsh(K, k=4, M=M, sigma=-1.0, v0=v0,
@@ -203,6 +202,30 @@ def test_square_double_mu1_converges():
         mu = np.sort(vals)
         assert mu[2] - mu[1] <= 1e-5 * mu[1]
         assert pair.value == pytest.approx(mu[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    pipelines.SQUARE, pipelines.RECT21, geometry.make_rhombus(8),
+    geometry.make_regular_polygon(6), geometry.make_regular_polygon(8),
+], ids=["square", "rectangle", "rhombus8", "hexagon", "octagon"])
+def test_neumann_matches_dense_pencil(spec):
+    """Second route: a dense generalized eigensolve of the same matrices.
+    ARPACK runs at every size, the 4-node base meshes included."""
+    for level in range(3):
+        mesh = pipelines.mesh(spec, level)
+        values, _ = oracles.dense_pair(fem.assemble_stiffness(mesh),
+                                       fem.assemble_mass(mesh))
+        assert fem.solve_neumann_mu1(mesh).value == pytest.approx(
+            values[1], rel=1e-12)
+
+
+def test_thin_rectangle_extended_precision():
+    """The 1000 x 1 rectangle at level 1 (9 nodes): mu1 of the same float
+    matrices, by mpmath.eig at 40 and 80 digits, is 1.1999999248694275e-05.
+    The solve must lie within 1e-11 relative of it."""
+    mesh = pipelines.mesh(geometry.make_rectangle(1000.0, 1.0), 1)
+    assert fem.solve_neumann_mu1(mesh).value == pytest.approx(
+        1.1999999248694275e-05, rel=1e-11, abs=0.0)
 
 
 def test_mixed_equals_rhombus_neumann():
@@ -258,14 +281,23 @@ def test_neumann_bits():
 
 def test_dirichlet_is_the_mixed_solve_on_the_boundary():
     """The Dirichlet pair is the constrained pair with every boundary node
-    zero, bit for bit as the separate solve it replaced; a mesh with no
-    free node is refused."""
+    zero, bit for bit as the separate solve it replaced; a mesh with fewer
+    free nodes than ARPACK needs (0, 1 or 2) is refused, and 3 solve."""
     for spec, level, bits, iterations in DIRICHLET_BITS:
         pair = pipelines.dirichlet(spec, level)
         assert (pair.value.hex(), pair.iterations) == (bits, iterations)
     triangle = _single_triangle()
-    with pytest.raises(ParameterError, match="no interior nodes"):
-        oracles.constrained_pair(triangle, oracles.boundary_nodes(triangle))
+    square = pipelines.mesh(pipelines.SQUARE, 1)
+    nodes = np.arange(square.node_count)
+    # the square's level-1 Dirichlet problem has one free node
+    for mesh, zero, free in [
+            (triangle, oracles.boundary_nodes(triangle), 0),
+            (square, oracles.boundary_nodes(square), 1),
+            (square, nodes[2:], 2)]:
+        with pytest.raises(ParameterError, match=f"^{free} of the 3 free"):
+            oracles.constrained_pair(mesh, zero)
+    pair = oracles.constrained_pair(square, nodes[3:])
+    assert pair.value > 0.0 and pair.residual <= fem._RES_TOL
 
 
 def test_richardson():

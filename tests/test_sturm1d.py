@@ -16,7 +16,8 @@ import scipy.sparse as sparse
 from scipy import integrate
 
 from spectral_bounds import fem, special, sturm1d
-from spectral_bounds.errors import ConvergenceError, ParameterError
+from spectral_bounds.errors import (ConvergenceError, NumericError,
+                                    ParameterError)
 from spectral_bounds.rearrangement import CHECK_TOL, dirichlet_ball_profile
 from spectral_bounds.sturm1d import (MAX_CELLS, MAX_LINEAR_CELLS,
                                      SturmProblem, solve)
@@ -48,6 +49,16 @@ def test_linear_residual_certified(monkeypatch, length):
     assert len(pairs) == 1 and pairs[0].residual <= fem._RES_TOL
     assert sol.sigma == pairs[0].value
     assert sol.sigma == pytest.approx(J01 ** 2 / (4.0 * length), rel=1e-4)
+
+
+@pytest.mark.parametrize("n", [4, 19, 256, 1024])
+@pytest.mark.parametrize("beta,length", [(1.0, 1.0), (0.5, 1.7), (1.7, 0.5)])
+def test_linear_matches_dense_pencil(n, beta, length):
+    """Second route for gamma = 2: a dense generalized eigensolve of the
+    pencil built from the grid and the weight's quadrature table."""
+    problem = SturmProblem(gamma=2.0, beta=beta, length=length, n_cells=n)
+    values, _ = oracles.dense_pair(*oracles.sturm_linear_pencil(problem))
+    assert solve(problem).sigma == pytest.approx(values[0], rel=1e-10)
 
 
 def _cell_mass(s, beta, i):
@@ -270,6 +281,40 @@ def test_descent_keeps_no_state_between_solves():
     _fingerprint(*first)
     after = _fingerprint(*second)
     assert before == after
+
+
+def test_descent_without_a_step_is_a_stall(monkeypatch):
+    # only the stop rule ends a descent: once the per-step change is within
+    # 1e-6 of the quotient but not yet within _QUOTIENT_TOL, an uphill
+    # direction leaves the line search no step, and that is an error
+    problem = SturmProblem(gamma=1.5, beta=0.75, length=1.0, n_cells=512)
+    steps = solve(problem).iterations
+    monkeypatch.setattr(sturm1d, "_QUOTIENT_TOL", 1e-6)
+    # one factor per step on one grid: this many precede the 1e-6 stop
+    settled = solve(problem).iterations - 1
+    monkeypatch.undo()
+    assert settled < steps - 1
+
+    class Uphill:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            return -self.lu.solve(rhs)
+
+    factors = 0
+    real_splu = sturm1d.splu
+
+    def reversing(matrix, **options):
+        nonlocal factors
+        factors += 1
+        lu = real_splu(matrix, **options)
+        return Uphill(lu) if factors > settled else lu
+
+    monkeypatch.setattr(sturm1d, "splu", reversing)
+    with pytest.raises(NumericError, match="stalled"):
+        solve(problem)
+    assert factors == settled + 1
 
 
 def test_descent_singular_factor_is_a_convergence_error(monkeypatch):
