@@ -100,6 +100,8 @@ def bct_corollary(n: int, K: float, area: float) -> float:
     (2/n) (log f(1) - (k(q) - k(1))/(q - 1)). k is convex (Holder), so the
     secant slope grows with q and the term falls: the supremum over q > 1
     is the q -> 1 limit, with k'(1) from RadialProfile.log_integral_slope.
+    psi is the same profile's zero, so its square cancels the psi^-2 in
+    f(1)^(2/n) and the bound reads only that profile's panel sums.
     """
     if K <= 0.0 or area <= 0.0:
         raise ParameterError(f"need K, area > 0, got K={K}, area={area}")
@@ -107,8 +109,8 @@ def bct_corollary(n: int, K: float, area: float) -> float:
     best = 2.0 / n * (profile.log_power_mean(1.0)
                       - profile.log_integral_slope())
     alpha = (K / special.classical_constant(n)) ** 2
-    j = special.bessel_first_zero(n / 2.0 - 1.0)
-    scale = 2.0 ** (2.0 / n) * alpha * j * j
+    psi = profile.first_zero
+    scale = 2.0 ** (2.0 / n) * alpha * psi * psi
     return scale * math.exp(best) / (area / special.omega_n(n)) ** (2.0 / n)
 
 
@@ -169,19 +171,13 @@ class SharedSolves:
         return self._values[key]
 
     def mesh(self, spec: DomainSpec, level: int) -> geometry.Mesh:
-        """Level ``level`` of the refinement chain of spec's base mesh; the
-        base mesh is built, and refuses its own size, before a level < 0 is
-        refused."""
-        def build():
-            if level > 0:
-                return geometry.refine(self.mesh(spec, level - 1))
-            base = geometry.triangulate(spec)
-            if level < 0:
-                raise ParameterError(
-                    f"refinement level must be >= 0, got {level}")
-            return base
-
-        return self._once(("mesh", spec, level), build)
+        """Level ``level`` of the refinement chain of spec's base mesh; a
+        level < 0 is refused."""
+        if level < 0:
+            raise ParameterError(f"refinement level must be >= 0, got {level}")
+        return self._once(("mesh", spec, level), lambda: (
+            geometry.refine(self.mesh(spec, level - 1)) if level > 0
+            else geometry.triangulate(spec)))
 
     def neumann(self, spec: DomainSpec, level: int) -> fem.EigenPair:
         return self._once(("neumann", spec, level), lambda: (

@@ -227,6 +227,7 @@ def _cmd_verify_rhombus(args, solves):
 
 def _cmd_chiti(args, solves):
     _require_p2(args.p)
+    special.check_exponent(args.q)
     spec, profile, ball = _ball_comparison(args, solves)
     report = rearrangement.chiti_check(profile, ball, args.q)
     return {
@@ -243,6 +244,7 @@ def _cmd_rholder(args, solves):
     _require_p2(args.p)
     if not (0.0 < args.r < args.q):
         raise ParameterError(f"need 0 < r < q, got r={args.r}, q={args.q}")
+    special.check_exponent(args.q)
     spec, profile, ball = _ball_comparison(args, solves)
     report = rearrangement.reverse_holder_check(profile, ball, q=args.q,
                                                 r=args.r)

@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 from .geometry import Mesh, element_areas
-from .special import Q_MAX, classical_constant, omega_n, psi_profile
+from .special import (check_exponent, classical_constant, omega_n,
+                      psi_profile)
 
 CHECK_TOL = 1e-3
 _CHITI_GRID = 2048
@@ -395,8 +396,7 @@ def chiti_check(u_profile: RearrangedProfile,
     (rhs - lhs)/rhs over the grid points s > 0, positive when the
     domination holds with room.
     """
-    if not 0.0 < q <= Q_MAX:
-        raise ParameterError(f"exponent must lie in (0, {Q_MAX:g}], got {q}")
+    check_exponent(q)
     L = ball_profile.measure
     s_tilde = u_profile.positive_measure
     lemma_violated = L > s_tilde + CHECK_TOL * u_profile.domain_measure

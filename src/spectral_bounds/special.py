@@ -12,9 +12,11 @@ Bessel functions, which is what the tests check against.
 
 One integrator serves the whole module: Dormand and Prince's 12-stage,
 order-8 Runge-Kutta step DOP853. Hairer's compiled code marches the ODE with
-error control and keeps a table of its accepted steps; every later value of
-Psi, the Newton iterates for its zero included, is one more DOP853 step from
-the start of the table step holding the radius.
+error control and keeps a table of its accepted step starts. Newton
+iterates for the zero are DOP853 steps from the last start, and the zero's
+own state ends the table; every value of Psi is then one more DOP853 step
+from the table point nearest the radius, backward when that point lies
+beyond it.
 """
 
 from __future__ import annotations
@@ -53,9 +55,6 @@ _GL_SHARE = np.polynomial.legendre.legint(
     * np.polynomial.legendre.legvander(GL_NODES, 15).T, lbnd=-1.0, axis=0)
 _BULK_PANELS = 32
 _TAIL_PANELS = 60
-#: Distance from the zero (relative to psi) below which the local Taylor
-#: model replaces ``RadialProfile.value`` when evaluating log Psi.
-_TAIL_MODEL_CUT = 1e-6
 #: Radius where the shooting starts from the series expansion, and below
 #: which ``RadialProfile.value`` evaluates that expansion.
 _SERIES_R0 = 1e-4
@@ -65,6 +64,13 @@ _NEWTON_CAP = 8
 #: Butcher tableau of the DOP853 step: stage nodes C, stage weights A and
 #: the weights B of the eighth-order solution.
 _A, _B, _C = DOP853.A, DOP853.B, DOP853.C
+
+
+def check_exponent(q: float) -> None:
+    """Refuse an exponent of the power means and power checks outside
+    (0, Q_MAX]."""
+    if not 0.0 < q <= Q_MAX:
+        raise ParameterError(f"exponent must lie in (0, {Q_MAX:g}], got {q}")
 
 
 def omega_n(n: int) -> float:
@@ -115,18 +121,19 @@ def bessel_first_zero(nu: float) -> float:
 class RadialProfile:
     """Radial eigenprofile of the p-Laplacian on the ball, up to its zero.
 
-    ``value`` evaluates the solution by one DOP853 step from the start of
-    the shooting step holding each radius; integrals of t^(n-1) Psi^q over
-    (0, x) all run on one cached panel table.
+    ``value`` evaluates the solution by one DOP853 step from the table
+    point nearest each radius, so a radius near the zero steps back from
+    the zero itself and keeps its relative accuracy; integrals of
+    t^(n-1) Psi^q over (0, x) all run on one cached panel table.
     """
 
     p: float
     n: int
     first_zero: float
     #: rows r, Psi, Q of the accepted step starts of the shooting, from the
-    #: series start to the last start with Psi > 0
+    #: series start to the last start with Psi > 0, then the zero's own
+    #: state (first_zero, 0, Q(first_zero))
     _steps: np.ndarray = field(repr=False)
-    _slope_at_zero: float = field(repr=False)
 
     def value(self, r):
         """Evaluate Psi at radii in [0, first_zero] (0 beyond the zero); a
@@ -139,7 +146,9 @@ class RadialProfile:
         out[near] = 1.0 - c * r[near] ** kappa + c2 * r[near] ** (2.0 * kappa)
         mid = (~near) & (r <= self.first_zero)
         if np.any(mid):
-            k = np.searchsorted(self._steps[0], r[mid], side="right") - 1
+            grid = self._steps[0]
+            # k midpoints lie below r, so table point k is the nearest
+            k = np.searchsorted(0.5 * (grid[:-1] + grid[1:]), r[mid])
             start, psi, q = self._steps[:, k]
             out[mid] = _dop853_step(_profile_rhs(self.p, self.n), start,
                                     (psi, q), r[mid] - start)[0]
@@ -164,19 +173,9 @@ class RadialProfile:
         half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
         t = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * GL_NODES
         w = half * GL_WEIGHTS
-        u = psi - t
-        deep = u < _TAIL_MODEL_CUT * psi
-        logpsi = np.empty_like(t)
-        vals = self.value(t[~deep])
-        logpsi[~deep] = np.log(vals)
-        # Near the zero value() loses relative accuracy, but
-        # Psi(psi - u) = a u (1 + b u + O(u^2)) with coefficients fixed by the
-        # ODE at the zero, so switch to that model.
-        a = self._slope_at_zero
-        b = (self.n - 1.0) / (2.0 * (self.p - 1.0) * psi)
+        # the zero-width panels' nodes sit on the zero, where log Psi = -inf
         with np.errstate(divide="ignore"):
-            logpsi[deep] = (math.log(a) + np.log(u[deep])
-                            + np.log1p(b * u[deep]))
+            logpsi = np.log(self.value(t))
         return edges, w * t ** (self.n - 1), logpsi
 
     def power_integral(self, q: float, x):
@@ -196,21 +195,22 @@ class RadialProfile:
         out = np.where(x > 0.0, cum[-1], 0.0)
         # 0 < x < psi gives edges[k] <= x < edges[k+1], a panel of nonzero width
         inside = (x > 0.0) & (x < edges[-1])
-        k = np.searchsorted(edges, x[inside], side="right") - 1
-        xi = 2.0 * (x[inside] - edges[k]) / (edges[k + 1] - edges[k]) - 1.0
-        share = np.polynomial.legendre.legvander(xi, 16) @ _GL_SHARE
-        out[inside] = cum[k] + np.einsum("ij,ij->i", share, terms[k])
+        # legvander takes about 0.13 ms even on an empty array, ten times the
+        # panel sums, and log_power_mean asks only for the total
+        if np.any(inside):
+            k = np.searchsorted(edges, x[inside], side="right") - 1
+            width = edges[k + 1] - edges[k]
+            xi = 2.0 * (x[inside] - edges[k]) / width - 1.0
+            share = np.polynomial.legendre.legvander(xi, 16) @ _GL_SHARE
+            out[inside] = cum[k] + np.einsum("ij,ij->i", share, terms[k])
         return float(out[0]) if arr.ndim == 0 else out
 
     def log_power_mean(self, s: float) -> float:
         """log f(s) with f(s) = (n/psi^n int_0^psi t^(n-1) Psi^s dt)^(1/s)."""
-        if not 0.0 < s <= Q_MAX:
-            raise ParameterError(
-                f"exponent must lie in (0, {Q_MAX:g}], got {s}")
-        _, base, logpsi = self._panels
-        integral = float(base.ravel() @ np.exp(s * logpsi.ravel()))
-        return (math.log(self.n) - self.n * math.log(self.first_zero)
-                + math.log(integral)) / s
+        check_exponent(s)
+        psi = self.first_zero
+        return (math.log(self.n) - self.n * math.log(psi)
+                + math.log(self.power_integral(s, psi))) / s
 
     def log_integral_slope(self) -> float:
         """k'(1) for k(q) = log int_0^psi t^(n-1) Psi^q dt: the mean of
@@ -274,8 +274,8 @@ def psi_profile(p: float, n: int) -> RadialProfile:
     zeros to the Bessel zeros within 1e-13 relative for every n in
     [2, N_MAX]. Newton on the radius, r -= Psi / Psi' with
     Psi' = -|Q|^(1/(p-1)), then places the zero inside that step; each
-    iterate is one DOP853 step from the step's start, the last one also
-    giving the slope at the zero.
+    iterate is one DOP853 step from the step's start, and the last one's
+    flux Q ends the table as the zero's state (psi, 0, Q).
     """
     p = float(p)
     if not 2.0 <= p <= P_MAX:
@@ -304,8 +304,7 @@ def psi_profile(p: float, n: int) -> RadialProfile:
                            f"below r = 100")
     r, psi, q = starts[-1]
     for _ in range(_NEWTON_CAP):
-        slope = abs(q_x) ** (1.0 / (p - 1.0))
-        dx = psi_x / slope
+        dx = psi_x / abs(q_x) ** (1.0 / (p - 1.0))
         x += dx
         if abs(dx) <= 1e-15 * x:
             break
@@ -313,8 +312,8 @@ def psi_profile(p: float, n: int) -> RadialProfile:
     else:
         raise NumericError(f"Newton found no zero of the radial profile for "
                            f"p={p}, n={n}")
-    return RadialProfile(p=p, n=n, first_zero=x, _steps=np.array(starts).T,
-                         _slope_at_zero=slope)
+    return RadialProfile(p=p, n=n, first_zero=x,
+                         _steps=np.array(starts + [(x, 0.0, q_x)]).T)
 
 
 def lambda1_sharp(p: float, n: int, area: float) -> float:

@@ -11,6 +11,8 @@ mesh of the mixed problem whose eigenvalue is the rhombus mu1, and
 ``constrained_pair`` solves that problem and the Dirichlet one, which the
 library does not. ``dense_pair`` is the second route for the library's
 sparse eigensolver, on the FEM matrices or on ``sturm_linear_pencil``.
+``near_zero_profile`` is the local model of the radial profile at its zero
+that ``RadialProfile.value`` is held to there.
 """
 
 import dataclasses
@@ -184,6 +186,22 @@ def normalized_bessel_profile(n: int, r):
     nz = r != 0.0
     out[nz] = math.gamma(n / 2.0) * (2.0 / r[nz]) ** nu * jv(nu, r[nz])
     return out if out.ndim else float(out)
+
+
+def zero_slope(profile: special.RadialProfile) -> float:
+    """-Psi'(psi) = |Q(psi)|^(1/(p-1)), read from the zero's state, the last
+    row of the profile's shooting table."""
+    return abs(profile._steps[2, -1]) ** (1.0 / (profile.p - 1.0))
+
+
+def near_zero_profile(profile: special.RadialProfile, u):
+    """Psi(psi - u) = a u (1 + b u) + O(u^3), a the zero slope and
+    b = (n-1) / (2 (p-1) psi): at the zero the ODE reduces to
+    (p-1) Psi'' = -(n-1)/psi Psi', which fixes the second-order term."""
+    psi = profile.first_zero
+    b = (profile.n - 1.0) / (2.0 * (profile.p - 1.0) * psi)
+    u = np.asarray(u, dtype=float)
+    return zero_slope(profile) * u * (1.0 + b * u)
 
 
 def ball_profile_value(ball: rearrangement.BallComparisonProfile,

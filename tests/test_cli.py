@@ -369,6 +369,24 @@ def test_byte_determinism():
         assert first == second
 
 
+class _NoSolves(bounds.SharedSolves):
+    """A memo whose every eigen solve fails the test."""
+
+    def neumann(self, spec, level):
+        raise AssertionError(f"solved {spec.label} at level {level}")
+
+
+def test_exponent_is_refused_before_any_solve():
+    for argv in (["chiti", "--domain", "square", "--q", "60",
+                  "--level", "7"],
+                 ["rholder", "--domain", "square", "--q", "60", "--r", "1",
+                  "--level", "7"]):
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.dispatch(argv, out=out, err=err, solves=_NoSolves())
+        assert (code, out.getvalue(), err.getvalue()) == (
+            2, "", "error: exponent must lie in (0, 50], got 60.0\n")
+
+
 def test_usage_errors(capsys):
     # argparse's rejections come back as one line on the err stream
     for argv, text in (([], "required: command"),

@@ -1,17 +1,19 @@
-"""Package layout: no module leans on another module's private names, and
+"""Package layout: no module leans on another module's private names,
 every public module-level function and class, and every public method of a
-module-level class, is named somewhere in the library.
+module-level class, is named somewhere in the library, and every name the
+benchmark tracer in perfbench/ wraps is still there.
 
-The sources are parsed with ast, not imported, so a private name reached
-through `from .x import _y`, `from spectral_bounds.x import _y` or an
-attribute `x._y` of a sibling module bound by `from . import x` is found
-wherever it sits in the file.
+The first two checks parse the sources with ast instead of importing them,
+so a private name reached through `from .x import _y`,
+`from spectral_bounds.x import _y` or an attribute `x._y` of a sibling
+module bound by `from . import x` is found wherever it sits in the file.
 """
 
 import ast
 from pathlib import Path
 
 import spectral_bounds
+from spectral_bounds import fem, geometry, rearrangement, special, sturm1d
 
 PACKAGE = Path(spectral_bounds.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py")
@@ -99,3 +101,19 @@ def test_every_public_function_is_named_in_the_library():
                if name not in used}
     assert unnamed - NAMED_OUTSIDE == set(), "public code nothing names"
     assert NAMED_OUTSIDE - unnamed == set(), "stale allowed exception"
+
+
+def test_names_the_benchmark_tracer_wraps_exist():
+    # the tracer patches these by name, and reads a rearranged profile's
+    # piece breaks, so a rename would break only the benchmark run
+    for owner, name in ((fem, "_inverse_iteration"), (fem, "splu"),
+                        (sturm1d, "splu"),
+                        (special.RadialProfile, "value"),
+                        (special.RadialProfile, "log_power_mean"),
+                        (special.psi_profile, "cache_info"),
+                        (special.psi_profile, "cache_clear"),
+                        (special, "bessel_first_zero")):
+        assert callable(getattr(owner, name, None)), name
+    mesh = geometry.triangulate(geometry.make_rectangle(1.0, 1.0))
+    profile = rearrangement.rearrange_oriented(mesh, mesh.nodes[:, 0])
+    assert len(profile.pieces.breaks) > 0

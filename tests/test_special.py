@@ -93,6 +93,24 @@ def test_psi_profile_value_to_1e13_at_p2(n):
     assert np.abs(prof.value(grid) - exact).max() <= 1e-13
 
 
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 6.0, 10.0])
+@pytest.mark.parametrize("n", [2, 3, 32])
+def test_value_near_the_zero(p, n):
+    """Psi(psi - u) keeps its relative accuracy as u -> 0: each radius is
+    stepped back from the zero itself. u is the distance the float radius
+    really has."""
+    prof = special.psi_profile(p, n)
+    psi = prof.first_zero
+    r = psi - psi * np.geomspace(1e-12, 1e-8, 9)
+    model = oracles.near_zero_profile(prof, psi - r)
+    assert np.abs(prof.value(r) / model - 1.0).max() <= 1e-13
+    # no negative value for the panel table's log Psi to meet
+    assert prof.value(psi) == 0.0
+    grid = np.concatenate([np.linspace(0.0, psi, 4097), r,
+                           [np.nextafter(psi, 0.0)]])
+    assert np.all(prof.value(grid) >= 0.0)
+
+
 def test_dimension_range():
     n = special.N_MAX
     assert special.psi_profile(2.0, n).first_zero == pytest.approx(
@@ -224,7 +242,7 @@ def test_log_integral_slope_quadpack_oracle(p, n):
 
     def g(t):
         gap = psi - t
-        return prof._slope_at_zero if gap < 1e-9 else prof.value(t) / gap
+        return oracles.zero_slope(prof) if gap < 1e-9 else prof.value(t) / gap
 
     opts = dict(limit=200, epsabs=1e-14, epsrel=1e-13)
     smooth, _ = integrate.quad(
