@@ -1,7 +1,7 @@
 """Package layout: no module leans on another module's private names,
 every public module-level function and class, and every public method of a
 module-level class, is named somewhere in the library, and every name the
-benchmark tracer in perfbench/ wraps is still there.
+benchmark in perfbench/ wraps or calls is still there.
 
 The first two checks parse the sources with ast instead of importing them,
 so a private name reached through `from .x import _y`,
@@ -10,12 +10,15 @@ module bound by `from . import x` is found wherever it sits in the file.
 """
 
 import ast
+import importlib.util
+import io
 from pathlib import Path
 
 import spectral_bounds
-from spectral_bounds import fem, geometry, rearrangement, special, sturm1d
+from spectral_bounds import bounds, cli, special
 
 PACKAGE = Path(spectral_bounds.__file__).parent
+BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py")
                  if path.stem != "__init__")
 # (importer, owner, name). sturm1d shares the FEM eigensolver until the
@@ -103,17 +106,39 @@ def test_every_public_function_is_named_in_the_library():
     assert NAMED_OUTSIDE - unnamed == set(), "stale allowed exception"
 
 
-def test_names_the_benchmark_tracer_wraps_exist():
-    # the tracer patches these by name, and reads a rearranged profile's
-    # piece breaks, so a rename would break only the benchmark run
-    for owner, name in ((fem, "_inverse_iteration"), (fem, "splu"),
-                        (sturm1d, "splu"),
-                        (special.RadialProfile, "value"),
-                        (special.RadialProfile, "log_power_mean"),
-                        (special.psi_profile, "cache_info"),
+def _benchmark_tracer():
+    """perfbench/tracer.py, loaded by path: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_tracer", BENCHMARK / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_tracer_finds_what_it_wraps():
+    """The benchmark's tracer wraps the names in its own tables; a rename
+    in the package would break only the benchmark run. Installing it reads
+    every SPECIAL_METHODS name and each module's splu, and a traced run
+    must give every ATTRS name a span whose result fields were read."""
+    tracing = _benchmark_tracer()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for argv in (["chiti", "--domain", "square", "--level", "1"],
+                     ["sturm", "--gamma", "1.5", "--beta", "0.8", "--A", "1",
+                      "--N", "64"]):
+            code = cli.dispatch(argv, out=io.StringIO(), err=io.StringIO(),
+                                solves=bounds.SharedSolves())
+            assert code == 0, argv
+    finally:
+        tracer.uninstall()
+    read = {span.name for span in tracer.spans if span.attrs is not None}
+    # the half-rhombus mesh left the package; the tracer's key is stale
+    stale = {"geometry.triangulate_half_rhombus"}
+    assert set(tracing.ATTRS) - stale - read == set()
+    # run.py clears and reads psi_profile's cache, and certify.py takes the
+    # p = 2 zeros from bessel_first_zero; this list follows those files
+    for owner, name in ((special.psi_profile, "cache_info"),
                         (special.psi_profile, "cache_clear"),
                         (special, "bessel_first_zero")):
         assert callable(getattr(owner, name, None)), name
-    mesh = geometry.triangulate(geometry.make_rectangle(1.0, 1.0))
-    profile = rearrangement.rearrange_oriented(mesh, mesh.nodes[:, 0])
-    assert len(profile.pieces.breaks) > 0

@@ -157,9 +157,6 @@ def test_power_integral_ends(p, n):
     for q in (0.5, 2.0, 3.7):
         assert prof.power_integral(q, 0.0) == 0.0
         assert prof.power_integral(q, -1.0) == 0.0
-        # the total is the integral behind the power mean f(q)
-        total = psi ** n / n * math.exp(q * prof.log_power_mean(q))
-        assert prof.power_integral(q, psi) == pytest.approx(total, rel=1e-13)
         assert prof.power_integral(q, 2.0 * psi) == prof.power_integral(q, psi)
         x = np.linspace(0.0, psi, 257)
         values = prof.power_integral(q, x)
