@@ -100,18 +100,16 @@ def bct_corollary(n: int, K: float, area: float) -> float:
     (2/n) (log f(1) - (k(q) - k(1))/(q - 1)). k is convex (Holder), so the
     secant slope grows with q and the term falls: the supremum over q > 1
     is the q -> 1 limit, with k'(1) from RadialProfile.log_integral_slope.
-    psi is the same profile's zero, so its square cancels the psi^-2 in
-    f(1)^(2/n) and the bound reads only that profile's panel sums.
+    The bound is main_bound at p = 2 times the exponential of that limit:
+    the psi^2 of main_bound's ball eigenvalue is the same profile's zero,
+    so it cancels the psi^-2 in f(1)^(2/n).
     """
-    if K <= 0.0 or area <= 0.0:
-        raise ParameterError(f"need K, area > 0, got K={K}, area={area}")
+    # main_bound refuses K and area before the panel sums are read
+    main = main_bound(2.0, n, K, area)
     profile = special.psi_profile(2.0, n)
     best = 2.0 / n * (profile.log_power_mean(1.0)
                       - profile.log_integral_slope())
-    alpha = (K / special.classical_constant(n)) ** 2
-    psi = profile.first_zero
-    scale = 2.0 ** (2.0 / n) * alpha * psi * psi
-    return scale * math.exp(best) / (area / special.omega_n(n)) ** (2.0 / n)
+    return main * math.exp(best)
 
 
 def symmetric_planar_bound(width: float, area: float) -> float:
@@ -215,10 +213,9 @@ def compare_report(spec: DomainSpec, mu1: float) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class SharpnessSample:
-    """One row of the degenerating-rhombus study: mu1, its sharpness ratio
-    and its closed-form sandwich [lower, upper]."""
+    """One row of the degenerating-rhombus study: the sharpness ratio of
+    the caller's mu1 and its closed-form sandwich [lower, upper]."""
 
-    mu1: float
     ratio: float
     lower: float
     upper: float
@@ -250,4 +247,4 @@ def rhombus_sharpness(spec: DomainSpec, mu1: float) -> SharpnessSample:
     upper = lower / (spec.diameter / 2.0) ** 2
     ok = bool(lower * (1.0 - _REPORT_TOL) <= mu1
               <= upper * (1.0 + _REPORT_TOL))
-    return SharpnessSample(mu1, 2.0 * mu1 / main, lower, upper, ok)
+    return SharpnessSample(2.0 * mu1 / main, lower, upper, ok)

@@ -104,9 +104,14 @@ def _finite_float(text: str) -> float:
 
 
 def _list_of(kind):
-    """argparse type: a comma-separated list of ``kind`` values."""
+    """argparse type: a comma-separated list of ``kind`` values, empty
+    items skipped; a list with no value is refused."""
     def parse(text: str) -> list:
-        return [kind(part) for part in text.split(",") if part != ""]
+        values = [kind(part) for part in text.split(",") if part != ""]
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"expected at least one value, got {text!r}")
+        return values
 
     parse.__name__ = f"{kind.__name__} list"
     return parse
@@ -176,12 +181,9 @@ def _require_p2(p: float) -> None:
 
 
 def _cmd_psi(args, _solves):
-    ps, ns = args.p, args.n
-    if not ps or not ns:
-        raise ParameterError("psi needs at least one --p and one --n value")
     rows = []
-    for p in ps:
-        for n in ns:
+    for p in args.p:
+        for n in args.n:
             zero = special.psi_profile(p, n).first_zero
             rows.append({"p": p, "n": n, "psi": zero, "psi_p": zero ** p})
     return rows
@@ -210,15 +212,13 @@ def _cmd_compare_bounds(args, solves):
 
 
 def _cmd_verify_rhombus(args, solves):
-    ms = args.m
-    if not ms:
-        raise ParameterError("verify-rhombus needs at least one --m value")
     rows = []
-    for m in ms:
+    for m in args.m:
         spec = geometry.make_rhombus(m)
-        sample = bounds.rhombus_sharpness(spec, solves.mu1(spec, args.level))
+        mu1 = solves.mu1(spec, args.level)
+        sample = bounds.rhombus_sharpness(spec, mu1)
         rows.append({
-            "m": m, "level": args.level, "mu1": sample.mu1,
+            "m": m, "level": args.level, "mu1": mu1,
             "r_m": sample.ratio, "dn_lower": sample.lower,
             "dn_upper": sample.upper, "dn_ok": sample.ok,
         })
@@ -412,44 +412,43 @@ def run_suite(path: str, out, err) -> int:
     Lines run one after another in file order, on the calling thread, and
     share one bounds.SharedSolves. Each line's table is followed by its status
     comment, which carries the line's one-line failure message if it failed.
-    Nested suite lines are rejected. Exit 1 if any line fails, 2 if the file
-    cannot be read or split into lines, 0 otherwise.
+    A line that shlex cannot split and a nested suite line each fail with
+    code 2. Exit 1 if any line fails, 2 if the file cannot be read, 0
+    otherwise.
     """
     try:
         content = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as ex:
         print(f"cannot read suite file: {ex}", file=err)
         return 2
-    runs = []
+    runs = failures = 0
+    solves = bounds.SharedSolves()
     for lineno, raw in enumerate(content.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        runs += 1
+        errbuffer = io.StringIO()
         try:
             argv = shlex.split(line)
         except ValueError as ex:
-            print(f"cannot parse suite line {lineno}: {ex}", file=err)
-            return 2
-        runs.append((lineno, argv))
-
-    failures = 0
-    solves = bounds.SharedSolves()
-    for lineno, argv in runs:
-        errbuffer = io.StringIO()
-        if argv and argv[0] == "suite":
-            print("nested suite lines are not allowed", file=errbuffer)
+            print(f"error: cannot split line: {ex}", file=errbuffer)
             code = 2
         else:
-            code = dispatch(argv, out=out, err=errbuffer, solves=solves)
+            line = shlex.join(argv)
+            if argv[0] == "suite":
+                print("nested suite lines are not allowed", file=errbuffer)
+                code = 2
+            else:
+                code = dispatch(argv, out=out, err=errbuffer, solves=solves)
         if code == 0:
-            print(f"# line {lineno} ok: {shlex.join(argv)}", file=out)
+            print(f"# line {lineno} ok: {line}", file=out)
             continue
         failures += 1
         detail = errbuffer.getvalue().strip().splitlines()
         suffix = f": {detail[-1]}" if detail else ""
-        print(f"# line {lineno} fail({code}): {shlex.join(argv)}{suffix}",
-              file=out)
-    print(f"# suite: {len(runs)} runs, {failures} failures", file=out)
+        print(f"# line {lineno} fail({code}): {line}{suffix}", file=out)
+    print(f"# suite: {runs} runs, {failures} failures", file=out)
     return 1 if failures else 0
 
 

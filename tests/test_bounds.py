@@ -140,6 +140,8 @@ def test_validation_errors():
         bounds.main_bound(2.0, 2, 1.0, -1.0)
     with pytest.raises(ParameterError):
         bounds.ashbaugh_mercado(1.9, 2, 1.0, 1.0)
+    with pytest.raises(ParameterError, match="need K, area > 0"):
+        bounds.ashbaugh_mercado(2.0, 2, 1.0, 0.0)
     with pytest.raises(ParameterError):
         bounds.payne_weinberger(0.0)
     with pytest.raises(ParameterError):
@@ -202,12 +204,13 @@ def test_lower_bounds_p3():
 
 def test_rhombus_sharpness_sequence():
     expected = {8: 2.242711, 16: 2.054796, 32: 2.013231, 64: 2.003268}
-    samples = [bounds.rhombus_sharpness(spec, pipelines.mu1(spec, 5))
-               for spec in map(geometry.make_rhombus, expected)]
-    for m, sample in zip(expected, samples):
+    mu1s = [pipelines.mu1(spec, 5)
+            for spec in map(geometry.make_rhombus, expected)]
+    samples = [bounds.rhombus_sharpness(geometry.make_rhombus(m), mu1)
+               for m, mu1 in zip(expected, mu1s)]
+    for m, mu1, sample in zip(expected, mu1s, samples):
         # the main bound is j01^2 on every rhombus
-        assert sample.ratio == pytest.approx(
-            sample.mu1 / (J01 ** 2 / 2.0), rel=1e-9)
+        assert sample.ratio == pytest.approx(mu1 / (J01 ** 2 / 2.0), rel=1e-9)
         assert sample.ratio == pytest.approx(expected[m], rel=2e-4)
     ratios = [sample.ratio for sample in samples]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
@@ -219,20 +222,21 @@ def test_rhombus_sharpness_sequence():
 @pytest.mark.parametrize("m", [8, 16])
 def test_sector_sandwich(m):
     spec = geometry.make_rhombus(m)
-    sample = bounds.rhombus_sharpness(spec, pipelines.mu1(spec, 4))
+    mu1 = pipelines.mu1(spec, 4)
+    sample = bounds.rhombus_sharpness(spec, mu1)
     assert sample.ok
     assert sample.lower == pytest.approx(J01 ** 2, rel=1e-12)
     assert sample.upper == pytest.approx(
         J01 ** 2 / math.cos(math.pi / m) ** 2, rel=1e-12)
-    assert sample.lower * 0.99 <= sample.mu1 <= sample.upper * 1.01
+    assert sample.lower * 0.99 <= mu1 <= sample.upper * 1.01
 
 
 def test_sector_sandwich_degeneration():
     # as the opening angle closes, the half-rhombus hugs the unit sector
     spec = geometry.make_rhombus(64)
-    sample = bounds.rhombus_sharpness(spec, pipelines.mu1(spec, 4))
-    assert sample.ok
-    assert sample.mu1 <= J01 ** 2 * 1.01
+    mu1 = pipelines.mu1(spec, 4)
+    assert bounds.rhombus_sharpness(spec, mu1).ok
+    assert mu1 <= J01 ** 2 * 1.01
 
 
 def test_shared_solves_refuses_negative_levels():

@@ -4,6 +4,7 @@ Everything runs through dispatch() with StringIO streams, never a
 subprocess, so the tests also pin byte-level determinism of the output.
 """
 
+import dataclasses
 import gc
 import io
 import json
@@ -403,7 +404,14 @@ def test_usage_errors(capsys):
                          "100000000", "--level", "2"],
                         "m <= 4096, got 100000000"),
                        (["verify-rhombus", "--m", "8,4097", "--level", "1"],
-                        "m <= 4096, got 4097")):
+                        "m <= 4096, got 4097"),
+                       # a list flag with no value is refused by its parser
+                       (["psi", "--p", ","], "argument --p: expected at "
+                        "least one value, got ','"),
+                       (["psi", "--n", ","], "argument --n: expected at "
+                        "least one value, got ','"),
+                       (["verify-rhombus", "--m", ","], "argument --m: "
+                        "expected at least one value, got ','")):
         code, out, err = run_cli(argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and text in err
@@ -635,6 +643,58 @@ def test_numeric_failure_exit_code(monkeypatch):
     assert "numeric failure: synthetic failure" in err
 
 
+def _reference_below_the_bounds(monkeypatch):
+    monkeypatch.setattr(bounds.SharedSolves, "mu1",
+                        lambda self, spec, level: 1.0)
+    return ["compare-bounds", "--domain", "square", "--level", "1"]
+
+
+def _newton_cap_reached(monkeypatch):
+    # the uncached shooting neither reads nor fills the psi_profile cache
+    monkeypatch.setattr(special, "psi_profile", special.psi_profile.__wrapped__)
+    monkeypatch.setattr(special, "_NEWTON_CAP", 1)
+    return ["psi", "--p", "3", "--n", "2"]
+
+
+def _descent_step_cap_reached(monkeypatch):
+    monkeypatch.setattr(sturm1d, "_MAX_STEPS", 1)
+    return ["sturm", "--gamma", "1.5", "--beta", "0.75", "--A", "1",
+            "--N", "64"]
+
+
+def _sigma_below_the_hardy_floor(monkeypatch):
+    descent = sturm1d._solve_gradient
+    monkeypatch.setattr(sturm1d, "_solve_gradient", lambda problem: (
+        dataclasses.replace(descent(problem), sigma=0.0)))
+    return ["sturm", "--gamma", "1.5", "--beta", "0.75", "--A", "1",
+            "--N", "64"]
+
+
+def _arpack_fails(monkeypatch):
+    def failing(*args, **kwargs):
+        raise fem.ArpackError(1)
+
+    monkeypatch.setattr(fem, "eigsh", failing)
+    return ["compare-bounds", "--domain", "square", "--level", "1"]
+
+
+@pytest.mark.parametrize("setup, message", [
+    (_reference_below_the_bounds, "numeric failure: lower bound main = "
+     "5.78319 exceeds reference mu1 = 1 on rectangle_1x1"),
+    (_newton_cap_reached, "numeric failure: Newton found no zero of the "
+     "radial profile for p=3.0, n=2"),
+    (_descent_step_cap_reached, "numeric failure: quotient minimization "
+     "did not settle within 1 steps: last value "),
+    (_sigma_below_the_hardy_floor, "numeric failure: computed eigenvalue "
+     "fell below the scale-invariant lower bound: 0.0 < "),
+    (_arpack_fails, "numeric failure: ARPACK failed: ARPACK error 1: "),
+])
+def test_numeric_refusals_exit_1_on_one_line(monkeypatch, setup, message):
+    code, out, err = run_cli(setup(monkeypatch))
+    assert (code, out) == (1, "")
+    assert err.startswith(message) and len(err.splitlines()) == 1
+
+
 def test_suite_ok(tmp_path):
     path = tmp_path / "runs.txt"
     path.write_text(
@@ -681,17 +741,21 @@ def test_suite_help_lands_in_its_stream(tmp_path, capsys):
 
 
 def test_suite_usage_errors_stay_in_their_status_line(tmp_path, capsys):
+    # a line that shlex cannot split fails alone: the lines after it run
     path = tmp_path / "runs.txt"
-    path.write_text("bound\nbound --domain square --p x\n", encoding="utf-8")
+    path.write_text("bound\nbound --domain 'square\n"
+                    "bound --domain square --p x\n", encoding="utf-8")
     code, out, err = run_cli(["suite", str(path)])
     assert (code, err) == (1, "")
     assert capsys.readouterr().err == ""
     assert out.splitlines() == [
         "# line 1 fail(2): bound: error: the following arguments are "
         "required: --domain",
-        "# line 2 fail(2): bound --domain square --p x: error: argument --p: "
+        "# line 2 fail(2): bound --domain 'square: error: cannot split "
+        "line: No closing quotation",
+        "# line 3 fail(2): bound --domain square --p x: error: argument --p: "
         "invalid float value: 'x'",
-        "# suite: 2 runs, 2 failures"]
+        "# suite: 3 runs, 3 failures"]
 
 
 def test_suite_empty_and_missing(tmp_path):

@@ -118,9 +118,12 @@ def test_dispatch_error_contract(argv):
 
 
 @settings(FUZZ, max_examples=40)
-@given(st.lists(ARGV, min_size=1, max_size=3))
+@given(st.lists(st.one_of(ARGV, ARGV.map(lambda argv: [*argv, "'"])),
+                min_size=1, max_size=3))
 def test_suite_error_contract(lines):
-    """A suite reports each line's failure in its status comment only."""
+    """A suite reports each line's failure in its status comment only; a
+    line with an unclosed quote, which shlex cannot split, is one more
+    failed line."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "suite.txt"
         path.write_text("".join(" ".join(argv) + "\n" for argv in lines),

@@ -23,6 +23,8 @@ def test_omega_n():
     for n in range(4, 11):
         assert special.omega_n(n) == pytest.approx(
             2.0 * math.pi / n * special.omega_n(n - 2), rel=1e-13)
+    with pytest.raises(ParameterError, match="dimension must be >= 1, got 0"):
+        special.omega_n(0)
 
 
 def test_bessel_j_values():
