@@ -84,6 +84,11 @@ class _PieceData:
     (t - breaks[k])^2 on [breaks[k], breaks[k+1]); the last piece, from the
     top break on, is m = 0. atoms[k] is the jump of m down onto values[k]
     at breaks[k] (mass of flat elements).
+
+    Two invariants let the lookups go unclamped: breaks[0] is the least
+    nodal value (snapping keeps it), so a corner value's piece index lies
+    in [0, len(breaks) - 1]; and values[-1] = 0, so every s > 0 finds a
+    piece whose value is at most s.
     """
 
     breaks: np.ndarray
@@ -115,8 +120,6 @@ def _snap_breaks(unique_vals: np.ndarray) -> np.ndarray:
     can cancel. Snapping them to one representative turns
     those elements into exact ties, which the assembly handles discretely.
     """
-    if len(unique_vals) < 2:
-        return unique_vals
     scale = max(abs(unique_vals[0]), abs(unique_vals[-1]))
     snap = 64.0 * np.finfo(float).eps * scale
     near = np.diff(unique_vals) <= snap
@@ -144,12 +147,8 @@ def _distribution_pieces(mesh: Mesh,
     breaks = _snap_breaks(np.unique(tri))
     npc = len(breaks) - 1
 
-    ia = np.clip(np.searchsorted(breaks, tri[:, 0], side="right") - 1,
-                 0, npc)
-    ib = np.clip(np.searchsorted(breaks, tri[:, 1], side="right") - 1,
-                 0, npc)
-    ic = np.clip(np.searchsorted(breaks, tri[:, 2], side="right") - 1,
-                 0, npc)
+    # breaks[0] is the least corner value, so every index is in [0, npc]
+    ia, ib, ic = (np.searchsorted(breaks, tri, side="right") - 1).T
     a, b, c = breaks[ia], breaks[ib], breaks[ic]
 
     atoms = np.zeros(len(breaks))
@@ -241,11 +240,12 @@ class RearrangedProfile:
         b = p.breaks
         # values[] is nonincreasing; find the first index with values[k] <= s
         count = np.searchsorted(p.values[::-1], s, side="right")
-        k = np.clip(len(b) - count, 0, len(b) - 1)
+        # values[-1] = 0, so count >= 1 and k <= len(b) - 1 for s > 0
+        k = len(b) - count
         # u*(s) = max u for s <= 0: m has a double root there, which the
         # quadratic below would only resolve to ~sqrt(eps)
         out = np.full(s.shape, b[-1])
-        hit = (count > 0) & (s > 0.0)
+        hit = s > 0.0
         kk = k[hit]
         # the level is crossed inside piece kk-1 only if that piece gets
         # down to s before its right end; otherwise the crossing is the
@@ -297,9 +297,9 @@ def rearrange_oriented(mesh: Mesh, nodal) -> RearrangedProfile:
 
 
 def cumulative_power(profile: RearrangedProfile, q: float) -> CumulativePower:
-    """Exact s -> integral of (u*)^q over (0, s), saturating past s̃."""
-    if q <= 0:
-        raise ParameterError("q must be positive")
+    """Exact s -> integral of (u*)^q over (0, s), saturating past s̃, for
+    q in (0, Q_MAX]."""
+    check_exponent(q)
     p = profile.pieces
     b = p.breaks
     s_tilde = profile.positive_measure
@@ -316,13 +316,13 @@ def cumulative_power(profile: RearrangedProfile, q: float) -> CumulativePower:
         arr = np.asarray(s, dtype=float)
         scalar = arr.ndim == 0
         s_eff = np.minimum(np.atleast_1d(arr), s_tilde)
-        tstar = np.maximum(np.atleast_1d(profile.value(s_eff)), 0.0)
+        tstar = np.maximum(profile.value(s_eff), 0.0)
         idx = np.maximum(np.searchsorted(b, tstar, side="right") - 1, 0)
         # t* lies in piece idx, the zero top piece included, or below b[0]
         partial = p.power_integrals(
             idx, positive[idx], np.maximum(tstar, positive[idx]), q)
         plateau = tstar ** q * np.maximum(
-            s_eff - np.atleast_1d(profile.distribution(tstar)), 0.0)
+            s_eff - profile.distribution(tstar), 0.0)
         out = tail[idx] - partial + plateau
         out = np.where(tstar <= 0.0, total, out)
         out = np.where(s_eff <= 0.0, 0.0, out)
@@ -403,8 +403,8 @@ def chiti_check(u_profile: RearrangedProfile,
     upper = cumulative_power(u_profile, q)
     lower = ball_profile.cumulative_power(q)
     s = np.linspace(0.0, L, _CHITI_GRID)
-    u_side = np.asarray(upper.value(s)) / upper.total
-    ball_side = np.asarray(lower.value(s)) / lower.total
+    u_side = upper.value(s) / upper.total
+    ball_side = lower.value(s) / lower.total
     gap = u_side - ball_side
     k = int(np.argmax(gap))
     margin = np.min((ball_side[1:] - u_side[1:]) / ball_side[1:])
@@ -431,10 +431,8 @@ def reverse_holder_check(u_profile: RearrangedProfile,
     the ball's radial profile and L = ball.measure, the comparison ball
     that dirichlet_ball_profile builds.
     """
-    if r >= q:
-        raise ParameterError("need r < q")
-    if r <= 0:
-        raise ParameterError("need r > 0")
+    if not 0.0 < r < q:
+        raise ParameterError(f"need 0 < r < q, got r={r}, q={q}")
     prof = psi_profile(ball.p, ball.n)
 
     def finite(name, compute):

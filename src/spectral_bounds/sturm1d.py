@@ -21,11 +21,14 @@ directly. A descent builds the Hessian's CSC pattern and two N x 16
 quadrature scratch arrays once per grid, after the coarser grid's arrays
 are freed; each step rewrites the Hessian's values in place and writes the
 iterate's values at the quadrature nodes, and the terms of the
-denominator and its gradient, into the scratch arrays. The Hessian is
-factored in natural order, where a tridiagonal matrix has no fill
-(nnz(L+U) = 4N - 2), so each factorization costs O(N) and runs no
-ordering pass. The gamma = 2 grid is capped at MAX_LINEAR_CELLS, past
-which its residual no longer certifies.
+denominator and its gradient, into the scratch arrays. The scratch
+node_vals is the one holder of the iterate's node values: each energy
+evaluation writes it, an accepted step rescales it in place, and the
+next gradient reads it. The Hessian is factored in natural order, where
+a tridiagonal matrix has no fill (nnz(L+U) = 4N - 2), so each
+factorization costs O(N) and runs no ordering pass. The gamma = 2 grid
+is capped at MAX_LINEAR_CELLS, past which its residual no longer
+certifies.
 """
 
 from __future__ import annotations
@@ -210,8 +213,8 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
     first_w = s[1] ** (1.0 - beta) / (gamma - beta + 1.0)
     one_minus_xi = 1.0 - xi
     # per-solve scratch: phi at the quadrature nodes, written by each
-    # energy_parts call, and the per-node terms of the denominator and of
-    # its gradient
+    # energy_parts call and read by gradients, and the per-node terms of
+    # the denominator and of its gradient
     node_vals = np.empty_like(wq)
     terms = np.empty_like(wq)
     # the Hessian's tridiagonal pattern; each step refills its data
@@ -223,44 +226,41 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
     def energy_parts(phi):
         d = np.diff(phi, prepend=0.0)
         e_val = float(np.sum(np.abs(d) ** gamma * h_pow))
-        vals = node_vals
-        np.multiply(phi[:-1, None], one_minus_xi, out=vals)
+        np.multiply(phi[:-1, None], one_minus_xi, out=node_vals)
         np.multiply(phi[1:, None], xi, out=terms)
-        np.add(vals, terms, out=vals)
-        _abs_power(vals, gamma, terms)
+        np.add(node_vals, terms, out=node_vals)
+        _abs_power(node_vals, gamma, terms)
         np.multiply(terms, wq, out=terms)
         f_val = float(np.sum(terms)) + first_w * abs(phi[0]) ** gamma
-        # vals is the scratch node_vals, valid until the next energy_parts
-        # or gradients call
-        return e_val, f_val, d, vals
+        return e_val, f_val, d
 
-    def gradients(d, vals, phi0):
+    def gradients(d, phi0):
         flux = odd_power(d, gamma - 1.0) * h_pow
         g_e = gamma * (flux - np.concatenate([flux[1:], [0.0]]))
-        # wq sign(vals) |vals|^(gamma - 1): a product with sign(vals) only
-        # negates, so negating where vals < 0 gives the same bits
-        _abs_power(vals, gamma - 1.0, terms)
+        # wq sign(node_vals) |node_vals|^(gamma - 1): a product with a sign
+        # only negates, so negating where node_vals < 0 gives the same bits
+        _abs_power(node_vals, gamma - 1.0, terms)
         np.multiply(terms, wq, out=terms)
-        np.negative(terms, out=terms, where=vals < 0.0)
+        np.negative(terms, out=terms, where=node_vals < 0.0)
         g_f = np.zeros(problem.n_cells)
-        # vals is spent: reuse it for the first product
-        np.multiply(terms, one_minus_xi, out=vals)
-        g_f[:-1] = gamma * np.sum(vals, axis=1)
+        # node_vals is spent: reuse it for the first product
+        np.multiply(terms, one_minus_xi, out=node_vals)
+        g_f[:-1] = gamma * np.sum(node_vals, axis=1)
         np.multiply(terms, xi, out=terms)
         g_f[1:] += gamma * np.sum(terms, axis=1)
         g_f[0] += gamma * first_w * odd_power(phi0, gamma - 1.0)
         return g_e, g_f
 
-    e_val, f_val, d, vals = energy_parts(phi)
+    e_val, f_val, d = energy_parts(phi)
     phi /= f_val ** (1.0 / gamma)
-    e_val, f_val, d, vals = energy_parts(phi)
+    e_val, f_val, d = energy_parts(phi)
     quotient = e_val / f_val
     step = 1.0
     change = math.inf
     for iteration in range(1, _MAX_STEPS + 1):
         if change <= _QUOTIENT_TOL * quotient:
             return _solution(s, phi, quotient, coarse_steps + iteration)
-        g_e, g_f = gradients(d, vals, phi[0])
+        g_e, g_f = gradients(d, phi[0])
         grad = (g_e - quotient * g_f) / f_val
         # precondition with the energy Hessian at phi; slopes are floored so
         # that flat cells near the zero-flux end keep a finite weight
@@ -287,7 +287,7 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
         if slope > 0.0:
             while step > 1e-14:
                 cand = phi - step * direction
-                e_c, f_c, d_c, vals_c = energy_parts(cand)
+                e_c, f_c, d_c = energy_parts(cand)
                 if f_c > 0.0 and e_c / f_c <= quotient - 1e-4 * step * slope:
                     accepted = True
                     break
@@ -302,9 +302,7 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
         phi = cand / norm
         f_val = 1.0
         d = d_c / norm
-        # vals_c is node_vals: the accepted candidate's energy_parts call
-        # was the last one that wrote it
-        vals = np.divide(vals_c, norm, out=vals_c)
+        np.divide(node_vals, norm, out=node_vals)
         quotient = new_quotient
         step *= 1.3
     raise NumericError(

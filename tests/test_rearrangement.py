@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import jv
 
 from spectral_bounds import bounds, fem, geometry, special
@@ -259,6 +261,45 @@ def test_snap_breaks_matches_loop_reference():
     assert merged > 0
 
 
+_ULP = np.finfo(float).eps
+_SQUARE_NODES = _square_mesh(2).node_count
+
+
+def _runs(gaps, offset, order):
+    return (np.cumsum(gaps) + offset)[list(order)]
+
+
+# nodal values in ascending runs of exact ties, near ties 1-40 ulp apart
+# and wide gaps, scattered over the nodes; or one constant
+_NODAL = st.one_of(
+    st.builds(_runs,
+              st.lists(st.one_of(st.just(0.0),
+                                 st.integers(1, 40).map(lambda k: k * _ULP),
+                                 st.floats(1e-3, 0.1)),
+                       min_size=_SQUARE_NODES, max_size=_SQUARE_NODES),
+              st.floats(-2.0, 0.5),
+              st.permutations(range(_SQUARE_NODES))),
+    st.floats(-1.0, 1.0).map(lambda c: np.full(_SQUARE_NODES, c)))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_NODAL)
+def test_piece_table_invariants(v):
+    # the lookups index the table unclamped on these: the lowest break is
+    # the least nodal value, the top break the greatest up to the snap
+    # width, and the zero top piece closes every level s > 0
+    mesh = _square_mesh(2)
+    prof = rr.rearrange(mesh, v)
+    p = prof.pieces
+    snap = 64.0 * _ULP * max(abs(v.min()), abs(v.max()))
+    assert p.breaks[0] == v.min()
+    assert v.max() - snap <= p.breaks[-1] <= v.max()
+    assert p.values[-1] == 0.0
+    s = np.linspace(0.0, prof.domain_measure, 65)[1:]
+    u = prof.value(np.concatenate([[1e-300], s]))
+    assert np.all((p.breaks[0] <= u) & (u <= p.breaks[-1]))
+
+
 def test_power_diff_against_exact_differences():
     ulp = np.finfo(float).eps
     # both sides of hi = 2 lo, where the direct difference takes over
@@ -302,8 +343,9 @@ def test_lq_norm_positive():
                   * prof.positive_measure ** (-1.0 / q) for q in qs]
     # power mean inequality on the support of the positive part
     assert all(a <= b + 1e-12 for a, b in zip(normalized, normalized[1:]))
-    with pytest.raises(ParameterError):
-        rr.cumulative_power(prof, 0.0)
+    for q in (0.0, math.nan, 2.0 * special.Q_MAX):
+        with pytest.raises(ParameterError, match="exponent must lie in"):
+            rr.cumulative_power(prof, q)
 
 
 def test_cumulative_power_shape():
@@ -419,10 +461,9 @@ def test_reverse_holder_eigenfunctions():
     near = rr.reverse_holder_check(prof, ball, 2.0 * (1.0 + 1e-9), 2.0)
     assert near.ok
     assert near.constant == pytest.approx(1.0, abs=1e-6)
-    with pytest.raises(ParameterError):
-        rr.reverse_holder_check(prof, ball, 1.0, 2.0)
-    with pytest.raises(ParameterError):
-        rr.reverse_holder_check(prof, ball, 2.0, 0.0)
+    for q, r in ((1.0, 2.0), (2.0, 2.0), (2.0, 0.0)):
+        with pytest.raises(ParameterError, match="need 0 < r < q"):
+            rr.reverse_holder_check(prof, ball, q, r)
 
 
 def test_reverse_holder_rhs_overflow_is_named(monkeypatch):
