@@ -11,12 +11,13 @@ the constants of the comparison machinery. For p = 2 everything collapses to
 Bessel functions, which is what the tests check against.
 
 One integrator serves the whole module: Dormand and Prince's 12-stage,
-order-8 Runge-Kutta step DOP853. Hairer's compiled code marches the ODE with
-error control and keeps a table of its accepted step starts. Newton
-iterates for the zero are DOP853 steps from the last start, and the zero's
-own state ends the table; every value of Psi is then one more DOP853 step
-from the table point nearest the radius, backward when that point lies
-beyond it.
+order-8 Runge-Kutta step DOP853, from one tableau held here. A march with
+Hairer's step control, the same to the bit as scipy's compiled
+``ode("dop853")``, integrates the ODE with error control and keeps a table
+of its accepted step starts. Newton iterates for the zero are DOP853 steps
+from the last start, and the zero's own state ends the table; every value
+of Psi is then one more DOP853 step from the table point nearest the
+radius, backward when that point lies beyond it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.special
-from scipy.integrate import DOP853, ode
 
 from .errors import NumericError, ParameterError
 
@@ -61,9 +61,97 @@ _SERIES_R0 = 1e-4
 #: Newton iterations allowed for the zero; 3 to 6 reach a step below 1e-15
 #: relative over p in [2, P_MAX] and n in [2, N_MAX].
 _NEWTON_CAP = 8
-#: Butcher tableau of the DOP853 step: stage nodes C, stage weights A and
-#: the weights B of the eighth-order solution.
-_A, _B, _C = DOP853.A, DOP853.B, DOP853.C
+#: Tolerances and step cap of the shooting march. On the grid p = 2, 2.1,
+#: ..., 10 by n = 2, ..., 32 the longest march takes 823 steps, 812 of them
+#: accepted.
+_RTOL, _ATOL = 1e-13, 1e-14
+_STEP_CAP = 100_000
+
+#: Hairer's DOP853 tableau (Hairer, Norsett & Wanner, Solving Ordinary
+#: Differential Equations I, II.10), as the decimal literals of his code:
+#: the stage nodes _C; per stage, its nonzero weights as (earlier stage,
+#: weight) pairs; and (stage, weight of the eighth-order solution, weight
+#: of the fifth-order error) triples. The third-order error is the
+#: eighth-order slope less the _BHH multiples of stages 1, 9 and 12.
+_C = (
+    0.0, 0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
+    0.281649658092772603273242802490, 0.333333333333333333333333333333,
+    0.25, 0.307692307692307692307692307692, 0.651282051282051282051282051282,
+    0.6, 0.857142857142857142857142857142, 1.0)
+_A_ROWS = (
+    (),
+    ((0, 5.26001519587677318785587544488e-2),),
+    ((0, 1.97250569845378994544595329183e-2),
+     (1, 5.91751709536136983633785987549e-2)),
+    ((0, 2.95875854768068491816892993775e-2),
+     (2, 8.87627564304205475450678981324e-2)),
+    ((0, 2.41365134159266685502369798665e-1),
+     (2, -8.84549479328286085344864962717e-1),
+     (3, 9.24834003261792003115737966543e-1)),
+    ((0, 3.7037037037037037037037037037e-2),
+     (3, 1.70828608729473871279604482173e-1),
+     (4, 1.25467687566822425016691814123e-1)),
+    ((0, 3.7109375e-2), (3, 1.70252211019544039314978060272e-1),
+     (4, 6.02165389804559606850219397283e-2), (5, -1.7578125e-2)),
+    ((0, 3.70920001185047927108779319836e-2),
+     (3, 1.70383925712239993810214054705e-1),
+     (4, 1.07262030446373284651809199168e-1),
+     (5, -1.53194377486244017527936158236e-2),
+     (6, 8.27378916381402288758473766002e-3)),
+    ((0, 6.24110958716075717114429577812e-1),
+     (3, -3.36089262944694129406857109825),
+     (4, -8.68219346841726006818189891453e-1),
+     (5, 2.75920996994467083049415600797e1),
+     (6, 2.01540675504778934086186788979e1),
+     (7, -4.34898841810699588477366255144e1)),
+    ((0, 4.77662536438264365890433908527e-1),
+     (3, -2.48811461997166764192642586468),
+     (4, -5.90290826836842996371446475743e-1),
+     (5, 2.12300514481811942347288949897e1),
+     (6, 1.52792336328824235832596922938e1),
+     (7, -3.32882109689848629194453265587e1),
+     (8, -2.03312017085086261358222928593e-2)),
+    ((0, -9.3714243008598732571704021658e-1),
+     (3, 5.18637242884406370830023853209),
+     (4, 1.09143734899672957818500254654),
+     (5, -8.14978701074692612513997267357),
+     (6, -1.85200656599969598641566180701e1),
+     (7, 2.27394870993505042818970056734e1),
+     (8, 2.49360555267965238987089396762),
+     (9, -3.0467644718982195003823669022)),
+    ((0, 2.27331014751653820792359768449),
+     (3, -1.05344954667372501984066689879e1),
+     (4, -2.00087205822486249909675718444),
+     (5, -1.79589318631187989172765950534e1),
+     (6, 2.79488845294199600508499808837e1),
+     (7, -2.85899827713502369474065508674),
+     (8, -8.87285693353062954433549289258),
+     (9, 1.23605671757943030647266201528e1),
+     (10, 6.43392746015763530355970484046e-1)))
+_B_ROW = (
+    (0, 5.42937341165687622380535766363e-2,
+     0.1312004499419488073250102996e-1),
+    (5, 4.45031289275240888144113950566,
+     -0.1225156446376204440720569753e+1),
+    (6, 1.89151789931450038304281599044,
+     -0.4957589496572501915214079952),
+    (7, -5.8012039600105847814672114227,
+     0.1664377182454986536961530415e+1),
+    (8, 3.1116436695781989440891606237e-1,
+     -0.3503288487499736816886487290),
+    (9, -1.52160949662516078556178806805e-1,
+     0.3341791187130174790297318841),
+    (10, 2.01365400804030348374776537501e-1,
+     0.8192320648511571246570742613e-1),
+    (11, 4.47106157277725905176885569043e-2,
+     -0.2235530786388629525884427845e-1))
+_BHH = (0.244094488188976377952755905512, 0.733846688281611857341361741547,
+        0.220588235294117647058823529412e-1)
+
+#: the same weights as dense arrays, for the vectorized step
+_A = np.array([[dict(row).get(j, 0.0) for j in range(12)] for row in _A_ROWS])
+_B = np.array([{j: b for j, b, _ in _B_ROW}.get(j, 0.0) for j in range(12)])
 
 
 def check_exponent(q: float) -> None:
@@ -264,18 +352,163 @@ def _dop853_step(rhs, r, y, h):
     return y + h * np.tensordot(_B, k, 1)
 
 
+def _march(rhs, r, y, r_end):
+    """March y' = rhs(r, y), y = (Psi, Q), from r toward r_end with DOP853.
+
+    Returns the rows (r, Psi, Q) of the start and of every accepted step,
+    up to the first step that ends with Psi <= 0, or at r_end. This is
+    Hairer's driver for a two-component state, with each sum taken in the
+    order his code takes it, so the rows are those of scipy's compiled
+    ``ode("dop853")`` to the bit: his initial step guess, his mixed
+    third/fifth-order error norm, an accepted step followed by
+    h / f with f = err^(1/8) / 0.9 held to [1/6, 1/0.3], a rejected step
+    divided by 1/0.3 whatever its error (the compiled code's rule; h * 0.3
+    or a divisor from the error moves the bits), the derivative at each
+    accepted point reused as the next step's first stage, and a last step
+    stretched to r_end. Stiffness detection, which first runs at 1000
+    accepted steps, is left out.
+
+    Raises NumericError at _STEP_CAP steps, or when a step shrinks below
+    the rounding of r.
+    """
+    c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _ = _C[1:]
+    ([a21], [a31, a32], [a41, a43], [a51, a53, a54], [a61, a64, a65],
+     [a71, a74, a75, a76], [a81, a84, a85, a86, a87],
+     [a91, a94, a95, a96, a97, a98],
+     [a101, a104, a105, a106, a107, a108, a109],
+     [a111, a114, a115, a116, a117, a118, a119, a1110],
+     [a121, a124, a125, a126, a127, a128, a129, a1210, a1211]) = (
+        [a for _, a in row] for row in _A_ROWS[1:])
+    ((b1, b6, b7, b8, b9, b10, b11, b12),
+     (e1, e6, e7, e8, e9, e10, e11, e12)) = zip(
+        *((b, e) for _, b, e in _B_ROW))
+    bhh1, bhh2, bhh3 = _BHH
+
+    psi, q = y
+    rows = [(r, psi, q)]
+    h_max = r_end - r
+    k1p, k1q = rhs(r, y)
+    # first step: a hundredth of |y|/|y'|, then the step at which an
+    # eighth-order error with an Euler estimate of y'' reaches 0.01
+    sk_p, sk_q = _ATOL + _RTOL * abs(psi), _ATOL + _RTOL * abs(q)
+    d_p, d_q = k1p / sk_p, k1q / sk_q
+    dnf = d_p * d_p + d_q * d_q
+    d_p, d_q = psi / sk_p, q / sk_q
+    dny = d_p * d_p + d_q * d_q
+    h = 1e-6 if dnf <= 1e-10 or dny <= 1e-10 else math.sqrt(dny / dnf) * 0.01
+    h = min(h, h_max)
+    f_p, f_q = rhs(r + h, (psi + h * k1p, q + h * k1q))
+    d_p, d_q = (f_p - k1p) / sk_p, (f_q - k1q) / sk_q
+    der2 = math.sqrt(d_p * d_p + d_q * d_q) / h
+    der12 = max(abs(der2), math.sqrt(dnf))
+    h1 = max(1e-6, h * 1e-3) if der12 <= 1e-15 else (0.01 / der12) ** 0.125
+    h = min(100 * h, h1, h_max)
+    rejected = last = False
+    for _ in range(_STEP_CAP):
+        if 0.1 * h <= abs(r) * 2.3e-16:
+            raise NumericError(f"the DOP853 march of the radial profile "
+                               f"lost its step size to rounding at "
+                               f"r = {r:.12g}")
+        if r + 1.01 * h - r_end > 0.0:
+            h = r_end - r
+            last = True
+        ha = h * a21
+        k2p, k2q = rhs(r + c2 * h, (psi + ha * k1p, q + ha * k1q))
+        k3p, k3q = rhs(r + c3 * h, (psi + h * (a31 * k1p + a32 * k2p),
+                                    q + h * (a31 * k1q + a32 * k2q)))
+        k4p, k4q = rhs(r + c4 * h, (psi + h * (a41 * k1p + a43 * k3p),
+                                    q + h * (a41 * k1q + a43 * k3q)))
+        k5p, k5q = rhs(r + c5 * h, (
+            psi + h * (a51 * k1p + a53 * k3p + a54 * k4p),
+            q + h * (a51 * k1q + a53 * k3q + a54 * k4q)))
+        k6p, k6q = rhs(r + c6 * h, (
+            psi + h * (a61 * k1p + a64 * k4p + a65 * k5p),
+            q + h * (a61 * k1q + a64 * k4q + a65 * k5q)))
+        k7p, k7q = rhs(r + c7 * h, (
+            psi + h * (a71 * k1p + a74 * k4p + a75 * k5p + a76 * k6p),
+            q + h * (a71 * k1q + a74 * k4q + a75 * k5q + a76 * k6q)))
+        k8p, k8q = rhs(r + c8 * h, (
+            psi + h * (a81 * k1p + a84 * k4p + a85 * k5p + a86 * k6p
+                       + a87 * k7p),
+            q + h * (a81 * k1q + a84 * k4q + a85 * k5q + a86 * k6q
+                     + a87 * k7q)))
+        k9p, k9q = rhs(r + c9 * h, (
+            psi + h * (a91 * k1p + a94 * k4p + a95 * k5p + a96 * k6p
+                       + a97 * k7p + a98 * k8p),
+            q + h * (a91 * k1q + a94 * k4q + a95 * k5q + a96 * k6q
+                     + a97 * k7q + a98 * k8q)))
+        k10p, k10q = rhs(r + c10 * h, (
+            psi + h * (a101 * k1p + a104 * k4p + a105 * k5p + a106 * k6p
+                       + a107 * k7p + a108 * k8p + a109 * k9p),
+            q + h * (a101 * k1q + a104 * k4q + a105 * k5q + a106 * k6q
+                     + a107 * k7q + a108 * k8q + a109 * k9q)))
+        k11p, k11q = rhs(r + c11 * h, (
+            psi + h * (a111 * k1p + a114 * k4p + a115 * k5p + a116 * k6p
+                       + a117 * k7p + a118 * k8p + a119 * k9p
+                       + a1110 * k10p),
+            q + h * (a111 * k1q + a114 * k4q + a115 * k5q + a116 * k6q
+                     + a117 * k7q + a118 * k8q + a119 * k9q
+                     + a1110 * k10q)))
+        k12p, k12q = rhs(r + h, (
+            psi + h * (a121 * k1p + a124 * k4p + a125 * k5p + a126 * k6p
+                       + a127 * k7p + a128 * k8p + a129 * k9p
+                       + a1210 * k10p + a1211 * k11p),
+            q + h * (a121 * k1q + a124 * k4q + a125 * k5q + a126 * k6q
+                     + a127 * k7q + a128 * k8q + a129 * k9q
+                     + a1210 * k10q + a1211 * k11q)))
+        b_p = (b1 * k1p + b6 * k6p + b7 * k7p + b8 * k8p + b9 * k9p
+               + b10 * k10p + b11 * k11p + b12 * k12p)
+        b_q = (b1 * k1q + b6 * k6q + b7 * k7q + b8 * k8q + b9 * k9q
+               + b10 * k10q + b11 * k11q + b12 * k12q)
+        new_psi, new_q = psi + h * b_p, q + h * b_q
+        sk_p = _ATOL + _RTOL * max(abs(psi), abs(new_psi))
+        sk_q = _ATOL + _RTOL * max(abs(q), abs(new_q))
+        d_p = (b_p - bhh1 * k1p - bhh2 * k9p - bhh3 * k12p) / sk_p
+        d_q = (b_q - bhh1 * k1q - bhh2 * k9q - bhh3 * k12q) / sk_q
+        err3 = d_p * d_p + d_q * d_q
+        d_p = (e1 * k1p + e6 * k6p + e7 * k7p + e8 * k8p + e9 * k9p
+               + e10 * k10p + e11 * k11p + e12 * k12p) / sk_p
+        d_q = (e1 * k1q + e6 * k6q + e7 * k7q + e8 * k8q + e9 * k9q
+               + e10 * k10q + e11 * k11q + e12 * k12q) / sk_q
+        err5 = d_p * d_p + d_q * d_q
+        deno = err5 + 0.01 * err3
+        if deno <= 0.0:
+            deno = 1.0
+        err = h * err5 * math.sqrt(1.0 / (2 * deno))
+        # a NaN error rejects the step, as in Hairer's code
+        if err <= 1.0:
+            h_new = h / max(1 / 6.0, min(1 / 0.3, err ** 0.125 / 0.9))
+            r = r + h
+            psi, q = new_psi, new_q
+            rows.append((r, psi, q))
+            if psi <= 0.0 or last:
+                return rows
+            k1p, k1q = rhs(r, (psi, q))
+            h_new = min(h_new, h_max)
+            if rejected:
+                h_new = min(h_new, h)
+            rejected = False
+        else:
+            h_new = h / (1 / 0.3)
+            rejected = True
+            last = False
+        h = h_new
+    raise NumericError(f"the DOP853 march of the radial profile reached its "
+                       f"cap of {_STEP_CAP} steps at r = {r:.12g}")
+
+
 @lru_cache(maxsize=None)
 def psi_profile(p: float, n: int) -> RadialProfile:
     """Shoot the radial profile from a series start to its first zero.
 
-    Series start at _SERIES_R0 (second-order expansion). Hairer's compiled
-    DOP853 marches out to r = 100 and stops after the first accepted step
-    that ends with Psi <= 0; its rtol 1e-13 and atol 1e-14 hold the p = 2
-    zeros to the Bessel zeros within 1e-13 relative for every n in
-    [2, N_MAX]. Newton on the radius, r -= Psi / Psi' with
-    Psi' = -|Q|^(1/(p-1)), then places the zero inside that step; each
-    iterate is one DOP853 step from the step's start, and the last one's
-    flux Q ends the table as the zero's state (psi, 0, Q).
+    Series start at _SERIES_R0 (second-order expansion). The DOP853 march
+    (``_march``, Hairer's step control) heads for r = 100 and stops after
+    the first accepted step that ends with Psi <= 0; its rtol 1e-13 and
+    atol 1e-14 hold the p = 2 zeros to the Bessel zeros within 1e-13
+    relative for every n in [2, N_MAX]. Newton on the radius,
+    r -= Psi / Psi' with Psi' = -|Q|^(1/(p-1)), then places the zero inside
+    that step; each iterate is one DOP853 step from the step's start, and
+    the last one's flux Q ends the table as the zero's state (psi, 0, Q).
     """
     p = float(p)
     if not 2.0 <= p <= P_MAX:
@@ -288,17 +521,7 @@ def psi_profile(p: float, n: int) -> RadialProfile:
     y0 = (1.0 - c * r0 ** kappa + c2 * r0 ** (2.0 * kappa),
           -r0 / n + q1 * r0 ** (1.0 + kappa))
     rhs = _profile_rhs(p, n)
-    steps = []
-
-    def record(r, y):
-        steps.append((r, *y.tolist()))
-        return -1 if y[0] <= 0.0 else 0
-
-    solver = ode(lambda r, y: rhs(r, y.tolist()))
-    solver.set_integrator("dop853", rtol=1e-13, atol=1e-14, nsteps=100_000)
-    solver.set_solout(record)
-    solver.set_initial_value(y0, r0).integrate(100.0)
-    *starts, (x, psi_x, q_x) = steps
+    *starts, (x, psi_x, q_x) = _march(rhs, r0, y0, 100.0)
     if psi_x > 0.0:
         raise NumericError(f"no zero of the radial profile for p={p}, n={n} "
                            f"below r = 100")

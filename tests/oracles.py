@@ -12,14 +12,18 @@ mesh of the mixed problem whose eigenvalue is the rhombus mu1, and
 library does not. ``dense_pair`` is the second route for the library's
 sparse eigensolver, on the FEM matrices or on ``sturm_linear_pencil``.
 ``near_zero_profile`` is the local model of the radial profile at its zero
-that ``RadialProfile.value`` is held to there.
+that ``RadialProfile.value`` is held to there. ``compiled_profile_steps``
+shoots the profile through scipy's compiled DOP853, the reference for the
+library's own march.
 """
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.integrate import ode
 from scipy.linalg import eigh
 from scipy.special import jv
 
@@ -202,6 +206,32 @@ def near_zero_profile(profile: special.RadialProfile, u):
     b = (profile.n - 1.0) / (2.0 * (profile.p - 1.0) * psi)
     u = np.asarray(u, dtype=float)
     return zero_slope(profile) * u * (1.0 + b * u)
+
+
+def _compiled_march(rhs, r, y, r_end):
+    """special._march through scipy's compiled ``ode("dop853")``: a
+    solout callback records the start and every accepted step, and stops
+    the march after the first step that ends with Psi <= 0."""
+    steps = []
+
+    def record(r, y):
+        steps.append((r, *y.tolist()))
+        return -1 if y[0] <= 0.0 else 0
+
+    solver = ode(lambda r, y: rhs(r, y.tolist()))
+    solver.set_integrator("dop853", rtol=special._RTOL, atol=special._ATOL,
+                          nsteps=special._STEP_CAP)
+    solver.set_solout(record)
+    solver.set_initial_value(y, r).integrate(r_end)
+    return steps
+
+
+def compiled_profile_steps(p: float, n: int) -> np.ndarray:
+    """The shooting table of psi_profile(p, n), its series start, Newton
+    and zero row unchanged, with the march taken by scipy's compiled
+    DOP853 instead of special._march. The cache is bypassed."""
+    with mock.patch.object(special, "_march", _compiled_march):
+        return special.psi_profile.__wrapped__(p, n)._steps
 
 
 def ball_profile_value(ball: rearrangement.BallComparisonProfile,

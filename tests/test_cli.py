@@ -656,6 +656,12 @@ def _newton_cap_reached(monkeypatch):
     return ["psi", "--p", "3", "--n", "2"]
 
 
+def _march_step_cap_reached(monkeypatch):
+    monkeypatch.setattr(special, "psi_profile", special.psi_profile.__wrapped__)
+    monkeypatch.setattr(special, "_STEP_CAP", 5)
+    return ["psi", "--p", "3", "--n", "2"]
+
+
 def _descent_step_cap_reached(monkeypatch):
     monkeypatch.setattr(sturm1d, "_MAX_STEPS", 1)
     return ["sturm", "--gamma", "1.5", "--beta", "0.75", "--A", "1",
@@ -683,6 +689,8 @@ def _arpack_fails(monkeypatch):
      "5.78319 exceeds reference mu1 = 1 on rectangle_1x1"),
     (_newton_cap_reached, "numeric failure: Newton found no zero of the "
      "radial profile for p=3.0, n=2"),
+    (_march_step_cap_reached, "numeric failure: the DOP853 march of the "
+     "radial profile reached its cap of 5 steps at r = "),
     (_descent_step_cap_reached, "numeric failure: quotient minimization "
      "did not settle within 1 steps: last value "),
     (_sigma_below_the_hardy_floor, "numeric failure: computed eigenvalue "
@@ -690,7 +698,9 @@ def _arpack_fails(monkeypatch):
     (_arpack_fails, "numeric failure: ARPACK failed: ARPACK error 1: "),
 ])
 def test_numeric_refusals_exit_1_on_one_line(monkeypatch, setup, message):
-    code, out, err = run_cli(setup(monkeypatch))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(setup(monkeypatch))
     assert (code, out) == (1, "")
     assert err.startswith(message) and len(err.splitlines()) == 1
 

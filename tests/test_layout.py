@@ -12,6 +12,9 @@ module bound by `from . import x` is found wherever it sits in the file.
 import ast
 import importlib.util
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import spectral_bounds
@@ -142,3 +145,16 @@ def test_the_benchmark_tracer_finds_what_it_wraps():
                         (special.psi_profile, "cache_clear"),
                         (special, "bessel_first_zero")):
         assert callable(getattr(owner, name, None)), name
+
+
+def test_the_cli_loads_no_integrator_or_optimizer():
+    """scipy.integrate, and the scipy.optimize it pulls in, cost about a
+    third of the CLI's start-up; the library marches its one ODE itself.
+    A fresh interpreter, because this one has loaded them for the tests."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, spectral_bounds.cli; "
+         "print(*sorted(m for m in sys.modules if m.startswith("
+         "('scipy.integrate', 'scipy.optimize'))))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert loaded.stdout == "\n"

@@ -113,6 +113,28 @@ def test_value_near_the_zero(p, n):
     assert np.all(prof.value(grid) >= 0.0)
 
 
+@pytest.mark.parametrize("p", [2.0, 2.2, 2.5, 3.1, 4.0, 6.5, 10.0])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
+def test_march_is_the_compiled_dop853_to_the_bit(p, n):
+    """Every step start of the table, then the zero placed from them, is
+    the compiled route's to the bit; each of these shots rejects steps."""
+    steps = special.psi_profile(p, n)._steps
+    compiled = oracles.compiled_profile_steps(p, n)
+    assert np.array_equal(steps[:, :-1], compiled[:, :-1])
+    assert steps[0, -1] == compiled[0, -1]
+
+
+def test_march_refuses_a_step_lost_to_rounding():
+    # a slope that turns to NaN past r = 1 rejects every step that crosses
+    # it, until the step is below the rounding of r
+    def rhs(r, y):
+        return (-1.0, math.nan if r > 1.0 else 0.0)
+
+    with pytest.raises(NumericError, match="lost its step size to rounding "
+                       "at r = 1"):
+        special._march(rhs, 0.5, (1.0, 0.0), 100.0)
+
+
 def test_dimension_range():
     n = special.N_MAX
     assert special.psi_profile(2.0, n).first_zero == pytest.approx(
