@@ -12,12 +12,13 @@ Bessel functions, which is what the tests check against.
 
 One integrator serves the whole module: Dormand and Prince's 12-stage,
 order-8 Runge-Kutta step DOP853, from one tableau held here. A march with
-Hairer's step control, the same to the bit as scipy's compiled
-``ode("dop853")``, integrates the ODE with error control and keeps a table
-of its accepted step starts. Newton iterates for the zero are DOP853 steps
-from the last start, and the zero's own state ends the table; every value
-of Psi is then one more DOP853 step from the table point nearest the
-radius, backward when that point lies beyond it.
+the step control of scipy's C port of Hairer's code, the same to the bit
+as scipy 1.17's compiled ``ode("dop853")``, integrates the ODE with error
+control and keeps a table of its accepted step starts. Newton iterates
+for the zero are DOP853 steps from the last start, and the zero's own
+state ends the table; every value of Psi is then one more DOP853 step
+from the table point nearest the radius, backward when that point lies
+beyond it.
 """
 
 from __future__ import annotations
@@ -356,38 +357,33 @@ def _march(rhs, r, y, r_end):
     """March y' = rhs(r, y), y = (Psi, Q), from r toward r_end with DOP853.
 
     Returns the rows (r, Psi, Q) of the start and of every accepted step,
-    up to the first step that ends with Psi <= 0, or at r_end. This is
-    Hairer's driver for a two-component state, with each sum taken in the
-    order his code takes it, so the rows are those of scipy's compiled
-    ``ode("dop853")`` to the bit: his initial step guess, his mixed
-    third/fifth-order error norm, an accepted step followed by
-    h / f with f = err^(1/8) / 0.9 held to [1/6, 1/0.3], a rejected step
-    divided by 1/0.3 whatever its error (the compiled code's rule; h * 0.3
-    or a divisor from the error moves the bits), the derivative at each
-    accepted point reused as the next step's first stage, and a last step
-    stretched to r_end. Stiffness detection, which first runs at 1000
-    accepted steps, is left out.
+    up to the first step that ends with Psi <= 0, or at r_end. This is the
+    driver of scipy's C port of Hairer's DOP853 code for a two-component
+    state, each sum taken left to right in the code's order, so the rows
+    are those of scipy 1.17's compiled ``ode("dop853")`` to the bit:
+    Hairer's initial step guess, his mixed third/fifth-order error norm, an
+    accepted step followed by h / f with f = err^(1/8) / 0.9 held to
+    [1/6, 1/0.3], a rejected step divided by 1/0.3 whatever its error, the
+    derivative at each accepted point reused as the next step's first
+    stage, and a last step stretched to r_end. The rejection rule is the
+    port's: Hairer's Fortran, which older scipy releases wrap, divides by
+    min(1/0.3, err^(1/8) / 0.9), and h * 0.3 moves the bits too. Stiffness
+    detection, which first runs at 1000 accepted steps, is left out.
 
     Raises NumericError at _STEP_CAP steps, or when a step shrinks below
     the rounding of r.
     """
-    c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _ = _C[1:]
-    ([a21], [a31, a32], [a41, a43], [a51, a53, a54], [a61, a64, a65],
-     [a71, a74, a75, a76], [a81, a84, a85, a86, a87],
-     [a91, a94, a95, a96, a97, a98],
-     [a101, a104, a105, a106, a107, a108, a109],
-     [a111, a114, a115, a116, a117, a118, a119, a1110],
-     [a121, a124, a125, a126, a127, a128, a129, a1210, a1211]) = (
-        [a for _, a in row] for row in _A_ROWS[1:])
-    ((b1, b6, b7, b8, b9, b10, b11, b12),
-     (e1, e6, e7, e8, e9, e10, e11, e12)) = zip(
-        *((b, e) for _, b, e in _B_ROW))
+    (_, a21), = _A_ROWS[1]
+    (j0, b0, e0), *b_rest = _B_ROW
     bhh1, bhh2, bhh3 = _BHH
+    # stages 3 to 12: node, first weight, the remaining weights
+    stages = [(s, _C[s], _A_ROWS[s][0], _A_ROWS[s][1:]) for s in range(2, 12)]
 
     psi, q = y
     rows = [(r, psi, q)]
     h_max = r_end - r
-    k1p, k1q = rhs(r, y)
+    kp, kq = [0.0] * len(_C), [0.0] * len(_C)
+    k1p, k1q = kp[0], kq[0] = rhs(r, y)
     # first step: a hundredth of |y|/|y'|, then the step at which an
     # eighth-order error with an Euler estimate of y'' reaches 0.01
     sk_p, sk_q = _ATOL + _RTOL * abs(psi), _ATOL + _RTOL * abs(q)
@@ -412,64 +408,30 @@ def _march(rhs, r, y, r_end):
         if r + 1.01 * h - r_end > 0.0:
             h = r_end - r
             last = True
+        # every sum runs left to right over the nonzero weights; stage 2
+        # alone scales its one weight by h first
         ha = h * a21
-        k2p, k2q = rhs(r + c2 * h, (psi + ha * k1p, q + ha * k1q))
-        k3p, k3q = rhs(r + c3 * h, (psi + h * (a31 * k1p + a32 * k2p),
-                                    q + h * (a31 * k1q + a32 * k2q)))
-        k4p, k4q = rhs(r + c4 * h, (psi + h * (a41 * k1p + a43 * k3p),
-                                    q + h * (a41 * k1q + a43 * k3q)))
-        k5p, k5q = rhs(r + c5 * h, (
-            psi + h * (a51 * k1p + a53 * k3p + a54 * k4p),
-            q + h * (a51 * k1q + a53 * k3q + a54 * k4q)))
-        k6p, k6q = rhs(r + c6 * h, (
-            psi + h * (a61 * k1p + a64 * k4p + a65 * k5p),
-            q + h * (a61 * k1q + a64 * k4q + a65 * k5q)))
-        k7p, k7q = rhs(r + c7 * h, (
-            psi + h * (a71 * k1p + a74 * k4p + a75 * k5p + a76 * k6p),
-            q + h * (a71 * k1q + a74 * k4q + a75 * k5q + a76 * k6q)))
-        k8p, k8q = rhs(r + c8 * h, (
-            psi + h * (a81 * k1p + a84 * k4p + a85 * k5p + a86 * k6p
-                       + a87 * k7p),
-            q + h * (a81 * k1q + a84 * k4q + a85 * k5q + a86 * k6q
-                     + a87 * k7q)))
-        k9p, k9q = rhs(r + c9 * h, (
-            psi + h * (a91 * k1p + a94 * k4p + a95 * k5p + a96 * k6p
-                       + a97 * k7p + a98 * k8p),
-            q + h * (a91 * k1q + a94 * k4q + a95 * k5q + a96 * k6q
-                     + a97 * k7q + a98 * k8q)))
-        k10p, k10q = rhs(r + c10 * h, (
-            psi + h * (a101 * k1p + a104 * k4p + a105 * k5p + a106 * k6p
-                       + a107 * k7p + a108 * k8p + a109 * k9p),
-            q + h * (a101 * k1q + a104 * k4q + a105 * k5q + a106 * k6q
-                     + a107 * k7q + a108 * k8q + a109 * k9q)))
-        k11p, k11q = rhs(r + c11 * h, (
-            psi + h * (a111 * k1p + a114 * k4p + a115 * k5p + a116 * k6p
-                       + a117 * k7p + a118 * k8p + a119 * k9p
-                       + a1110 * k10p),
-            q + h * (a111 * k1q + a114 * k4q + a115 * k5q + a116 * k6q
-                     + a117 * k7q + a118 * k8q + a119 * k9q
-                     + a1110 * k10q)))
-        k12p, k12q = rhs(r + h, (
-            psi + h * (a121 * k1p + a124 * k4p + a125 * k5p + a126 * k6p
-                       + a127 * k7p + a128 * k8p + a129 * k9p
-                       + a1210 * k10p + a1211 * k11p),
-            q + h * (a121 * k1q + a124 * k4q + a125 * k5q + a126 * k6q
-                     + a127 * k7q + a128 * k8q + a129 * k9q
-                     + a1210 * k10q + a1211 * k11q)))
-        b_p = (b1 * k1p + b6 * k6p + b7 * k7p + b8 * k8p + b9 * k9p
-               + b10 * k10p + b11 * k11p + b12 * k12p)
-        b_q = (b1 * k1q + b6 * k6q + b7 * k7q + b8 * k8q + b9 * k9q
-               + b10 * k10q + b11 * k11q + b12 * k12q)
+        kp[1], kq[1] = rhs(r + _C[1] * h, (psi + ha * kp[0], q + ha * kq[0]))
+        for s, c, (j, a), rest in stages:
+            s_p, s_q = a * kp[j], a * kq[j]
+            for j, a in rest:
+                s_p += a * kp[j]
+                s_q += a * kq[j]
+            kp[s], kq[s] = rhs(r + c * h, (psi + h * s_p, q + h * s_q))
+        b_p, b_q = b0 * kp[j0], b0 * kq[j0]
+        e_p, e_q = e0 * kp[j0], e0 * kq[j0]
+        for j, b, e in b_rest:
+            b_p += b * kp[j]
+            b_q += b * kq[j]
+            e_p += e * kp[j]
+            e_q += e * kq[j]
         new_psi, new_q = psi + h * b_p, q + h * b_q
         sk_p = _ATOL + _RTOL * max(abs(psi), abs(new_psi))
         sk_q = _ATOL + _RTOL * max(abs(q), abs(new_q))
-        d_p = (b_p - bhh1 * k1p - bhh2 * k9p - bhh3 * k12p) / sk_p
-        d_q = (b_q - bhh1 * k1q - bhh2 * k9q - bhh3 * k12q) / sk_q
+        d_p = (b_p - bhh1 * kp[0] - bhh2 * kp[8] - bhh3 * kp[11]) / sk_p
+        d_q = (b_q - bhh1 * kq[0] - bhh2 * kq[8] - bhh3 * kq[11]) / sk_q
         err3 = d_p * d_p + d_q * d_q
-        d_p = (e1 * k1p + e6 * k6p + e7 * k7p + e8 * k8p + e9 * k9p
-               + e10 * k10p + e11 * k11p + e12 * k12p) / sk_p
-        d_q = (e1 * k1q + e6 * k6q + e7 * k7q + e8 * k8q + e9 * k9q
-               + e10 * k10q + e11 * k11q + e12 * k12q) / sk_q
+        d_p, d_q = e_p / sk_p, e_q / sk_q
         err5 = d_p * d_p + d_q * d_q
         deno = err5 + 0.01 * err3
         if deno <= 0.0:
@@ -483,7 +445,7 @@ def _march(rhs, r, y, r_end):
             rows.append((r, psi, q))
             if psi <= 0.0 or last:
                 return rows
-            k1p, k1q = rhs(r, (psi, q))
+            kp[0], kq[0] = rhs(r, (psi, q))
             h_new = min(h_new, h_max)
             if rejected:
                 h_new = min(h_new, h)
@@ -502,10 +464,10 @@ def psi_profile(p: float, n: int) -> RadialProfile:
     """Shoot the radial profile from a series start to its first zero.
 
     Series start at _SERIES_R0 (second-order expansion). The DOP853 march
-    (``_march``, Hairer's step control) heads for r = 100 and stops after
-    the first accepted step that ends with Psi <= 0; its rtol 1e-13 and
-    atol 1e-14 hold the p = 2 zeros to the Bessel zeros within 1e-13
-    relative for every n in [2, N_MAX]. Newton on the radius,
+    (``_march``, the step control of scipy's C port) heads for r = 100
+    and stops after the first accepted step that ends with Psi <= 0; its
+    rtol 1e-13 and atol 1e-14 hold the p = 2 zeros to the Bessel zeros
+    within 1e-13 relative for every n in [2, N_MAX]. Newton on the radius,
     r -= Psi / Psi' with Psi' = -|Q|^(1/(p-1)), then places the zero inside
     that step; each iterate is one DOP853 step from the step's start, and
     the last one's flux Q ends the table as the zero's state (psi, 0, Q).

@@ -23,7 +23,7 @@ from unittest import mock
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.integrate import ode
+from scipy.integrate import _dop, ode
 from scipy.linalg import eigh
 from scipy.special import jv
 
@@ -206,6 +206,15 @@ def near_zero_profile(profile: special.RadialProfile, u):
     b = (profile.n - 1.0) / (2.0 * (profile.p - 1.0) * psi)
     u = np.asarray(u, dtype=float)
     return zero_slope(profile) * u * (1.0 + b * u)
+
+
+#: Whether scipy's ode("dop853") runs the C port of Hairer's code, the
+#: _dop.dopri853 of scipy 1.17, rather than the f2py wrapper of his
+#: Fortran, _dop.dop853. The C port divides a rejected step by 1/0.3
+#: whatever its error; the Fortran divides it by min(1/0.3, err^(1/8)/0.9).
+#: special._march follows the C port, so only there is the compiled route
+#: its oracle to the bit.
+COMPILED_DOP853_IS_C_PORT = hasattr(_dop, "dopri853")
 
 
 def _compiled_march(rhs, r, y, r_end):

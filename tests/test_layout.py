@@ -151,7 +151,8 @@ def test_the_cli_loads_no_integrator_or_optimizer():
     """scipy.integrate, and the scipy.optimize it pulls in, cost about a
     third of the CLI's start-up; the library marches its one ODE itself.
     A fresh interpreter, because this one has loaded them for the tests."""
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     loaded = subprocess.run(
         [sys.executable, "-c", "import sys, spectral_bounds.cli; "
          "print(*sorted(m for m in sys.modules if m.startswith("
