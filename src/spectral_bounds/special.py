@@ -10,15 +10,15 @@ unit ball is then psi^p, and weighted power means of Psi over (0, psi) supply
 the constants of the comparison machinery. For p = 2 everything collapses to
 Bessel functions, which is what the tests check against.
 
-One integrator serves the whole module: Dormand and Prince's 12-stage,
-order-8 Runge-Kutta step DOP853, from one tableau held here. A march with
-the step control of scipy's C port of Hairer's code, the same to the bit
-as scipy 1.17's compiled ``ode("dop853")``, integrates the ODE with error
-control and keeps a table of its accepted step starts. Newton iterates
-for the zero are DOP853 steps from the last start, and the zero's own
-state ends the table; every value of Psi is then one more DOP853 step
-from the table point nearest the radius, backward when that point lies
-beyond it.
+One step routine serves the whole module: Dormand and Prince's 12-stage,
+order-8 Runge-Kutta step DOP853, from one tableau held here, for a float
+state or arrays of states alike. A march with the step control of scipy's
+C port of Hairer's code, the same to the bit as scipy 1.17's compiled
+``ode("dop853")``, takes these steps with error control and keeps a table
+of its accepted step starts. Newton iterates for the zero are the same
+step from the last start, and the zero's own state ends the table; every
+value of Psi is then one more such step from the table point nearest the
+radius, backward when that point lies beyond it.
 """
 
 from __future__ import annotations
@@ -149,10 +149,12 @@ _B_ROW = (
      -0.2235530786388629525884427845e-1))
 _BHH = (0.244094488188976377952755905512, 0.733846688281611857341361741547,
         0.220588235294117647058823529412e-1)
-
-#: the same weights as dense arrays, for the vectorized step
-_A = np.array([[dict(row).get(j, 0.0) for j in range(12)] for row in _A_ROWS])
-_B = np.array([{j: b for j, b, _ in _B_ROW}.get(j, 0.0) for j in range(12)])
+#: the same rows regrouped once for the step: stage 2's one weight, then
+#: stages 3 to 12 as (stage, node, first (stage, weight) pair, the rest)
+(_, _A21), = _A_ROWS[1]
+_STAGES = tuple((s, _C[s], row[0], row[1:])
+                for s, row in enumerate(_A_ROWS[2:], 2))
+_B_FIRST, *_B_REST = _B_ROW
 
 
 def check_exponent(q: float) -> None:
@@ -240,7 +242,7 @@ class RadialProfile:
             k = np.searchsorted(0.5 * (grid[:-1] + grid[1:]), r[mid])
             start, psi, q = self._steps[:, k]
             out[mid] = _dop853_step(_profile_rhs(self.p, self.n), start,
-                                    (psi, q), r[mid] - start)[0]
+                                    psi, q, r[mid] - start)[0][0]
         return float(out[0]) if arr.ndim == 0 else out
 
     # -- radial power integrals ----------------------------------------------
@@ -339,18 +341,39 @@ def _profile_rhs(p: float, n: int):
     return rhs
 
 
-def _dop853_step(rhs, r, y, h):
-    """The eighth-order DOP853 solution of y' = rhs(r, y) one step h on.
+def _dop853_step(rhs, r, psi, q, h):
+    """One DOP853 step of y' = rhs(r, y), y = (Psi, Q), from r to r + h.
 
-    y is one state, or one state per column with r and h one entry per
-    column, so a single call steps every start of a table at once.
+    Returns the eighth-order (Psi, Q) at r + h and the (Psi, Q) numerators
+    of the third- and fifth-order error estimates. Every sum runs left to
+    right over the nonzero weights; stage 2 alone scales its weight by h
+    first. One float state (the march, Newton) and arrays of states with
+    r and h one entry each (``RadialProfile.value``) share this code, and
+    agree only to rounding: numpy's array power and Python's float power
+    can differ in the last bit.
     """
-    y = np.asarray(y, dtype=float)
-    k = np.empty((len(_B),) + y.shape)
-    k[0] = rhs(r, y)
-    for s in range(1, len(_B)):
-        k[s] = rhs(r + _C[s] * h, y + h * np.tensordot(_A[s, :s], k[:s], 1))
-    return y + h * np.tensordot(_B, k, 1)
+    kp, kq = [0.0] * len(_C), [0.0] * len(_C)
+    kp[0], kq[0] = rhs(r, (psi, q))
+    ha = h * _A21
+    kp[1], kq[1] = rhs(r + _C[1] * h, (psi + ha * kp[0], q + ha * kq[0]))
+    for s, c, (j, a), rest in _STAGES:
+        s_p, s_q = a * kp[j], a * kq[j]
+        for j, a in rest:
+            s_p += a * kp[j]
+            s_q += a * kq[j]
+        kp[s], kq[s] = rhs(r + c * h, (psi + h * s_p, q + h * s_q))
+    j, b, e = _B_FIRST
+    b_p, b_q, e_p, e_q = b * kp[j], b * kq[j], e * kp[j], e * kq[j]
+    for j, b, e in _B_REST:
+        b_p += b * kp[j]
+        b_q += b * kq[j]
+        e_p += e * kp[j]
+        e_q += e * kq[j]
+    bhh1, bhh2, bhh3 = _BHH
+    return ((psi + h * b_p, q + h * b_q),
+            (b_p - bhh1 * kp[0] - bhh2 * kp[8] - bhh3 * kp[11],
+             b_q - bhh1 * kq[0] - bhh2 * kq[8] - bhh3 * kq[11]),
+            (e_p, e_q))
 
 
 def _march(rhs, r, y, r_end):
@@ -364,7 +387,7 @@ def _march(rhs, r, y, r_end):
     Hairer's initial step guess, his mixed third/fifth-order error norm, an
     accepted step followed by h / f with f = err^(1/8) / 0.9 held to
     [1/6, 1/0.3], a rejected step divided by 1/0.3 whatever its error, the
-    derivative at each accepted point reused as the next step's first
+    derivative at each step start evaluated anew as the step's first
     stage, and a last step stretched to r_end. The rejection rule is the
     port's: Hairer's Fortran, which older scipy releases wrap, divides by
     min(1/0.3, err^(1/8) / 0.9), and h * 0.3 moves the bits too. Stiffness
@@ -373,17 +396,10 @@ def _march(rhs, r, y, r_end):
     Raises NumericError at _STEP_CAP steps, or when a step shrinks below
     the rounding of r.
     """
-    (_, a21), = _A_ROWS[1]
-    (j0, b0, e0), *b_rest = _B_ROW
-    bhh1, bhh2, bhh3 = _BHH
-    # stages 3 to 12: node, first weight, the remaining weights
-    stages = [(s, _C[s], _A_ROWS[s][0], _A_ROWS[s][1:]) for s in range(2, 12)]
-
     psi, q = y
     rows = [(r, psi, q)]
     h_max = r_end - r
-    kp, kq = [0.0] * len(_C), [0.0] * len(_C)
-    k1p, k1q = kp[0], kq[0] = rhs(r, y)
+    k1p, k1q = rhs(r, y)
     # first step: a hundredth of |y|/|y'|, then the step at which an
     # eighth-order error with an Euler estimate of y'' reaches 0.01
     sk_p, sk_q = _ATOL + _RTOL * abs(psi), _ATOL + _RTOL * abs(q)
@@ -408,30 +424,13 @@ def _march(rhs, r, y, r_end):
         if r + 1.01 * h - r_end > 0.0:
             h = r_end - r
             last = True
-        # every sum runs left to right over the nonzero weights; stage 2
-        # alone scales its one weight by h first
-        ha = h * a21
-        kp[1], kq[1] = rhs(r + _C[1] * h, (psi + ha * kp[0], q + ha * kq[0]))
-        for s, c, (j, a), rest in stages:
-            s_p, s_q = a * kp[j], a * kq[j]
-            for j, a in rest:
-                s_p += a * kp[j]
-                s_q += a * kq[j]
-            kp[s], kq[s] = rhs(r + c * h, (psi + h * s_p, q + h * s_q))
-        b_p, b_q = b0 * kp[j0], b0 * kq[j0]
-        e_p, e_q = e0 * kp[j0], e0 * kq[j0]
-        for j, b, e in b_rest:
-            b_p += b * kp[j]
-            b_q += b * kq[j]
-            e_p += e * kp[j]
-            e_q += e * kq[j]
-        new_psi, new_q = psi + h * b_p, q + h * b_q
+        (new_psi, new_q), (e3_p, e3_q), (e5_p, e5_q) = _dop853_step(
+            rhs, r, psi, q, h)
         sk_p = _ATOL + _RTOL * max(abs(psi), abs(new_psi))
         sk_q = _ATOL + _RTOL * max(abs(q), abs(new_q))
-        d_p = (b_p - bhh1 * kp[0] - bhh2 * kp[8] - bhh3 * kp[11]) / sk_p
-        d_q = (b_q - bhh1 * kq[0] - bhh2 * kq[8] - bhh3 * kq[11]) / sk_q
+        d_p, d_q = e3_p / sk_p, e3_q / sk_q
         err3 = d_p * d_p + d_q * d_q
-        d_p, d_q = e_p / sk_p, e_q / sk_q
+        d_p, d_q = e5_p / sk_p, e5_q / sk_q
         err5 = d_p * d_p + d_q * d_q
         deno = err5 + 0.01 * err3
         if deno <= 0.0:
@@ -445,7 +444,6 @@ def _march(rhs, r, y, r_end):
             rows.append((r, psi, q))
             if psi <= 0.0 or last:
                 return rows
-            kp[0], kq[0] = rhs(r, (psi, q))
             h_new = min(h_new, h_max)
             if rejected:
                 h_new = min(h_new, h)
@@ -493,7 +491,7 @@ def psi_profile(p: float, n: int) -> RadialProfile:
         x += dx
         if abs(dx) <= 1e-15 * x:
             break
-        psi_x, q_x = _dop853_step(rhs, r, (psi, q), x - r).tolist()
+        (psi_x, q_x), _, _ = _dop853_step(rhs, r, psi, q, x - r)
     else:
         raise NumericError(f"Newton found no zero of the radial profile for "
                            f"p={p}, n={n}")

@@ -197,6 +197,18 @@ GOLDEN_CSV = {
         "0.495907372305\n"
         "polygon_6_r1,2,2,4.04370800519,symmetric_planar,2.57030487242,"
         "0.635630680831\n"),
+    "psi-p-off-2": (
+        "psi --p 3.7,10 --n 2,32",
+        "p,n,psi,psi_p\n"
+        "3.7,2,2.00600300391,13.1409524065\n"
+        "3.7,32,12.1365532831,10260.1298602\n"
+        "10,2,1.50775255457,60.7156613046\n"
+        "10,32,5.71890874918,37422402.888\n"),
+    "bound-p3": (
+        "bound --domain rhombus --m 8 --p 3",
+        "domain,p,n,k_value,rule,area,width,diameter,main,ashbaugh_mercado\n"
+        "rhombus_8,3,2,1.189207115,symmetric-convex-width,0.707106781187,"
+        "0.707106781187,1.84775906502,9.83149840461,2.37037037037\n"),
 }
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.integrate._ivp.rk import DOP853
 from scipy.special import jn_zeros, jv
 
 from spectral_bounds import special
@@ -116,11 +117,10 @@ def test_value_near_the_zero(p, n):
 
 #: sha256 (first 12 hex digits) of the little-endian bytes of the march's
 #: rows of psi_profile(p, n)._steps, for n = 2, 3, 5, 8, 16, 32, made on
-#: x86-64 Linux (glibc pow). The Newton row is left out: numpy's dot,
-#: whose rounding varies with the BLAS kernel, computes it. Each of these
-#: shots rejects 2 to 30 steps. On scipy 1.17.1 every row is the compiled
-#: route's to the bit, so these pins hold the march to that route on any
-#: scipy, the floor's included.
+#: x86-64 Linux (glibc pow). The Newton row is left out here and pinned on
+#: its own in PINNED_ZERO_ROWS. Each of these shots rejects 2 to 30 steps.
+#: On scipy 1.17.1 every row is the compiled route's to the bit, so these
+#: pins hold the march to that route on any scipy, the floor's included.
 PINNED_TABLES = {
     2.0: ("d247c64e4e62", "4627534d4643", "0a92bc35128b", "ef98813cf596",
           "73335c3f0613", "80e34df5fab6"),
@@ -138,6 +138,53 @@ PINNED_TABLES = {
            "e1c0aecc4c5a", "7bc0cfee2159"),
 }
 PINNED_NS = (2, 3, 5, 8, 16, 32)
+#: The Newton row (first_zero, 0, Q at the zero) of the same shots, as
+#: float.hex of first_zero and of Q, made on the same platform. The Newton
+#: iterates are float DOP853 steps, so no BLAS kernel rounds them.
+PINNED_ZERO_ROWS = {
+    2.0: (("0x1.33d152e971b57p+1", "-0x1.09cdb365512ccp-1"),
+          ("0x1.921fb54442cb3p+1", "-0x1.45f306dc9c86fp-2"),
+          ("0x1.1f9405435069fp+2", "-0x1.2908059894860p-3"),
+          ("0x1.9854928f8b72ap+2", "-0x1.c398afd1c861cp-5"),
+          ("0x1.62c38b0f00675p+3", "-0x1.b39f20ed888f0p-8"),
+          ("0x1.3fe93017932d4p+4", "-0x1.91993c947ff3cp-13")),
+    2.2: (("0x1.2c6273f95ab05p+1", "-0x1.b25df5345572ep-2"),
+          ("0x1.83ff2b432d04bp+1", "-0x1.ea51c1dd4a2c7p-3"),
+          ("0x1.120bafbcbe754p+2", "-0x1.84488dd7507b5p-4"),
+          ("0x1.815d6a3105879p+2", "-0x1.ecb3dd74aade7p-6"),
+          ("0x1.4b02e238e3b58p+3", "-0x1.3ab089827fb63p-9"),
+          ("0x1.27fe9a4891e61p+4", "-0x1.1b4fdc8101d6dp-15")),
+    2.5: (("0x1.21c25c52f4530p+1", "-0x1.478161d29e803p-2"),
+          ("0x1.7102122d80b1cp+1", "-0x1.4a36c5b3d9158p-3"),
+          ("0x1.008ee97c5401ap+2", "-0x1.af6e892185424p-5"),
+          ("0x1.6450b3acac5bep+2", "-0x1.aaf47dca9d89cp-7"),
+          ("0x1.2d8c00d856f64p+3", "-0x1.3507ac705cb79p-11"),
+          ("0x1.0aad811fd9812p+4", "-0x1.9e2eb959361f7p-19")),
+    3.1: (("0x1.0f6e0a5b5d42cp+1", "-0x1.901c27a3f02c4p-3"),
+          ("0x1.5232feaad90a3p+1", "-0x1.4cc57e37b4f1dp-4"),
+          ("0x1.cac273b70765ep+1", "-0x1.389e4240c71d1p-6"),
+          ("0x1.38452563d9d0dp+2", "-0x1.93a90f1a8fb5cp-9"),
+          ("0x1.01e9c461f6631p+3", "-0x1.b870fed8a3a8fp-15"),
+          ("0x1.bfcdfe0128e31p+3", "-0x1.b1f26846c1bd6p-25")),
+    4.0: (("0x1.f51c5194bc74ap+0", "-0x1.b8f40a558a10fp-4"),
+          ("0x1.30f23895d5d8ep+1", "-0x1.23b16f5df0abbp-5"),
+          ("0x1.92762b56ae398p+1", "-0x1.719365c2a1fb4p-8"),
+          ("0x1.0bca579cb15e3p+2", "-0x1.1e6f8709ad502p-11"),
+          ("0x1.ade5ffc085d23p+2", "-0x1.87671cd9ff2dfp-19"),
+          ("0x1.6cf4a3b91b88ap+3", "-0x1.a18b6ce875b8dp-32")),
+    6.5: (("0x1.b0ce706f1c988p+0", "-0x1.1d0c917e63f91p-5"),
+          ("0x1.fa5ce086d5a75p+0", "-0x1.e989f2f440d57p-8"),
+          ("0x1.3e687ff02edc0p+1", "-0x1.25c69b789b6dbp-11"),
+          ("0x1.965d06b589cb9p+1", "-0x1.5ab3350e538abp-16"),
+          ("0x1.34afb4f16d9fap+2", "-0x1.b02bebad802c1p-27"),
+          ("0x1.f4e32bd0285d0p+2", "-0x1.7af047a2e3d1ap-45")),
+    10.0: (("0x1.81fc1248553dep+0", "-0x1.ae0d6e99488d3p-7"),
+           ("0x1.b619698428bfdp+0", "-0x1.f9961e70dd318p-10"),
+           ("0x1.08ee2b0660dd2p+1", "-0x1.39b0579035692p-14"),
+           ("0x1.4639004490cf0p+1", "-0x1.3bfa50e48ad68p-20"),
+           ("0x1.d7654dd59daefp+1", "-0x1.de2a48d429a2bp-34"),
+           ("0x1.6e0299d7a14ccp+2", "-0x1.346d17cf2e792p-56")),
+}
 
 
 @pytest.mark.parametrize("p", sorted(PINNED_TABLES))
@@ -147,6 +194,36 @@ def test_march_tables_are_pinned(p, n):
                                  "<f8")
     digest = hashlib.sha256(steps.tobytes()).hexdigest()[:12]
     assert digest == PINNED_TABLES[p][PINNED_NS.index(n)]
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_ZERO_ROWS))
+@pytest.mark.parametrize("n", PINNED_NS)
+def test_newton_rows_are_pinned(p, n):
+    prof = special.psi_profile(p, n)
+    zero, flux = PINNED_ZERO_ROWS[p][PINNED_NS.index(n)]
+    assert prof.first_zero.hex() == zero
+    assert [v.hex() for v in prof._steps[:, -1].tolist()] == [
+        zero, "0x0.0p+0", flux]
+
+
+def test_one_tableau_is_scipys():
+    """The sparse rows rebuild scipy's dense DOP853 A, B, C, E3 and E5; E3
+    is B less the _BHH multiples of stages 1, 9 and 12."""
+    a = np.zeros((12, 12))
+    b, e5 = np.zeros(12), np.zeros(13)
+    for s, row in enumerate(special._A_ROWS):
+        for j, weight in row:
+            a[s, j] = weight
+    for j, weight, error in special._B_ROW:
+        b[j], e5[j] = weight, error
+    e3 = np.append(b, 0.0)
+    for j, weight in zip((0, 8, 11), special._BHH):
+        e3[j] -= weight
+    assert np.array_equal(a, DOP853.A[:12, :12])
+    assert np.array_equal(b, DOP853.B)
+    assert np.array_equal(special._C, DOP853.C[:12])
+    assert np.array_equal(e3, DOP853.E3)
+    assert np.array_equal(e5, DOP853.E5)
 
 
 @pytest.mark.skipif(not oracles.COMPILED_DOP853_IS_C_PORT,
