@@ -10,17 +10,23 @@ into one p = 2 report per domain against a finite element reference value.
 
 The (domain, level) pipelines behind those reference values run through
 SharedSolves, a keyed memo that its caller holds and passes on; its mu1 is
-the one reference value the bound checks take.
+the one reference value the bound checks take. SharedSolves imports fem,
+and with it scipy, at its first Neumann solve, so the closed-form bounds
+run on numpy alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from . import fem, geometry, rearrangement, special
+from . import geometry, rearrangement, special
 from .errors import NumericError, ParameterError
 from .geometry import DomainSpec
+
+if TYPE_CHECKING:
+    from . import fem
 
 RULE_SYMMETRIC_WIDTH = "symmetric-convex-width"
 
@@ -178,6 +184,8 @@ class SharedSolves:
             else geometry.triangulate(spec)))
 
     def neumann(self, spec: DomainSpec, level: int) -> fem.EigenPair:
+        from . import fem
+
         return self._once(("neumann", spec, level), lambda: (
             fem.solve_neumann_mu1(self.mesh(spec, level))))
 
@@ -192,6 +200,8 @@ class SharedSolves:
         eigenvalues at level - 1 and level."""
         if level < 1:
             raise ParameterError(f"level must be >= 1, got {level}")
+        from . import fem
+
         return fem.richardson(self.neumann(spec, level - 1).value,
                               self.neumann(spec, level).value)
 

@@ -14,6 +14,11 @@ dispatch hands to the handler: the caller's, or a fresh one dropped when
 dispatch returns. A suite makes one memo and hands it to every line. The
 argument parser is built once per process.
 
+The closed-form subcommands psi and bound load numpy and nothing from
+scipy. The others load scipy.sparse.linalg when they first need it: the
+FEM layer at a memo's first Neumann solve (compare-bounds, verify-rhombus,
+chiti, rholder), sturm1d at the first sturm line.
+
 Exit codes: 0 success, 1 numeric failure (a verified inequality broke, an
 iteration stalled, a factorization met an exactly singular pivot, numpy
 arithmetic overflowed or went invalid, or a value came out non-finite), 2
@@ -36,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds, geometry, rearrangement, special, sturm1d
+from . import bounds, geometry, rearrangement, special
 from .errors import NumericError, ParameterError
 
 _FEM_P_RULE = "FEM mu1 unavailable for p != 2 (discrete solver is linear only)"
@@ -258,6 +263,9 @@ def _cmd_rholder(args, solves):
 
 
 def _cmd_sturm(args, _solves):
+    # sturm1d loads scipy.sparse.linalg, which no other handler here needs
+    from . import sturm1d
+
     problem = sturm1d.SturmProblem(gamma=args.gamma, beta=args.beta,
                                    length=args.A, n_cells=args.N)
     solution = sturm1d.solve(problem)
@@ -341,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--A", type=_finite_float, required=True,
                      help=f"interval length, {_LENGTH_RANGE}")
     sub.add_argument("--N", type=int, default=4096,
-                     help=f"cell count, 4 to {sturm1d.MAX_CELLS} "
-                     f"(at most {sturm1d.MAX_LINEAR_CELLS} at gamma 2)")
+                     help=f"cell count, 4 to {geometry.MAX_CELLS} "
+                     f"(at most {geometry.MAX_LINEAR_CELLS} at gamma 2)")
     _add_output_flags(sub, "json")
 
     sub = subs.add_parser("suite", help="run one subcommand per file line")

@@ -37,6 +37,13 @@ MIN_LENGTH = 1e-6
 # largest length, the mirror of MIN_LENGTH; far above it areas and powers
 # of the length overflow
 MAX_LENGTH = 1e6
+# most cells of the graded grid of the 1-D quotient (sturm1d); this cap and
+# the next sit with the lengths so the CLI's help reads them without
+# importing sturm1d
+MAX_CELLS = 2 ** 16
+# most cells at gamma = 2: the eigensolve's residual grows like N^2 on the
+# graded grid and stays certifiable (below fem._RES_TOL) only up to here
+MAX_LINEAR_CELLS = 4096
 # most elements refine may build (square and rhombus level 8, 64-gon level
 # 6); far past it a mesh needs gigabytes, so refine refuses before allocating
 MAX_ELEMENTS = 2 ** 18

@@ -8,7 +8,9 @@ The central object is the decreasing radial profile Psi(r) solving
 integrated out to its first zero psi. The first Dirichlet eigenvalue of the
 unit ball is then psi^p, and weighted power means of Psi over (0, psi) supply
 the constants of the comparison machinery. For p = 2 everything collapses to
-Bessel functions, which is what the tests check against.
+Bessel functions, which is what the tests check against; the first zeros
+j_(nu,1) of the orders the dimensions 2 <= n <= N_MAX reach are a literal
+table here, so the module needs numpy alone.
 
 One step routine serves the whole module: Dormand and Prince's 12-stage,
 order-8 Runge-Kutta step DOP853, from one tableau held here, for a float
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.special
 
 from .errors import NumericError, ParameterError
 
@@ -46,6 +47,23 @@ N_MAX = 32
 #: Largest exponent q accepted by the power means and by the cumulative
 #: power checks; past it (u+)^q of a discrete eigenfunction can overflow.
 Q_MAX = 50.0
+#: First positive zeros j_(nu,1) of J_nu, keyed by the orders nu = n/2 - 1
+#: of the dimensions 2 <= n <= N_MAX. Each is the value of a scan, bisection
+#: and Newton route on scipy's J_nu (tests/oracles.bessel_first_zero):
+#: correctly rounded against mpmath at nu = 0, 1/2, 1, 3/2, 2, 5 and 15, and
+#: within 1 ulp at the other orders.
+_BESSEL_ZEROS = dict(zip((n / 2.0 - 1.0 for n in range(2, N_MAX + 1)), (
+    2.404825557695773, 3.141592653589793, 3.8317059702075125,
+    4.493409457909064, 5.135622301840683, 5.76345919689455, 6.380161895923984,
+    6.987932000500519, 7.5883424345038035, 8.182561452571242,
+    8.771483815959954, 9.355812111042745, 9.936109524217684,
+    10.512835408093999, 11.086370019245084, 11.657032192516372,
+    12.225092264004656, 12.79078171197212, 13.35430047743533,
+    13.915822610504897, 14.475500686554541, 15.03346930374344,
+    15.589847884455486, 16.14474294230134, 16.698249933848246,
+    17.250454784125967, 17.801435153282444, 18.351261495947274,
+    18.899997953174022, 19.447703108094736, 19.994430629816385),
+    strict=True))
 
 #: 16-point Gauss-Legendre nodes and weights on [-1, 1].
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -177,35 +195,14 @@ def classical_constant(n: int) -> float:
 
 
 def bessel_first_zero(nu: float) -> float:
-    """First positive zero of J_nu by scanning for a bracket, bisection to a
-    bracket width of 1e-12, then one Newton step, which squares that error
-    to below the rounding of J_nu itself."""
-    if nu < 0:
-        raise ParameterError(f"order must be >= 0, got {nu}")
-    lo = max(nu, 0.5)
-    flo = scipy.special.jv(nu, lo)
-    if flo <= 0.0:
-        # The scan start is left of the first zero for every nu >= 0; a
-        # non-positive value here means the bracket assumption broke down.
-        raise NumericError(f"unexpected sign of J_{nu} at scan start {lo}")
-    step = 0.5
-    hi = lo + step
-    for _ in range(10_000):
-        fhi = scipy.special.jv(nu, hi)
-        if fhi <= 0.0:
-            break
-        lo, flo = hi, fhi
-        hi += step
-    else:
-        raise NumericError(f"no sign change of J_{nu} found up to x = {hi}")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if scipy.special.jv(nu, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    return float(mid - scipy.special.jv(nu, mid) / scipy.special.jvp(nu, mid))
+    """First positive zero j_(nu,1) of J_nu, for an order nu = n/2 - 1 with
+    2 <= n <= N_MAX, the Bessel zero of the p = 2 profile in dimension n;
+    any other order is refused."""
+    zero = _BESSEL_ZEROS.get(nu)
+    if zero is None:
+        raise ParameterError(f"order must be n/2 - 1 for a dimension n in "
+                             f"[2, {N_MAX}], got {nu}")
+    return zero
 
 
 @dataclass(frozen=True)

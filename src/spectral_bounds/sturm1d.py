@@ -42,7 +42,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, NumericError, ParameterError
 from .fem import _inverse_iteration
-from .geometry import MAX_LENGTH, MIN_LENGTH
+from .geometry import (MAX_CELLS, MAX_LENGTH, MAX_LINEAR_CELLS,
+                       MIN_LENGTH)
 from .special import GL_NODES, GL_WEIGHTS
 
 _QUOTIENT_TOL = 1e-10
@@ -51,10 +52,6 @@ _HARDY_SLACK = 1e-9
 # the descent on N cells starts from the one on N // 4 cells while N // 4
 # is at least this
 _COARSE_FLOOR = 256
-MAX_CELLS = 2 ** 16
-# the gamma = 2 eigensolve's residual grows like N^2 on the graded grid and
-# stays certifiable (below fem._RES_TOL) only up to this many cells
-MAX_LINEAR_CELLS = 4096
 
 
 @dataclass(frozen=True)

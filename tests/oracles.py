@@ -14,7 +14,8 @@ sparse eigensolver, on the FEM matrices or on ``sturm_linear_pencil``.
 ``near_zero_profile`` is the local model of the radial profile at its zero
 that ``RadialProfile.value`` is held to there. ``compiled_profile_steps``
 shoots the profile through scipy's compiled DOP853, the reference for the
-library's own march.
+library's own march. ``bessel_first_zero`` finds j_(nu,1) on scipy's J_nu,
+the route the library's table of Bessel zeros was computed by.
 """
 
 import dataclasses
@@ -25,11 +26,11 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.integrate import _dop, ode
 from scipy.linalg import eigh
-from scipy.special import jv
+from scipy.special import jv, jvp
 
 from spectral_bounds import (bounds, fem, geometry, rearrangement, special,
                              sturm1d)
-from spectral_bounds.errors import ParameterError
+from spectral_bounds.errors import NumericError, ParameterError
 from spectral_bounds.rearrangement import (_power_diff, cumulative_power,
                                            dirichlet_ball_profile)
 
@@ -190,6 +191,39 @@ def normalized_bessel_profile(n: int, r):
     nz = r != 0.0
     out[nz] = math.gamma(n / 2.0) * (2.0 / r[nz]) ** nu * jv(nu, r[nz])
     return out if out.ndim else float(out)
+
+
+def bessel_first_zero(nu: float) -> float:
+    """First positive zero of J_nu by scanning for a bracket, bisection to a
+    bracket width of 1e-12, then one Newton step, which squares that error
+    to below the rounding of J_nu itself. The route that computed the
+    library's table of zeros, special._BESSEL_ZEROS."""
+    if nu < 0:
+        raise ParameterError(f"order must be >= 0, got {nu}")
+    lo = max(nu, 0.5)
+    flo = jv(nu, lo)
+    if flo <= 0.0:
+        # The scan start is left of the first zero for every nu >= 0; a
+        # non-positive value here means the bracket assumption broke down.
+        raise NumericError(f"unexpected sign of J_{nu} at scan start {lo}")
+    step = 0.5
+    hi = lo + step
+    for _ in range(10_000):
+        fhi = jv(nu, hi)
+        if fhi <= 0.0:
+            break
+        lo, flo = hi, fhi
+        hi += step
+    else:
+        raise NumericError(f"no sign change of J_{nu} found up to x = {hi}")
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if jv(nu, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    mid = 0.5 * (lo + hi)
+    return float(mid - jv(nu, mid) / jvp(nu, mid))
 
 
 def zero_slope(profile: special.RadialProfile) -> float:

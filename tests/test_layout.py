@@ -11,7 +11,9 @@ module bound by `from . import x` is found wherever it sits in the file.
 
 import ast
 import importlib.util
+import inspect
 import io
+import json
 import os
 import subprocess
 import sys
@@ -147,15 +149,54 @@ def test_the_benchmark_tracer_finds_what_it_wraps():
         assert callable(getattr(owner, name, None)), name
 
 
-def test_the_cli_loads_no_integrator_or_optimizer():
-    """scipy.integrate, and the scipy.optimize it pulls in, cost about a
-    third of the CLI's start-up; the library marches its one ODE itself.
-    A fresh interpreter, because this one has loaded them for the tests."""
+def _fresh_interpreter(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this
+    package, where this one has loaded scipy for the tests."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, spectral_bounds.cli; "
-         "print(*sorted(m for m in sys.modules if m.startswith("
-         "('scipy.integrate', 'scipy.optimize'))))"],
-        env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert loaded.stdout == "\n"
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=60).stdout
+
+
+def test_the_cli_loads_no_integrator_or_optimizer():
+    """scipy.integrate, and the scipy.optimize it pulls in, cost about a
+    third of the CLI's start-up; the library marches its one ODE itself."""
+    loaded = _fresh_interpreter(
+        "import sys, spectral_bounds.cli; "
+        "print(*sorted(m for m in sys.modules if m.startswith("
+        "('scipy.integrate', 'scipy.optimize'))))")
+    assert loaded == "\n"
+
+
+CLOSED_FORM = (["bound", "--domain", "square"],
+               ["bound", "--domain", "rhombus", "--m", "8", "--p", "3"],
+               ["psi", "--p", "2,3.7", "--n", "2,32"])
+SOLVING = (["compare-bounds", "--domain", "square", "--level", "2"],
+           ["sturm", "--gamma", "2", "--beta", "1", "--A", "1", "--N", "64"])
+
+
+def _dispatch(argv) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    return [cli.dispatch(argv, out=out, err=err), out.getvalue(),
+            err.getvalue()]
+
+
+def test_the_closed_form_subcommands_load_no_scipy():
+    """bound and psi run on numpy alone; the FEM layer and sturm1d load
+    scipy when a subcommand first solves, and then print what they print
+    in this interpreter, where every module was loaded up front."""
+    script = "\n".join([
+        "import io, json, sys",
+        "from spectral_bounds import cli",
+        inspect.getsource(_dispatch),
+        f"closed = [_dispatch(argv) for argv in {CLOSED_FORM!r}]",
+        "scipy = sorted(m for m in sys.modules",
+        "               if m.partition('.')[0] == 'scipy')",
+        f"solving = [_dispatch(argv) for argv in {SOLVING!r}]",
+        "print(json.dumps([closed, scipy, solving]))"])
+    closed, scipy, solving = json.loads(_fresh_interpreter(script))
+    assert scipy == []
+    assert closed == [_dispatch(argv) for argv in CLOSED_FORM]
+    assert solving == [_dispatch(argv) for argv in SOLVING]
+    assert [code for code, _, _ in closed + solving] == [0] * 5

@@ -46,8 +46,10 @@ def test_bessel_first_zero():
     h = 1e-6
     d = (jv(0.0, j11 + h) - jv(0.0, j11 - h)) / (2 * h)
     assert abs(d) <= 1e-8
-    with pytest.raises(ParameterError):
-        special.bessel_first_zero(-0.5)
+    # only the orders n/2 - 1 of the dimensions 2 <= n <= N_MAX
+    for bad in (0.25, 15.5, -0.5, math.nan):
+        with pytest.raises(ParameterError, match="order must be n/2 - 1"):
+            special.bessel_first_zero(bad)
 
 
 def test_bessel_first_zero_to_a_few_ulp():
@@ -59,6 +61,28 @@ def test_bessel_first_zero_to_a_few_ulp():
         math.pi)
     # a Python float, so overflow downstream raises instead of warning
     assert type(special.bessel_first_zero(0.0)) is float
+
+
+def test_bessel_zero_table_is_the_oracle_route():
+    """Each entry of the table is the scan, bisection and Newton route's
+    value to the bit."""
+    for n in range(2, special.N_MAX + 1):
+        nu = n / 2.0 - 1.0
+        assert special.bessel_first_zero(nu) == oracles.bessel_first_zero(nu)
+
+
+def test_bessel_zero_table_against_mpmath():
+    """Correctly rounded at the seven orders the table's comment names and
+    within 1 ulp at the other 24."""
+    mpmath = pytest.importorskip("mpmath")
+    rounded = (0.0, 0.5, 1.0, 1.5, 2.0, 5.0, 15.0)
+    with mpmath.workdps(30):
+        for n in range(2, special.N_MAX + 1):
+            nu = n / 2.0 - 1.0
+            zero = special.bessel_first_zero(nu)
+            exact = float(mpmath.besseljzero(mpmath.mpf(nu), 1))
+            assert abs(zero - exact) <= (0.0 if nu in rounded
+                                         else np.spacing(exact)), nu
 
 
 def test_normalized_bessel_profile():
