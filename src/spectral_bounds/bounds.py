@@ -151,11 +151,11 @@ class SharedSolves:
     its caller: the CLI makes one per invocation, and a suite one for all
     its lines.
 
-    Each key is computed at most once per instance. The level-L mesh is
-    geometry.refine of the memoized level-(L-1) mesh, down to the base
-    mesh geometry.triangulate builds, so what a key computes does not
-    depend on which caller asks first. A key whose computation fails keeps
-    its exception, which re-raises on every later call for the key. An
+    It holds results, not meshes: a key that needs the mesh of (spec,
+    level) rebuilds it with geometry.level_mesh when the key is computed,
+    and drops it once the key's value is stored. Each key is computed at
+    most once per instance. A key whose computation fails keeps its
+    exception, which re-raises on every later call for the key. An
     instance is not locked: it belongs to one thread.
     """
 
@@ -174,25 +174,16 @@ class SharedSolves:
                 raise
         return self._values[key]
 
-    def mesh(self, spec: DomainSpec, level: int) -> geometry.Mesh:
-        """Level ``level`` of the refinement chain of spec's base mesh; a
-        level < 0 is refused."""
-        if level < 0:
-            raise ParameterError(f"refinement level must be >= 0, got {level}")
-        return self._once(("mesh", spec, level), lambda: (
-            geometry.refine(self.mesh(spec, level - 1)) if level > 0
-            else geometry.triangulate(spec)))
-
     def neumann(self, spec: DomainSpec, level: int) -> fem.EigenPair:
         from . import fem
 
         return self._once(("neumann", spec, level), lambda: (
-            fem.solve_neumann_mu1(self.mesh(spec, level))))
+            fem.solve_neumann_mu1(geometry.level_mesh(spec, level))))
 
     def profile(self, spec: DomainSpec, level: int):
         """Oriented rearrangement of the Neumann eigenvector of (spec, level)."""
         return self._once(("profile", spec, level), lambda: (
-            rearrangement.rearrange_oriented(self.mesh(spec, level),
+            rearrangement.rearrange_oriented(geometry.level_mesh(spec, level),
                                              self.neumann(spec, level).vector)))
 
     def mu1(self, spec: DomainSpec, level: int) -> float:

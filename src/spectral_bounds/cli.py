@@ -8,10 +8,11 @@ invocations produce byte-identical output: field order is each handler's
 row order, solver seeds are fixed, and a suite runs its lines one after
 another in file order.
 
-Each invocation computes every (domain, level) mesh, Neumann eigenpair and
+Each invocation computes every (domain, level) Neumann eigenpair and
 rearranged profile at most once, in one bounds.SharedSolves memo that
 dispatch hands to the handler: the caller's, or a fresh one dropped when
-dispatch returns. A suite makes one memo and hands it to every line. The
+dispatch returns. The memo keeps no mesh; a new key rebuilds the mesh of
+its level. A suite makes one memo and hands it to every line. The
 argument parser is built once per process.
 
 The closed-form subcommands psi and bound load numpy and nothing from

@@ -11,7 +11,3 @@ class ParameterError(ValueError):
 
 class NumericError(RuntimeError):
     """A computation produced an unusable result (no zero found, NaN, ...)."""
-
-
-class ConvergenceError(NumericError):
-    """An eigen solve failed to converge or to certify its residual."""

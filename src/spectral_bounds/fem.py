@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, splu
 
-from .errors import ConvergenceError, ParameterError
+from .errors import NumericError, ParameterError
 from .geometry import Mesh, element_areas
 
 _SEED = 42
@@ -99,7 +99,7 @@ def _inverse_iteration(K, M, shift: float, neumann: bool = False) -> EigenPair:
         lu = splu((K + shift * M) if shift else K)
     except RuntimeError as ex:
         # SuperLU reports an exactly singular pivot this way
-        raise ConvergenceError(
+        raise NumericError(
             f"eigen solve could not factor its shifted stiffness: {ex}"
         ) from None
     solves = 0
@@ -117,7 +117,7 @@ def _inverse_iteration(K, M, shift: float, neumann: bool = False) -> EigenPair:
             K, k, M=M, sigma=-shift, v0=v0, tol=0,
             OPinv=LinearOperator((n, n), matvec=solve, dtype=float))
     except ArpackError as ex:
-        raise ConvergenceError(f"ARPACK failed: {ex}") from None
+        raise NumericError(f"ARPACK failed: {ex}") from None
     v = solve(M @ vectors[:, np.argsort(values)[1 if neumann else 0]])
     if neumann:
         mass_ones = M @ np.ones(n)
@@ -130,7 +130,7 @@ def _inverse_iteration(K, M, shift: float, neumann: bool = False) -> EigenPair:
     # a non-positive Rayleigh quotient is roundoff on a degenerate mesh,
     # however small its residual
     if info != 0 or not (value > 0.0 and residual <= _RES_TOL):
-        raise ConvergenceError(
+        raise NumericError(
             f"eigen solve not certified: residual {residual:.3g} "
             f"(tolerance {_RES_TOL:g})")
     return EigenPair(value=value, vector=v, residual=residual,

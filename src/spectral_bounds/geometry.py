@@ -7,7 +7,8 @@ constructors (``make_*``) know a family, and each builds a convex ring.
 
 Meshes are produced by uniform midpoint (red) refinement of the base
 triangulation (``triangulate``), so every refinement is nested in the
-previous one; bounds.SharedSolves.mesh holds the chain of levels. A mesh is
+previous one; ``level_mesh`` rebuilds the chain up to a level, so a mesh is
+a pure function of (domain, level) and nothing holds it. A mesh is
 its nodes and its elements; its outer boundary is not stored: it is the set
 of edges that one element has. The short diagonal of a rhombus lies on the
 line x = cos(pi/m) and is made of mesh edges at every level, so the tests
@@ -263,3 +264,14 @@ def refine(mesh: Mesh) -> Mesh:
     nodes = np.vstack([mesh.nodes, 0.5 * (ends[:, 0] + ends[:, 1])])
     corners = np.hstack([mesh.elements, n + table.element_edges])
     return Mesh(nodes=nodes, elements=corners[:, _CHILDREN].reshape(-1, 3))
+
+
+def level_mesh(spec: DomainSpec, level: int) -> Mesh:
+    """Level ``level`` of the refinement chain of spec's base mesh; a
+    level < 0 is refused."""
+    if level < 0:
+        raise ParameterError(f"refinement level must be >= 0, got {level}")
+    mesh = triangulate(spec)
+    for _ in range(level):
+        mesh = refine(mesh)
+    return mesh

@@ -396,7 +396,6 @@ def chiti_check(u_profile: RearrangedProfile,
     (rhs - lhs)/rhs over the grid points s > 0, positive when the
     domination holds with room.
     """
-    check_exponent(q)
     L = ball_profile.measure
     s_tilde = u_profile.positive_measure
     lemma_violated = L > s_tilde + CHECK_TOL * u_profile.domain_measure

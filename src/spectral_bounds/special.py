@@ -273,8 +273,7 @@ class RadialProfile:
         holding x integrates the degree-15 Legendre interpolant of its 16
         node values from its left edge to x, so Psi is not evaluated again.
         """
-        if not q > 0.0:
-            raise ParameterError(f"exponent must be positive, got {q}")
+        check_exponent(q)
         edges, base, logpsi = self._panels
         terms = base * np.exp(q * logpsi)
         cum = np.concatenate([[0.0], np.cumsum(terms.sum(axis=1))])
@@ -294,8 +293,8 @@ class RadialProfile:
         return float(out[0]) if arr.ndim == 0 else out
 
     def log_power_mean(self, s: float) -> float:
-        """log f(s) with f(s) = (n/psi^n int_0^psi t^(n-1) Psi^s dt)^(1/s)."""
-        check_exponent(s)
+        """log f(s) with f(s) = (n/psi^n int_0^psi t^(n-1) Psi^s dt)^(1/s),
+        for s in (0, Q_MAX]."""
         psi = self.first_zero
         return (math.log(self.n) - self.n * math.log(psi)
                 + math.log(self.power_integral(s, psi))) / s

@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
-from .errors import ConvergenceError, NumericError, ParameterError
+from .errors import NumericError, ParameterError
 from .fem import _inverse_iteration
 from .geometry import (MAX_CELLS, MAX_LENGTH, MAX_LINEAR_CELLS,
                        MIN_LENGTH)
@@ -271,7 +271,7 @@ def _solve_gradient(problem: SturmProblem) -> SturmSolution:
             lu = splu(hessian, permc_spec="NATURAL", relax=1, panel_size=1)
         except RuntimeError as ex:
             # SuperLU reports an exactly singular pivot this way
-            raise ConvergenceError(
+            raise NumericError(
                 f"descent Hessian could not be factored: {ex}") from None
         direction = lu.solve(grad)
         # freed now, not when the next step rebinds lu: two live factors

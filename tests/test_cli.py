@@ -417,6 +417,10 @@ def test_usage_errors(capsys):
                         "m <= 4096, got 100000000"),
                        (["verify-rhombus", "--m", "8,4097", "--level", "1"],
                         "m <= 4096, got 4097"),
+                       # any level past the element budget, however far,
+                       # is refused by the first refinement past it
+                       (["chiti", "--domain", "square", "--level",
+                         "100000"], "exceeds the budget of 262144"),
                        # a list flag with no value is refused by its parser
                        (["psi", "--p", ","], "argument --p: expected at "
                         "least one value, got ','"),
@@ -952,6 +956,33 @@ def test_solves_are_dropped_when_dispatch_returns(monkeypatch):
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+def test_memo_holds_results_not_meshes(monkeypatch):
+    refs = []
+    refine = geometry.refine
+
+    def tracked(mesh):
+        fine = refine(mesh)
+        refs.append(weakref.ref(fine))
+        return fine
+
+    monkeypatch.setattr(geometry, "refine", tracked)
+    argvs = (["verify-rhombus", "--m", "5,6", "--level", "3"],
+             ["chiti", "--domain", "square", "--level", "3"])
+    solves = bounds.SharedSolves()
+    gc.disable()   # reference counting alone must free them
+    try:
+        for argv in argvs:
+            assert cli.dispatch(argv, out=io.StringIO(), solves=solves) == 0
+        assert refs and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+    # the results stay: dispatching both again factors nothing
+    calls = _counting_splu(monkeypatch)
+    for argv in argvs:
+        assert cli.dispatch(argv, out=io.StringIO(), solves=solves) == 0
+    assert calls == []
 
 
 def test_parser_built_once_per_process(monkeypatch):

@@ -328,6 +328,8 @@ def test_power_integral_ends(p, n):
         assert np.all(np.diff(values) > 0.0)
     with pytest.raises(ParameterError):
         prof.power_integral(0.0, 1.0)
+    with pytest.raises(ParameterError, match="exponent must lie in"):
+        prof.power_integral(60.0, 1.0)
 
 
 def test_classical_constant():

@@ -16,8 +16,7 @@ import scipy.sparse as sparse
 from scipy import integrate
 
 from spectral_bounds import fem, special, sturm1d
-from spectral_bounds.errors import (ConvergenceError, NumericError,
-                                    ParameterError)
+from spectral_bounds.errors import NumericError, ParameterError
 from spectral_bounds.rearrangement import CHECK_TOL, dirichlet_ball_profile
 from spectral_bounds.sturm1d import (MAX_CELLS, MAX_LINEAR_CELLS,
                                      SturmProblem, solve)
@@ -322,7 +321,7 @@ def test_descent_singular_factor_is_a_convergence_error(monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(sturm1d, "splu", singular)
-    with pytest.raises(ConvergenceError, match="exactly singular"):
+    with pytest.raises(NumericError, match="exactly singular"):
         solve(SturmProblem(gamma=1.5, beta=0.75, length=1.0, n_cells=64))
 
 
